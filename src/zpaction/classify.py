@@ -7,15 +7,22 @@ topologically inequivalent actions; orbits of an invariant set under the
 normalizer of a permutation subgroup Q count inequivalent triples (the
 action together with its extra automorphisms).
 
-Two counting routes are kept independent: explicit orbit closure and the
-Burnside average of fixed-point counts over the whole group.  Both are
-exposed; they must agree.
+Two counting routes are kept independent; they must agree.  Orbit
+closure follows the generators.  The Burnside (Cauchy-Frobenius) count
+averages fixed-point counts over the group; on a G-stable key set
+Fix(tau sigma tau^-1) = tau Fix(sigma), so it takes one fixed-point count
+per conjugacy class, weighted by the class size.
 
-Hot paths note.  Keys fixed by a relabeling are detected without
-re-echelonizing: theta' = theta M^{-1} has the same row space as theta
-iff theta' equals A theta for A = theta' restricted to theta's pivot
-columns.  That check vectorizes over the whole enumeration table, which
-is what makes exhaustive n = 5 runs cheap.
+Hot paths note.  Both routes work on the keys as one (N, m, n) array.
+Keys fixed by a relabeling are detected without re-echelonizing:
+theta' = theta M^{-1} has the same row space as theta iff theta' equals
+A theta for A = theta' restricted to theta's pivot columns.  That check
+vectorizes over the whole enumeration table, which is what makes
+exhaustive n = 5 runs cheap.  Orbit closure moves the whole array by one
+generator at a time (a product and a batched rref in a narrow unsigned
+dtype), finds each image's row by binary search in the sorted array, and
+merges orbits by minimum-label propagation.  ``act`` is the per-key
+pure-Python action the tests check these against.
 """
 
 from __future__ import annotations
@@ -26,21 +33,16 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import (
+    DEFAULT_CANDIDATE_CAP,
     ActionParams,
-    ScaleCapError,
     SubgroupKey,
-    key_from_theta,
+    VerificationError,
+    _dtype_for,
+    _key_from_row,
     theta_table,
     transform_key,
 )
-from .fpalgebra import _rref_in_place
-from .hgroup import (
-    PermGroup,
-    Permutation,
-    close_group,
-    normalizer_in_symmetric,
-    perm_to_matrix,
-)
+from .hgroup import PermGroup, Permutation, normalizer_in_symmetric, perm_to_matrix
 
 # Exhaustive triples runs are capped near the p = 17, n = 5 scale; beyond
 # that the predicted families are the intended route.
@@ -57,23 +59,12 @@ def act(sigma: Permutation, key: SubgroupKey) -> SubgroupKey:
 
 
 @lru_cache(maxsize=256)
-def _inverse_action_entries(sigma: Permutation, params: ActionParams) -> tuple[tuple[int, ...], ...]:
-    return perm_to_matrix(sigma.inverse(), params.modulus, params.n).matrix.entries
-
-
-def _act_entries(
-    entries: tuple[tuple[int, ...], ...], minv: tuple[tuple[int, ...], ...], params: ActionParams
-) -> tuple[tuple[int, ...], ...]:
-    """Raw-tuple action: rref(entries . minv).  Internal fast path."""
-    p = params.p
-    n = params.n
-    cols = [tuple(minv[i][j] for i in range(n)) for j in range(n)]
-    rows = [
-        [sum(x * y for x, y in zip(row, col)) % p for col in cols]
-        for row in entries
-    ]
-    _rref_in_place(rows, n, p, params.modulus.inverse_table)
-    return tuple(tuple(r) for r in rows)
+def _inverse_action(sigma: Permutation, params: ActionParams) -> np.ndarray:
+    """M_sigma^{-1} as a read-only int64 array."""
+    entries = perm_to_matrix(sigma.inverse(), params.modulus, params.n).matrix.entries
+    minv = np.array(entries, dtype=np.int64)
+    minv.setflags(write=False)
+    return minv
 
 
 @dataclass(frozen=True)
@@ -100,11 +91,18 @@ class OrbitReport:
         raise KeyError(key)
 
 
-def _common_params(keys) -> ActionParams:
+def _distinct_keys(keys) -> tuple[list[SubgroupKey], ActionParams | None, np.ndarray | None]:
+    """The distinct keys sorted by digits, their shared params and their (N, m, n) array."""
+    keys = list(keys)
+    if not keys:
+        return [], None, None
     params = {k.params for k in keys}
     if len(params) != 1:
         raise ValueError("keys must share a single parameter set")
-    return params.pop()
+    params = params.pop()
+    table = _keys_to_array(keys, params)
+    _, first = np.unique(_row_codes(table), return_index=True)
+    return [keys[i] for i in first.tolist()], params, table[first]
 
 
 def orbit_partition(keys, group: PermGroup) -> OrbitReport:
@@ -114,93 +112,60 @@ def orbit_partition(keys, group: PermGroup) -> OrbitReport:
     members, orbits are sorted by representative.  Raises
     ActionOutsideSetError if a generator maps a key out of the set.
     """
-    keys = sorted(set(keys))
+    keys, params, table = _distinct_keys(keys)
     if not keys:
         raise ValueError("cannot partition an empty key set without parameters")
-    params = _common_params(keys)
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
-    minvs = [_inverse_action_entries(g, params) for g in group.generators]
-    universe = {k.theta.entries: k for k in keys}
-    unvisited = dict(universe)
-    orbits = []
-    for seed_entries in [k.theta.entries for k in keys]:
-        if seed_entries not in unvisited:
-            continue
-        frontier = [seed_entries]
-        members = {seed_entries}
-        del unvisited[seed_entries]
-        while frontier:
-            nxt = []
-            for entries in frontier:
-                for minv in minvs:
-                    moved = _act_entries(entries, minv, params)
-                    if moved in members:
-                        continue
-                    if moved not in universe:
-                        raise ActionOutsideSetError(
-                            "the action maps a key outside the supplied set; "
-                            "the set is not closed under the group"
-                        )
-                    members.add(moved)
-                    del unvisited[moved]
-                    nxt.append(moved)
-            frontier = nxt
-        orbit_keys = tuple(sorted(universe[e] for e in members))
-        orbits.append((orbit_keys[0], orbit_keys))
-    orbits.sort(key=lambda pair: pair[0])
-    return OrbitReport(params, group, tuple(orbits))
+    codes = _row_codes(table)
+    images = [_image_rows(table, codes, g, params) for g in group.generators]
+    labels = _orbit_labels(images, len(keys))
+    orbits: dict[int, list[SubgroupKey]] = {}
+    for key, label in zip(keys, labels.tolist()):
+        orbits.setdefault(label, []).append(key)
+    ordered = sorted(orbits.items())  # by least member's row: the lexicographic order
+    return OrbitReport(params, group, tuple((members[0], tuple(members)) for _, members in ordered))
 
 
 def count_orbits_burnside(keys, group: PermGroup) -> int:
-    """(1/|G|) sum over G of #fixed keys; must equal the partition count."""
-    keys = sorted(set(keys))
+    """Burnside orbit count of a G-stable key set; must equal the partition count."""
+    keys, params, table = _distinct_keys(keys)
     if not keys:
         return 0
-    params = _common_params(keys)
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
-    table = _keys_to_array(keys, params)
-    total = 0
-    for sigma in group.elements:
-        total += int(_fixed_mask(table, sigma, params).sum())
-    if total % group.order != 0:
-        raise ArithmeticError("Burnside sum is not divisible by the group order")
-    return total // group.order
+    return _burnside(table, group, params)
+
+
+def burnside_count_full(
+    params: ActionParams, group: PermGroup, max_candidates: int = DEFAULT_CANDIDATE_CAP
+) -> int:
+    """Burnside orbit count over the whole parameter space."""
+    return _burnside(theta_table(params, max_candidates), group, params)
 
 
 def invariant_set(keys, group: PermGroup) -> list[SubgroupKey]:
     """Keys fixed by every generator of ``group`` (hence by all of it)."""
-    keys = sorted(set(keys))
+    keys, params, table = _distinct_keys(keys)
     if not keys:
         return []
-    params = _common_params(keys)
-    minvs = [_inverse_action_entries(g, params) for g in group.generators]
-    out = []
-    for key in keys:
-        entries = key.theta.entries
-        if all(_act_entries(entries, minv, params) == entries for minv in minvs):
-            out.append(key)
-    return out
+    mask = _invariant_mask(table, group, params)
+    return [key for key, fixed in zip(keys, mask.tolist()) if fixed]
 
 
 # ---------------------------------------------------------------------------
-# vectorized internals over enumeration tables
+# vectorized internals over key tables
 
 
 def _keys_to_array(keys, params: ActionParams) -> np.ndarray:
-    arr = np.array([k.theta.entries for k in keys], dtype=np.int64)
+    arr = np.array([k.digits for k in keys], dtype=_dtype_for(params.p))
     return arr.reshape(len(keys), params.m, params.n)
-
-
-def _action_matrix_int(sigma: Permutation, params: ActionParams) -> np.ndarray:
-    return np.array(_inverse_action_entries(sigma, params), dtype=np.int64)
 
 
 def _fixed_mask(table: np.ndarray, sigma: Permutation, params: ActionParams) -> np.ndarray:
     """Boolean mask of keys fixed by sigma, no echelonization needed."""
     p = params.p
-    minv = _action_matrix_int(sigma, params)
+    minv = _inverse_action(sigma, params)
     n_keys = len(table)
     mask = np.empty(n_keys, dtype=bool)
     chunk = 1 << 20
@@ -223,13 +188,86 @@ def _invariant_mask(table: np.ndarray, group: PermGroup, params: ActionParams) -
     return mask
 
 
-def burnside_count_full(params: ActionParams, group: PermGroup) -> int:
-    """Burnside orbit count over the whole parameter space (array path)."""
-    table = theta_table(params)
-    total = sum(int(_fixed_mask(table, sigma, params).sum()) for sigma in group.elements)
+def _burnside(table: np.ndarray, group: PermGroup, params: ActionParams) -> int:
+    """(1/|G|) sum over G of fixed keys, for a G-stable table: one mask per class."""
+    classes = group.conjugacy_classes
+    total = sum(size * int(_fixed_mask(table, sigma, params).sum()) for sigma, size in classes)
     if total % group.order != 0:
-        raise ArithmeticError("Burnside sum is not divisible by the group order")
+        raise VerificationError("Burnside sum is not divisible by the group order")
     return total // group.order
+
+
+def _rref_rows(block: np.ndarray, params: ActionParams) -> None:
+    """Reduce every (m, n) matrix in ``block`` to rref in place; each has rank m.
+
+    Entries stay below p between steps, so the products stay below p^2
+    and fit any dtype that holds theta . M^-1 before its reduction.
+    """
+    p = params.p
+    inverse = np.array(params.modulus.inverse_table, dtype=block.dtype)
+    count, m, n = block.shape
+    rank = np.zeros(count, dtype=np.intp)
+    row_ids = np.arange(m)
+    for j in range(n):
+        candidates = (block[:, :, j] != 0) & (row_ids >= rank[:, None])
+        k = np.flatnonzero(candidates.any(axis=1))
+        r, i = rank[k], candidates[k].argmax(axis=1)
+        pivot_rows = block[k, i] * inverse[block[k, i, j]][:, None] % p
+        block[k, i] = block[k, r]  # row r swaps down; row r itself is replaced below
+        factors = (p - block[k, :, j]) % p
+        reduced = block[k] + factors[:, :, None] * pivot_rows[:, None, :]
+        reduced %= p
+        reduced[np.arange(len(k)), r] = pivot_rows
+        block[k] = reduced
+        rank[k] += 1
+
+
+def _row_codes(table: np.ndarray) -> np.ndarray:
+    """One opaque scalar per key that sorts like the key's digits.
+
+    Big-endian 16-bit digits compared bytewise order the same as the
+    digit tuples, for every p < 2^16 and any m, n.
+    """
+    flat = np.ascontiguousarray(table.reshape(len(table), -1), dtype=">u2")
+    return flat.view(np.dtype((np.void, 2 * flat.shape[1]))).ravel()
+
+
+def _image_rows(
+    table: np.ndarray, codes: np.ndarray, sigma: Permutation, params: ActionParams
+) -> np.ndarray:
+    """Row of each key's image under sigma, in a table sorted by ``codes``."""
+    bound = params.n * (params.p - 1) ** 2 + params.p  # theta . M^-1 before reduction mod p
+    dtype = np.uint16 if bound < 1 << 16 else np.uint32 if bound < 1 << 32 else np.uint64
+    moved = np.matmul(table.astype(dtype), _inverse_action(sigma, params).astype(dtype))
+    moved %= params.p
+    _rref_rows(moved, params)
+    images = _row_codes(moved)
+    rows = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
+    if not (codes[rows] == images).all():
+        raise ActionOutsideSetError(
+            "the action maps a key outside the supplied set; the set is not closed under the group"
+        )
+    return rows
+
+
+def _orbit_labels(images: list[np.ndarray], size: int) -> np.ndarray:
+    """Least row of each row's orbit, given the row permutation of each generator.
+
+    Labels only decrease and always name a row of the same orbit.  Once
+    pulling the least label across every generator changes nothing, each
+    label is constant on every generator's cycles, hence on the orbit.
+    Pointer jumping shortens the chains between rounds.
+    """
+    labels = np.arange(size)
+    while True:
+        updated = labels
+        for image in images:
+            updated = np.minimum(updated, updated[image])
+        while not np.array_equal(jumped := updated[updated], updated):
+            updated = jumped
+        if np.array_equal(updated, labels):
+            return labels
+        labels = updated
 
 
 def invariant_keys_full(
@@ -237,10 +275,7 @@ def invariant_keys_full(
 ) -> list[SubgroupKey]:
     """All keys in the parameter space fixed by ``group`` (array path)."""
     table = theta_table(params, max_candidates)
-    mask = _invariant_mask(table, group, params)
-    from .enumeration import _key_from_row
-
-    return [_key_from_row(params, row) for row in table[mask]]
+    return [_key_from_row(params, row) for row in table[_invariant_mask(table, group, params)]]
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +322,11 @@ def classify_triples(
 
         case = family_for_group(params.n, group)
         invariant = predicted_invariant_set(case, params.p)
-        minvs = [_inverse_action_entries(g, params) for g in group.generators]
-        for key in invariant:
-            entries = key.theta.entries
-            if any(_act_entries(entries, minv, params) != entries for minv in minvs):
-                raise AssertionError(f"predicted member {key} is not invariant")
+        if invariant:
+            fixed = _invariant_mask(_keys_to_array(invariant, params), group, params)
+            if not fixed.all():
+                bad = invariant[int(np.argmin(fixed))]
+                raise VerificationError(f"predicted member {bad} is not invariant")
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if invariant:

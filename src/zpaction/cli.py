@@ -16,7 +16,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -27,12 +28,13 @@ from .enumeration import (
     AdmissibilityError,
     ScaleCapError,
     SubgroupKey,
+    VerificationError,
     enumerate_actions,
     key_from_digit_string,
     key_from_named,
     name_of_key,
 )
-from .classify import classify_triples, count_orbits_burnside, invariant_set, orbit_partition
+from .classify import burnside_count_full, classify_triples, invariant_set, orbit_partition
 from .geometry import fiber_product_model, jacobian_decomposition, points_preset, render_model
 from .predictions import predicted_triple_count
 
@@ -92,6 +94,10 @@ class RunConfig:
         return tuple(parse_cycles(g, degree).cycle_string() for g in self.groups)
 
 
+def _prime_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="zpaction", description=__doc__)
     parser.add_argument("--version", action="version", version=f"zpaction {__version__}")
@@ -107,6 +113,7 @@ def build_parser() -> _Parser:
                 "--group",
                 action="append",
                 default=[],
+                dest="groups",
                 metavar="CYCLES",
                 help="generator in cycle notation, repeatable",
             )
@@ -140,7 +147,8 @@ def build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="reproduce a published count table")
     p_table.add_argument("--which", choices=sorted(DEFAULT_TABLE_PRIMES), required=True)
-    p_table.add_argument("--primes", help="comma-separated primes (defaults per table)")
+    p_table.add_argument("--primes", type=_prime_list, default=(),
+                         help="comma-separated primes (defaults per table)")
     p_table.add_argument("--mode", choices=("exhaustive", "predicted"), default="predicted")
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.add_argument("--output", metavar="PATH")
@@ -152,28 +160,8 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    primes = ()
-    if getattr(args, "primes", None):
-        primes = tuple(int(tok) for tok in args.primes.split(","))
-    return RunConfig(
-        command=args.command,
-        p=getattr(args, "p", None),
-        n=getattr(args, "n", None),
-        m=getattr(args, "m", None),
-        groups=tuple(getattr(args, "group", ()) or ()),
-        mode=getattr(args, "mode", "exhaustive"),
-        format=getattr(args, "format", "text"),
-        output=getattr(args, "output", None),
-        labels=getattr(args, "labels", None),
-        name=getattr(args, "name", None),
-        family=getattr(args, "family", None),
-        key=getattr(args, "key", None),
-        which=getattr(args, "which", None),
-        primes=primes,
-        max_candidates=getattr(args, "max_candidates", None),
-        cache_dir=getattr(args, "cache_dir", None),
-        no_cache=getattr(args, "no_cache", False),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(**{**given, "groups": tuple(given.get("groups", ()))})
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +197,23 @@ def _with_cache(config: RunConfig, compute) -> dict:
     key = _cache_key(config)
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     path = _cache_dir(config) / f"{digest}.json"
-    if path.exists():
-        stored = json.loads(path.read_text())
-        if stored.get("key") == key:
-            return stored["result"]
+    try:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # missing or unreadable: a miss, overwritten below
+        stored = None
+    if isinstance(stored, dict) and stored.get("key") == key and "result" in stored:
+        return stored["result"]
     result = compute()
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps({"key": key, "result": result}, ensure_ascii=False))
-    tmp.replace(path)
+    # A name of its own per writer, so concurrent runs never share a partial file.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{digest}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({"key": key, "result": result}, ensure_ascii=False))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return result
 
 
@@ -238,30 +234,36 @@ def _params_doc(params: ActionParams) -> dict:
     return {"p": params.p, "n": params.n, "m": params.m}
 
 
+def _orbit_entries(report) -> list[dict]:
+    return [
+        {"rep": _key_entry(rep), "size": len(members), "members": [_key_entry(k) for k in members]}
+        for rep, members in report.orbits
+    ]
+
+
+def _cap(config: RunConfig) -> dict:
+    """``--max-candidates`` as keyword arguments; absent or 0 keeps each route's default cap."""
+    return {"max_candidates": config.max_candidates} if config.max_candidates else {}
+
+
 def _orbits_doc(config: RunConfig) -> dict:
     params = config.params()
     group = config.parsed_groups()
-    cap = config.max_candidates
-    keys = enumerate_actions(params, **({"max_candidates": cap} if cap else {}))
-    report = orbit_partition(keys, group)
-    burnside = count_orbits_burnside(keys, group)
+    report = orbit_partition(enumerate_actions(params, **_cap(config)), group)
+    burnside = burnside_count_full(params, group, **_cap(config))
     if burnside != report.count:
-        raise ArithmeticError(f"Burnside {burnside} != partition {report.count}")
+        raise VerificationError(f"Burnside {burnside} != partition {report.count}")
     return {
         "params": _params_doc(params),
         "group": list(config.canonical_group_text()),
         "count": report.count,
-        "orbits": [
-            {"rep": _key_entry(rep), "size": len(members), "members": [_key_entry(k) for k in members]}
-            for rep, members in report.orbits
-        ],
+        "orbits": _orbit_entries(report),
     }
 
 
 def _enumerate_doc(config: RunConfig) -> dict:
     params = config.params()
-    cap = config.max_candidates
-    keys = enumerate_actions(params, **({"max_candidates": cap} if cap else {}))
+    keys = enumerate_actions(params, **_cap(config))
     return {
         "params": _params_doc(params),
         "count": len(keys),
@@ -272,7 +274,7 @@ def _enumerate_doc(config: RunConfig) -> dict:
 def _invariants_doc(config: RunConfig) -> dict:
     params = config.params()
     group = config.parsed_groups()
-    keys = enumerate_actions(params)
+    keys = enumerate_actions(params, **_cap(config))
     inv = invariant_set(keys, group)
     return {
         "params": _params_doc(params),
@@ -287,8 +289,7 @@ def _triples_doc(config: RunConfig) -> dict:
     if not config.groups:
         raise UsageError("triples requires at least one --group generator")
     group = config.parsed_groups()
-    kwargs = {"max_candidates": config.max_candidates} if config.max_candidates else {}
-    result = classify_triples(params, group, mode=config.mode, **kwargs)
+    result = classify_triples(params, group, mode=config.mode, **_cap(config))
     return {
         "params": _params_doc(params),
         "group": list(config.canonical_group_text()),
@@ -296,10 +297,7 @@ def _triples_doc(config: RunConfig) -> dict:
         "normalizer_order": result.normalizer.order,
         "invariant_count": len(result.invariant),
         "count": result.count,
-        "orbits": [
-            {"rep": _key_entry(rep), "size": len(members), "members": [_key_entry(k) for k in members]}
-            for rep, members in result.report.orbits
-        ],
+        "orbits": _orbit_entries(result.report),
     }
 
 
@@ -360,8 +358,6 @@ def _table_doc(config: RunConfig) -> dict:
     rows = []
     if which == "n3-orbits":
         s4 = symmetric_group(4)
-        from .classify import burnside_count_full
-
         for p in primes:
             rows.append({"p": p, "N": burnside_count_full(ActionParams(p, 3, 2), s4)})
     else:
@@ -496,6 +492,9 @@ def main(argv=None) -> int:
     except ScaleCapError as exc:
         print(f"scale cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 3
     except (NotPrimeError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

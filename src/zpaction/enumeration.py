@@ -57,6 +57,10 @@ class AdmissibilityError(ValueError):
     """A subgroup fails the defining constraints of the parameter space."""
 
 
+class VerificationError(ArithmeticError):
+    """An internal cross-check failed: two routes disagree, or a result fails its own check."""
+
+
 @dataclass(frozen=True, order=True)
 class ActionParams:
     """Parameters (p, n, m) of a Z_p^m action of signature (0; p^{n+1})."""
@@ -611,13 +615,7 @@ def key_from_presentation(pres: TypePresentation) -> SubgroupKey:
     """Rebuild the subgroup key a presentation came from (round trip)."""
     params = pres.params
     n = params.n
-    zero = [0] * (n + 1)
-
-    def word(entries):
-        w = list(zero)
-        for idx, e in entries:
-            w[idx - 1] = e
-        return tuple(w)
+    word = lambda entries: _word(n, entries)
 
     if isinstance(pres, Type1Presentation):
         words = [

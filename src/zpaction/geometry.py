@@ -25,6 +25,7 @@ from .enumeration import (
     SubgroupKey,
     Type1Presentation,
     Type2Presentation,
+    VerificationError,
     classify_type,
 )
 from .fpalgebra import (
@@ -216,7 +217,7 @@ def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
     deck = p ** (m - rank)
     genus = 1 - deck + Fraction(branched * deck * (p - 1), 2 * p)
     if genus.denominator != 1 or genus < 0:
-        raise ArithmeticError(
+        raise VerificationError(
             f"quotient genus came out as {genus} for key {key} and L of rank {rank}"
         )
     return int(genus)
@@ -319,13 +320,13 @@ class JacobianReport:
 
     def __post_init__(self) -> None:
         if self.genus_sum != self.total:
-            raise ArithmeticError(
+            raise VerificationError(
                 f"line genera sum to {self.genus_sum}, expected the genus {self.total}"
             )
         params = self.key.params
         expected = (params.n + 1) * params.p
         if self.fixed_sum != expected:
-            raise ArithmeticError(
+            raise VerificationError(
                 f"fixed-point counts sum to {self.fixed_sum}, expected {expected}"
             )
 

@@ -184,6 +184,27 @@ class PermGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def conjugacy_classes(self) -> tuple[tuple[Permutation, int], ...]:
+        """(first member in ``elements``, size) for each conjugacy class.
+
+        A class is the closure of one element under conjugation by the
+        generators, which reaches every conjugate in a finite group.
+        """
+        conjugators = [(g, g.inverse()) for g in self.generators]
+        seen: set[Permutation] = set()
+        classes = []
+        for sigma in self.elements:
+            if sigma not in seen:
+                members = frontier = {sigma}
+                while frontier:
+                    conjugates = {g * a * g_inv for a in frontier for g, g_inv in conjugators}
+                    frontier = conjugates - members
+                    members = members | frontier
+                seen |= members
+                classes.append((sigma, len(members)))
+        return tuple(classes)
+
     def generator_strings(self) -> tuple[str, ...]:
         return tuple(g.cycle_string() for g in self.generators)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import ActionParams, SubgroupKey, key_from_named
+from .enumeration import ActionParams, SubgroupKey, VerificationError, key_from_named
 from .hgroup import PermGroup, close_group, parse_cycles
 
 CASES = (
@@ -186,7 +186,7 @@ def predicted_triple_count(case: str, p: int) -> int:
             if (r * r + s * s - r * s - 1) % p == 0
         )
         if gamma % 3 != 0:
-            raise ArithmeticError(f"conic pair count {gamma} is not divisible by 3")
+            raise VerificationError(f"conic pair count {gamma} is not divisible by 3")
         return alpha + beta + gamma // 3
     if case == "N5_K4":
         return 3 if p == 2 else p + 4

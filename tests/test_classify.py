@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,13 @@ from zpaction.classify import (
     invariant_set,
     orbit_partition,
 )
-from zpaction.hgroup import Permutation, close_group, parse_cycles, symmetric_group
+from zpaction.hgroup import (
+    Permutation,
+    close_group,
+    normalizer_in_symmetric,
+    parse_cycles,
+    symmetric_group,
+)
 
 P5 = ActionParams(5, 3, 2)
 S4 = symmetric_group(4)
@@ -171,8 +179,9 @@ def test_vectorized_invariants_match_object_path():
     params = ActionParams(3, 5, 2)
     q = close_group([parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 6)(3 5)", 6)])
     fast = invariant_keys_full(params, q)
-    slow = invariant_set(enumerate_actions(params), q)
+    slow = [k for k in enumerate_actions(params) if all(act(g, k) == k for g in q.generators)]
     assert sorted(fast) == slow
+    assert invariant_set(enumerate_actions(params), q) == slow
 
 
 def test_triples_d3_p5_exhaustive():
@@ -221,3 +230,134 @@ def test_triples_exhaustive_agrees_with_predicted_small():
         b = classify_triples(ActionParams(p, 5, 2), d3, mode="predicted")
         assert a.invariant == b.invariant
         assert a.count == b.count
+
+
+# ---------------------------------------------------------------------------
+# independent oracles built on the per-key action ``act``
+
+D3 = close_group([parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 6)(3 5)", 6)])
+C6 = close_group([parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 5)(3 6)", 6)])
+
+
+@lru_cache(maxsize=None)
+def act_permutation(keys: tuple, sigma: Permutation) -> tuple[int, ...]:
+    """Position in ``keys`` of act(sigma, key), for each key; keys must be sigma-stable."""
+    position = {key: i for i, key in enumerate(keys)}
+    return tuple(position[act(sigma, key)] for key in keys)
+
+
+def burnside_per_element(keys, group) -> int:
+    """(1/|G|) sum over every element of G of its fixed keys, from ``act`` alone.
+
+    Each element's permutation of the keys is composed from the
+    generators' (act is a homomorphism, see test_action_axioms), so every
+    one of the |G| elements is counted on its own, with no use of
+    conjugacy classes or the array code.
+    """
+    keys = tuple(sorted(set(keys)))
+    generators = [(g, act_permutation(keys, g)) for g in group.generators]
+    perms = {Permutation.identity(group.degree): tuple(range(len(keys)))}
+    frontier = list(perms)
+    while frontier:
+        grown = []
+        for sigma in frontier:
+            for g, g_perm in generators:
+                tau = g * sigma
+                if tau not in perms:
+                    perms[tau] = tuple(g_perm[i] for i in perms[sigma])
+                    grown.append(tau)
+        frontier = grown
+    assert len(perms) == group.order
+    total = sum(sum(1 for i, j in enumerate(perm) if i == j) for perm in perms.values())
+    assert total % group.order == 0
+    return total // group.order
+
+
+def orbit_by_bfs(seed, group) -> set:
+    members, frontier = {seed}, [seed]
+    while frontier:
+        frontier = [image for key in frontier for g in group.generators
+                    if (image := act(g, key)) not in members and not members.add(image)]
+    return members
+
+
+def bfs_orbits(keys, group):
+    """Orbits as (least member, sorted members) pairs, by breadth-first search with act."""
+    remaining = set(keys)
+    orbits = []
+    for seed in sorted(remaining):
+        if seed in remaining:
+            members = orbit_by_bfs(seed, group)
+            assert members <= remaining, "the key set is not closed under the group"
+            remaining -= members
+            ordered = tuple(sorted(members))
+            orbits.append((ordered[0], ordered))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_class_weighted_burnside_matches_per_element_s4(p):
+    params = ActionParams(p, 3, 2)
+    keys = enumerate_actions(params)
+    expected = burnside_per_element(keys, S4)
+    assert count_orbits_burnside(keys, S4) == expected
+    assert burnside_count_full(params, S4) == expected
+
+
+def test_class_weighted_burnside_matches_per_element_s6():
+    params = ActionParams(3, 5, 2)
+    s6 = symmetric_group(6)
+    keys = enumerate_actions(params)
+    assert len(s6.conjugacy_classes) == 11
+    assert burnside_count_full(params, s6) == burnside_per_element(keys, s6)
+
+
+@pytest.mark.parametrize("group, classes", [(D3, 3), (C6, 6)], ids=["D3", "C6"])
+def test_class_weighted_burnside_matches_per_element_subgroups(group, classes):
+    params = ActionParams(5, 5, 2)
+    assert group.order == 6 and len(group.conjugacy_classes) == classes
+    expected = burnside_per_element(enumerate_actions(params), group)
+    assert burnside_count_full(params, group) == expected
+
+
+def test_class_weighted_burnside_matches_per_element_normalizer():
+    # the normalizer of an involution acting on the involution's invariant set
+    params = ActionParams(5, 5, 2)
+    q = close_group([parse_cycles("(1 2)(3 4)(5 6)", 6)])
+    invariant = invariant_keys_full(params, q)
+    normalizer = normalizer_in_symmetric(q)
+    assert normalizer.order == 48
+    expected = burnside_per_element(invariant, normalizer)
+    assert count_orbits_burnside(invariant, normalizer) == expected
+    assert orbit_partition(invariant, normalizer).count == expected
+
+
+@pytest.mark.parametrize(
+    "params, group",
+    [
+        (ActionParams(5, 3, 2), S4),
+        (ActionParams(7, 3, 2), S4),
+        (ActionParams(3, 5, 2), symmetric_group(6)),
+        (ActionParams(3, 5, 2), close_group([], degree=6)),
+        (ActionParams(3, 4, 3), symmetric_group(5)),
+        (ActionParams(5, 3, 1), S4),
+    ],
+    ids=["S4-p5", "S4-p7", "S6-p3", "trivial", "m3", "m1"],
+)
+def test_array_orbit_partition_matches_bfs(params, group):
+    keys = enumerate_actions(params)
+    report = orbit_partition(keys, group)
+    assert report.orbits == bfs_orbits(keys, group)
+    assert report.count == count_orbits_burnside(keys, group)
+
+
+def test_array_orbit_partition_matches_bfs_16_bit_digits():
+    # p > 255 keeps digits in 16 bits; the set is a union of S_4 orbits
+    params = ActionParams(257, 3, 2)
+    names = ("K(0,1)", "K(1,2)", "K(3)", "K(100,200)", "K(255,254)")
+    seeds = [named(name, params) for name in names]
+    keys = set().union(*(orbit_by_bfs(seed, S4) for seed in seeds))
+    assert max(max(k.digits) for k in keys) > 255
+    report = orbit_partition(keys, S4)
+    assert report.orbits == bfs_orbits(keys, S4)
+    assert report.count == count_orbits_burnside(keys, S4) > 1

@@ -169,3 +169,54 @@ def test_labels_preset(capsys):
     )
     assert code == 0
     assert "(x - -1)" in out or "(x - λ)" in out
+
+
+def test_invariants_scale_cap_exit_code(capsys):
+    code, _, err = run_cli(
+        ["invariants", "--p", "5", "--n", "3", "--max-candidates", "1", "--no-cache"], capsys
+    )
+    assert code == 2
+    assert "scale cap" in err
+
+
+def test_route_disagreement_exit_code(monkeypatch, capsys):
+    import zpaction.cli
+
+    real = zpaction.cli.burnside_count_full
+    monkeypatch.setattr(zpaction.cli, "burnside_count_full", lambda *a, **k: real(*a, **k) + 1)
+    code, out, err = run_cli(["orbits", "--p", "5", "--n", "3", "--no-cache"], capsys)
+    assert code == 3 and out == ""
+    assert err == "verification failed: Burnside 5 != partition 4\n"
+
+
+def test_predicted_member_check_exit_code(monkeypatch, capsys):
+    import zpaction.predictions
+    from zpaction.enumeration import ActionParams, key_from_digit_string
+
+    not_invariant = [key_from_digit_string(ActionParams(7, 5, 2), "1,0,1,1,1;0,1,1,2,3")]
+    monkeypatch.setattr(
+        zpaction.predictions, "predicted_invariant_set", lambda case, p: not_invariant
+    )
+    code, _, err = run_cli(
+        [
+            "triples", "--n", "5", "--p", "7",
+            "--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)",
+            "--mode", "predicted", "--no-cache",
+        ],
+        capsys,
+    )
+    assert code == 3
+    assert err.startswith("verification failed: predicted member") and err.count("\n") == 1
+
+
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
+    args = ["orbits", "--p", "5", "--n", "3", "--format", "json"]
+    _, expected, _ = run_cli(args + ["--no-cache"], capsys)
+    run_cli(args + ["--cache-dir", str(tmp_path)], capsys)
+    (entry,) = tmp_path.glob("*.json")
+    for garbage in ('{"key": ', "[]", "\xff\xfe"):
+        entry.write_text(garbage, encoding="latin-1")
+        code, out, _ = run_cli(args + ["--cache-dir", str(tmp_path)], capsys)
+        assert code == 0 and out == expected
+        assert json.loads(entry.read_text(encoding="utf-8"))["result"]["count"] == 4
+    assert list(tmp_path.glob("*.tmp")) == []

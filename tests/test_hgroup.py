@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -162,3 +164,18 @@ def test_normalizer_conjugation_closure():
 def test_normalizer_degree_cap():
     with pytest.raises(ValueError, match="too large"):
         normalizer_in_symmetric(close_group([], degree=10))
+
+
+@pytest.mark.parametrize("degree", [4, 5, 6, 7])
+def test_conjugacy_classes_of_symmetric_groups(degree):
+    group = symmetric_group(degree)
+
+    def cycle_type(sigma):
+        return tuple(sorted(len(c) for c in sigma.cycles()))
+
+    classes = group.conjugacy_classes
+    assert sum(size for _, size in classes) == group.order
+    by_type = Counter(cycle_type(sigma) for sigma in group.elements)
+    assert len(classes) == len(by_type)
+    assert {cycle_type(rep): size for rep, size in classes} == by_type
+    assert [rep for rep, _ in classes] == sorted(rep for rep, _ in classes)
