@@ -61,7 +61,7 @@ def act(sigma: Permutation, key: SubgroupKey) -> SubgroupKey:
 @lru_cache(maxsize=256)
 def _inverse_action(sigma: Permutation, params: ActionParams) -> np.ndarray:
     """M_sigma^{-1} as a read-only int64 array."""
-    entries = perm_to_matrix(sigma.inverse(), params.modulus, params.n).matrix.entries
+    entries = perm_to_matrix(sigma.inverse(), params.modulus, params.n).entries
     minv = np.array(entries, dtype=np.int64)
     minv.setflags(write=False)
     return minv

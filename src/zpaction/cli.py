@@ -3,7 +3,7 @@
 Subcommands: enumerate, orbits, invariants, triples, models, jacobian,
 table, verify.  Output is deterministic text, JSON or CSV; heavyweight
 results are cached as JSON documents keyed by the command, parameters,
-canonical group text and library version.
+canonical group text and a digest of the package's source files.
 
 Exit codes: 0 success, 1 usage or validation error, 2 scale cap
 exceeded, 3 verification failure.
@@ -18,12 +18,14 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 from . import __version__
 from .fpalgebra import NotPrimeError
 from .hgroup import PermGroup, close_group, parse_cycles, symmetric_group
 from .enumeration import (
+    DEFAULT_CANDIDATE_CAP,
     ActionParams,
     AdmissibilityError,
     ScaleCapError,
@@ -32,9 +34,8 @@ from .enumeration import (
     enumerate_actions,
     key_from_digit_string,
     key_from_named,
-    name_of_key,
 )
-from .classify import burnside_count_full, classify_triples, invariant_set, orbit_partition
+from .classify import burnside_count_full, classify_triples, invariant_keys_full, orbit_partition
 from .geometry import fiber_product_model, jacobian_decomposition, points_preset, render_model
 from .predictions import predicted_triple_count
 
@@ -177,6 +178,15 @@ def _cache_dir(config: RunConfig) -> Path:
     return Path.home() / ".cache" / "zpaction"
 
 
+@cache
+def _source_digest() -> str:
+    """sha256 of the package's ``*.py`` files: an edited checkout misses every older entry."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(config: RunConfig) -> dict:
     return {
         "command": config.command,
@@ -187,7 +197,7 @@ def _cache_key(config: RunConfig) -> dict:
         "mode": config.mode,
         "which": config.which,
         "primes": list(config.primes),
-        "version": __version__,
+        "source": _source_digest(),
     }
 
 
@@ -223,11 +233,6 @@ def _with_cache(config: RunConfig, compute) -> dict:
 
 def _key_entry(key: SubgroupKey) -> str:
     return key.digit_string()
-
-
-def _named(key: SubgroupKey) -> str:
-    name = name_of_key(key)
-    return f"{key.digit_string()}  [{name}]" if name else key.digit_string()
 
 
 def _params_doc(params: ActionParams) -> dict:
@@ -274,8 +279,7 @@ def _enumerate_doc(config: RunConfig) -> dict:
 def _invariants_doc(config: RunConfig) -> dict:
     params = config.params()
     group = config.parsed_groups()
-    keys = enumerate_actions(params, **_cap(config))
-    inv = invariant_set(keys, group)
+    inv = invariant_keys_full(params, group, config.max_candidates or DEFAULT_CANDIDATE_CAP)
     return {
         "params": _params_doc(params),
         "group": list(config.canonical_group_text()),

@@ -38,7 +38,7 @@ from .fpalgebra import (
     pivot_columns,
     rref,
 )
-from .hgroup import Permutation, generator_vector, perm_to_matrix
+from .hgroup import Permutation, perm_to_matrix
 
 DEFAULT_CANDIDATE_CAP = 10**9
 ORACLE_CANDIDATE_CAP = 10**7
@@ -164,33 +164,24 @@ def key_from_theta(params: ActionParams, rows) -> SubgroupKey:
 def key_from_generators(params: ActionParams, words) -> SubgroupKey:
     """Key of the subgroup generated by exponent words over a_1..a_{n+1}.
 
-    Each word is a length-(n+1) exponent sequence; a_{n+1} exponents are
-    folded in through its vector -(e_1 + ... + e_n).  The words must span
-    a subgroup of rank exactly n - m.
+    Each word is a length-(n+1) exponent sequence w; since a_{n+1} is
+    -(e_1 + ... + e_n), its vector is (w_j - w_{n+1}) for j = 1..n.  The
+    words must span a subgroup of rank exactly n - m.
     """
-    n, m = params.n, params.m
+    n, m, p = params.n, params.m, params.p
     vectors = []
     for word in words:
         exps = tuple(word)
         if len(exps) != n + 1:
             raise ValueError(f"generator word must have {n + 1} exponents, got {len(exps)}")
-        vec = [0] * n
-        for j, e in enumerate(exps, start=1):
-            if e % params.p == 0:
-                continue
-            gen = generator_vector(j, n, params.modulus)
-            for k in range(n):
-                vec[k] = (vec[k] + e * gen.entries[k]) % params.p
-        vectors.append(tuple(vec))
+        vectors.append(tuple((e - exps[n]) % p for e in exps[:n]))
     span = FpMatrix(params.modulus, tuple(vectors), n)
     _, rank = rref(span)
     if rank != n - m:
         raise AdmissibilityError(
             f"generators span a subgroup of rank {rank}, expected n - m = {n - m}"
         )
-    theta = kernel_basis(span)
-    key = SubgroupKey(params, theta)
-    return key
+    return SubgroupKey(params, kernel_basis(span))
 
 
 _PAREN_RE = re.compile(r"^K\((\d+)(?:,(\d+))?\)$")
@@ -386,7 +377,7 @@ def theta_table(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CA
 
 
 def _key_from_row(params: ActionParams, row: np.ndarray) -> SubgroupKey:
-    entries = tuple(tuple(int(e) for e in r) for r in row)
+    entries = tuple(map(tuple, row.tolist()))
     return SubgroupKey(params, FpMatrix(params.modulus, entries, params.n))
 
 
@@ -538,7 +529,7 @@ TypePresentation = Type1Presentation | Type2Presentation | GeneralPresentation
 def transform_key(key: SubgroupKey, sigma: Permutation) -> SubgroupKey:
     """Key of the relabeled subgroup Phi_sigma(K): rref(theta M_sigma^{-1})."""
     params = key.params
-    m_inv = perm_to_matrix(sigma.inverse(), params.modulus, params.n).matrix
+    m_inv = perm_to_matrix(sigma.inverse(), params.modulus, params.n)
     return key_from_theta(params, mat_mul(key.theta, m_inv).entries)
 
 

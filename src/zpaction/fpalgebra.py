@@ -65,28 +65,6 @@ class PrimeModulus:
 
 
 @dataclass(frozen=True)
-class FpVector:
-    """A vector over F_p with entries reduced into range(p)."""
-
-    modulus: PrimeModulus
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.modulus.p
-        object.__setattr__(self, "entries", tuple(int(e) % p for e in self.entries))
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
 class FpMatrix:
     """An immutable matrix over F_p.
 
@@ -246,12 +224,11 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     return FpMatrix(a.modulus, rows, b.cols)
 
 
-def mat_vec(a: FpMatrix, v: FpVector | tuple[int, ...]) -> tuple[int, ...]:
-    entries = v.entries if isinstance(v, FpVector) else tuple(v)
-    if a.cols != len(entries):
-        raise DimensionMismatchError(f"cannot apply {a.rows}x{a.cols} to a {len(entries)}-vector")
+def mat_vec(a: FpMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
+    if a.cols != len(v):
+        raise DimensionMismatchError(f"cannot apply {a.rows}x{a.cols} to a {len(v)}-vector")
     p = a.p
-    return tuple(sum(x * y for x, y in zip(row, entries)) % p for row in a.entries)
+    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a.entries)
 
 
 def mat_inverse(a: FpMatrix) -> FpMatrix:

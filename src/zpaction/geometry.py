@@ -31,6 +31,7 @@ from .enumeration import (
 from .fpalgebra import (
     FpMatrix,
     PrimeModulus,
+    kernel_basis,
     pivot_columns,
     rref,
     row_space_coordinates,
@@ -170,31 +171,26 @@ def lines_of_plane(modulus: PrimeModulus) -> list[FpMatrix]:
 
 
 def hyperplanes(modulus: PrimeModulus, m: int) -> list[FpMatrix]:
-    """All (m-1)-dimensional subspaces of Z_p^m, via normalized functionals."""
-    from .fpalgebra import kernel_basis
+    """All (m-1)-dimensional subspaces of Z_p^m, as kernels of normalized functionals.
 
+    Functionals with leading coefficient 1 are pairwise non-proportional,
+    so their kernels are pairwise distinct.
+    """
     p = modulus.p
     out = []
-    seen = set()
     for code in range(p**m):
         vec = []
         c = code
         for _ in range(m):
             c, d = divmod(c, p)
             vec.append(d)
-        first = next((e for e in vec if e), None)
-        if first != 1:  # normalized functionals only: leading coefficient 1
-            continue
-        functional = FpMatrix(modulus, (tuple(vec),), m)
-        ker = kernel_basis(functional)
-        if ker.entries not in seen:
-            seen.add(ker.entries)
-            out.append(ker)
+        if next((e for e in vec if e), None) == 1:
+            out.append(kernel_basis(FpMatrix(modulus, (tuple(vec),), m)))
     return out
 
 
-def _membership_mask(key: SubgroupKey, sub: FpMatrix) -> list[bool]:
-    reduced, _ = rref(sub)
+def _membership_mask(key: SubgroupKey, reduced: FpMatrix) -> list[bool]:
+    """Whether each generator image of ``key`` lies in L; ``reduced`` must be L's rref basis."""
     return [row_space_coordinates(reduced, img) is not None for img in key.images]
 
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fpalgebra import FpMatrix, FpVector, PrimeModulus, mat_vec
+from .fpalgebra import FpMatrix, PrimeModulus
 
 DEFAULT_CLOSURE_CAP = math.factorial(10)
 MAX_NORMALIZER_DEGREE = 9
@@ -125,41 +125,27 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def generator_vector(j: int, n: int, modulus: PrimeModulus) -> FpVector:
+def generator_vector(j: int, n: int, modulus: PrimeModulus) -> tuple[int, ...]:
     """The vector of a_j in Z_p^n: e_j for j <= n, all-(p-1) for j = n+1."""
     if not 1 <= j <= n + 1:
         raise IndexError(f"generator index {j} out of range 1..{n + 1}")
     if j <= n:
-        return FpVector(modulus, tuple(1 if k == j - 1 else 0 for k in range(n)))
-    return FpVector(modulus, (-1,) * n)
+        return tuple(1 if k == j - 1 else 0 for k in range(n))
+    return (modulus.p - 1,) * n
 
 
-@dataclass(frozen=True)
-class ActionMatrix:
-    """The linear action of a generator relabeling sigma on H = Z_p^n."""
+def perm_to_matrix(sigma: Permutation, modulus: PrimeModulus, n: int) -> FpMatrix:
+    """Realize sigma in S_{n+1} as the n x n matrix with column i = vec(a_{sigma(i)}).
 
-    sigma: Permutation
-    matrix: FpMatrix
-
-    def __post_init__(self) -> None:
-        n = self.matrix.rows
-        if self.sigma.degree != n + 1 or self.matrix.cols != n:
-            raise ValueError("matrix shape does not match permutation degree")
-        modulus = self.matrix.modulus
-        for j in range(1, n + 2):
-            src = generator_vector(j, n, modulus)
-            dst = generator_vector(self.sigma(j), n, modulus)
-            if mat_vec(self.matrix, src) != dst.entries:
-                raise ValueError(f"matrix does not map a_{j} to a_{self.sigma(j)}")
-
-
-def perm_to_matrix(sigma: Permutation, modulus: PrimeModulus, n: int) -> ActionMatrix:
-    """Realize sigma in S_{n+1} as the n x n matrix with column i = vec(a_{sigma(i)})."""
+    The matrix sends a_j to a_{sigma(j)} for j <= n by construction, and
+    a_{n+1} = -(a_1 + ... + a_n) to -(a_{sigma(1)} + ... + a_{sigma(n)}),
+    which is a_{sigma(n+1)} because all n+1 generators multiply to the
+    identity.
+    """
     if sigma.degree != n + 1:
         raise ValueError(f"permutation degree {sigma.degree} != n+1 = {n + 1}")
-    cols = [generator_vector(sigma(i), n, modulus).entries for i in range(1, n + 1)]
-    rows = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return ActionMatrix(sigma, FpMatrix(modulus, rows, n))
+    cols = [generator_vector(sigma(i), n, modulus) for i in range(1, n + 1)]
+    return FpMatrix(modulus, tuple(zip(*cols)), n)
 
 
 @dataclass(frozen=True)
@@ -204,9 +190,6 @@ class PermGroup:
                 seen |= members
                 classes.append((sigma, len(members)))
         return tuple(classes)
-
-    def generator_strings(self) -> tuple[str, ...]:
-        return tuple(g.cycle_string() for g in self.generators)
 
 
 def close_group(

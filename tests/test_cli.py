@@ -220,3 +220,38 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
         assert code == 0 and out == expected
         assert json.loads(entry.read_text(encoding="utf-8"))["result"]["count"] == 4
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_cache_is_keyed_on_package_sources(tmp_path, monkeypatch, capsys):
+    import zpaction.cli
+
+    args = ["orbits", "--p", "5", "--n", "3", "--format", "json", "--cache-dir", str(tmp_path)]
+    _, cold, _ = run_cli(args, capsys)
+    real = zpaction.cli.orbit_partition
+    computed = []
+    monkeypatch.setattr(
+        zpaction.cli, "orbit_partition", lambda *a, **k: computed.append(1) or real(*a, **k)
+    )
+    run_cli(args, capsys)
+    assert computed == []  # same sources: a hit
+    monkeypatch.setattr(zpaction.cli, "_source_digest", lambda: "edited sources")
+    code, warm, _ = run_cli(args, capsys)
+    assert code == 0 and warm == cold
+    assert computed == [1]  # edited sources: a miss, recomputed and stored beside the old entry
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_uncached_runs_never_hash_the_sources(monkeypatch, capsys):
+    import zpaction.cli
+
+    def unreadable():
+        raise AssertionError("source digest computed")
+
+    monkeypatch.setattr(zpaction.cli, "_source_digest", unreadable)
+    for args in (
+        ["orbits", "--p", "5", "--n", "3", "--no-cache"],
+        ["models", "--p", "5", "--n", "3", "--name", "K(0,4)"],
+        ["jacobian", "--p", "3", "--n", "3", "--name", "K(0,2)"],
+    ):
+        code, _, _ = run_cli(args, capsys)
+        assert code == 0

@@ -198,7 +198,9 @@ def test_conjecture_probe_reports_m3():
 
 def test_hyperplane_count():
     for p, m in [(3, 2), (3, 3), (2, 4)]:
-        assert len(hyperplanes(PrimeModulus(p), m)) == (p**m - 1) // (p - 1)
+        kernels = hyperplanes(PrimeModulus(p), m)
+        assert len(kernels) == (p**m - 1) // (p - 1)
+        assert len({h.entries for h in kernels}) == len(kernels)
 
 
 def test_render_json_round_trip():

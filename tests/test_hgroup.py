@@ -18,9 +18,9 @@ from zpaction.hgroup import (
 
 def test_generator_vectors():
     m5 = PrimeModulus(5)
-    assert generator_vector(1, 3, m5).entries == (1, 0, 0)
-    assert generator_vector(4, 3, m5).entries == (4, 4, 4)
-    assert generator_vector(6, 5, PrimeModulus(2)).entries == (1, 1, 1, 1, 1)
+    assert generator_vector(1, 3, m5) == (1, 0, 0)
+    assert generator_vector(4, 3, m5) == (4, 4, 4)
+    assert generator_vector(6, 5, PrimeModulus(2)) == (1, 1, 1, 1, 1)
     with pytest.raises(IndexError):
         generator_vector(5, 3, m5)
     with pytest.raises(IndexError):
@@ -58,43 +58,44 @@ def test_cycle_string_round_trip():
 def test_perm_to_matrix_identity():
     m5 = PrimeModulus(5)
     act = perm_to_matrix(Permutation.identity(4), m5, 3)
-    assert act.matrix.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert act.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_perm_to_matrix_swap():
     m5 = PrimeModulus(5)
     act = perm_to_matrix(parse_cycles("(1 2)", 4), m5, 3)
-    assert mat_vec(act.matrix, (1, 0, 0)) == (0, 1, 0)
-    assert mat_vec(act.matrix, (0, 1, 0)) == (1, 0, 0)
-    assert mat_vec(act.matrix, (0, 0, 1)) == (0, 0, 1)
+    assert mat_vec(act, (1, 0, 0)) == (0, 1, 0)
+    assert mat_vec(act, (0, 1, 0)) == (1, 0, 0)
+    assert mat_vec(act, (0, 0, 1)) == (0, 0, 1)
 
 
 def test_perm_to_matrix_last_generator():
     # sigma = (3 4): column 3 is the vector of a_4
     m5 = PrimeModulus(5)
     act = perm_to_matrix(parse_cycles("(3 4)", 4), m5, 3)
-    assert act.matrix.column(0) == (1, 0, 0)
-    assert act.matrix.column(1) == (0, 1, 0)
-    assert act.matrix.column(2) == (4, 4, 4)
+    assert act.column(0) == (1, 0, 0)
+    assert act.column(1) == (0, 1, 0)
+    assert act.column(2) == (4, 4, 4)
 
 
 def test_action_matrix_defining_invariant():
-    # every generator image checks out, including j = n+1
-    m3 = PrimeModulus(3)
-    sigma = parse_cycles("(1 4 2)(3 5)", 5)
-    act = perm_to_matrix(sigma, m3, 4)
-    for j in range(1, 6):
-        src = generator_vector(j, 4, m3)
-        dst = generator_vector(sigma(j), 4, m3)
-        assert mat_vec(act.matrix, src) == dst.entries
+    # M_sigma maps every generator a_j onto a_{sigma(j)}, including j = n+1,
+    # for every sigma in S_4 at p = 5 and in S_5 and S_6 at p = 3
+    for p, n in [(5, 3), (3, 4), (3, 5)]:
+        modulus = PrimeModulus(p)
+        for sigma in symmetric_group(n + 1):
+            act = perm_to_matrix(sigma, modulus, n)
+            for j in range(1, n + 2):
+                image = generator_vector(sigma(j), n, modulus)
+                assert mat_vec(act, generator_vector(j, n, modulus)) == image, (p, sigma, j)
 
 
 @given(st.permutations(list(range(1, 6))), st.permutations(list(range(1, 6))))
 def test_matrix_map_is_a_homomorphism(im1, im2):
     m7 = PrimeModulus(7)
     sigma, tau = Permutation(tuple(im1)), Permutation(tuple(im2))
-    lhs = perm_to_matrix(sigma * tau, m7, 4).matrix
-    rhs = mat_mul(perm_to_matrix(sigma, m7, 4).matrix, perm_to_matrix(tau, m7, 4).matrix)
+    lhs = perm_to_matrix(sigma * tau, m7, 4)
+    rhs = mat_mul(perm_to_matrix(sigma, m7, 4), perm_to_matrix(tau, m7, 4))
     assert lhs == rhs
 
 
