@@ -31,11 +31,18 @@ from .enumeration import (
     ScaleCapError,
     SubgroupKey,
     VerificationError,
+    check_candidate_cap,
     enumerate_actions,
     key_from_digit_string,
     key_from_named,
 )
-from .classify import burnside_count_full, classify_triples, invariant_keys_full, orbit_partition
+from .classify import (
+    TRIPLES_CANDIDATE_CAP,
+    burnside_count_full,
+    classify_triples,
+    invariant_keys_full,
+    orbit_partition,
+)
 from .geometry import fiber_product_model, jacobian_decomposition, points_preset, render_model
 from .predictions import predicted_triple_count
 
@@ -214,16 +221,19 @@ def _with_cache(config: RunConfig, compute) -> dict:
     if isinstance(stored, dict) and stored.get("key") == key and "result" in stored:
         return stored["result"]
     result = compute()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # A name of its own per writer, so concurrent runs never share a partial file.
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{digest}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": key, "result": result}, ensure_ascii=False))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # A name of its own per writer, so concurrent runs never share a partial file.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{digest}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps({"key": key, "result": result}, ensure_ascii=False))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:  # an entry that cannot be stored is skipped, as an unreadable one is a miss
+        pass
     return result
 
 
@@ -369,6 +379,9 @@ def _table_doc(config: RunConfig) -> dict:
         from .predictions import case_group
 
         group = case_group(case)
+        if config.mode == "exhaustive":  # fail on the first prime over the cap before any row runs
+            for p in primes:
+                check_candidate_cap(ActionParams(p, 5, 2), TRIPLES_CANDIDATE_CAP)
         for p in primes:
             if config.mode == "exhaustive":
                 count = classify_triples(ActionParams(p, 5, 2), group, mode="exhaustive").count
@@ -499,7 +512,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    except (NotPrimeError, AdmissibilityError, ValueError) as exc:
+    except (NotPrimeError, AdmissibilityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

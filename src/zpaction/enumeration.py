@@ -365,14 +365,19 @@ def _theta_table_cached(params: ActionParams) -> np.ndarray:
     return table
 
 
-def theta_table(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
-    """Array-level enumeration of the parameter space (internal fast path)."""
+def check_candidate_cap(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> None:
+    """Raise ScaleCapError when enumerating (p, n, m) would exceed ``max_candidates``."""
     estimate = candidate_estimate(params)
     if estimate > max_candidates:
         raise ScaleCapError(
             f"enumeration at (p={params.p}, n={params.n}, m={params.m}) exceeds the cap",
             estimate,
         )
+
+
+def theta_table(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
+    """Array-level enumeration of the parameter space (internal fast path)."""
+    check_candidate_cap(params, max_candidates)
     return _theta_table_cached(params)
 
 
@@ -533,14 +538,27 @@ def transform_key(key: SubgroupKey, sigma: Permutation) -> SubgroupKey:
     return key_from_theta(params, mat_mul(key.theta, m_inv).entries)
 
 
-def _span_coefficient(base: tuple[int, ...], vec: tuple[int, ...], modulus: PrimeModulus) -> int | None:
-    """c with vec = c * base, or None; base must be nonzero."""
-    p = modulus.p
-    k = next(i for i, e in enumerate(base) if e)
-    c = (vec[k] * modulus.inv(base[k])) % p
-    if all((c * b - v) % p == 0 for b, v in zip(base, vec)):
-        return c
-    return None
+def plane_coordinates(key: SubgroupKey) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The m = 2 basis rule: t, and (r_j, s_j) for every image theta(a_j), j = 1..n+1.
+
+    t + 1 is the first index whose image is not proportional to theta(a_1),
+    and theta(a_j) = r_j theta(a_1) + s_j theta(a_{t+1}).  With D = det(theta(a_1),
+    theta(a_{t+1})), the coordinates are the functionals s(v) = det(theta(a_1), v) / D
+    and r(v) = det(v, theta(a_{t+1})) / D (Cramer's rule).
+    """
+    params = key.params
+    if params.m != 2:
+        raise ValueError("plane coordinates are defined for m = 2")
+    p = params.p
+    images = key.images
+    a, b = images[0]
+    # theta has rank 2, so some column theta(a_j), j <= n, is independent of theta(a_1)
+    t = next(j for j in range(1, params.n) if (a * images[j][1] - b * images[j][0]) % p)
+    c, d = images[t]
+    scale = params.modulus.inv(a * d - b * c)
+    return t, tuple(
+        ((x * d - y * c) * scale % p, (a * y - b * x) * scale % p) for x, y in images
+    )
 
 
 def classify_type(key: SubgroupKey) -> TypePresentation:
@@ -548,30 +566,14 @@ def classify_type(key: SubgroupKey) -> TypePresentation:
     if key.params.m != 2:
         return general_presentation(key)
     params = key.params
-    p, n = params.p, params.n
-    modulus = params.modulus
-    images = key.images
-    phi1 = images[0]
-    t = 1
-    while t < n and _span_coefficient(phi1, images[t], modulus) is not None:
-        t += 1
-    basis_index = t  # images[basis_index] = theta(a_{t+1}), independent of phi1
-    phi2 = images[basis_index]
-    basis = FpMatrix(modulus, (phi1, phi2))
-    binv = mat_inverse(basis)
-
-    def coords(vec):
-        # theta(a_j) = r phi1 + s phi2  <=>  (r, s) = vec . basis^{-1}
-        return tuple(sum(vec[i] * binv.entries[i][k] for i in range(2)) % p for k in range(2))
-
+    t, coords = plane_coordinates(key)
+    rs = coords[t + 1 : params.n]  # theta(a_j) for j = t+2..n
+    r = tuple(rj for rj, _ in rs)
+    s = tuple(sj for _, sj in rs)
     if t == 1:
-        rs = [coords(images[j - 1]) for j in range(3, n + 1)]
-        return Type1Presentation(params, tuple(r for r, _ in rs), tuple(s for _, s in rs))
-    ls = tuple(_span_coefficient(phi1, images[j - 1], modulus) for j in range(2, t + 1))
-    rs = [coords(images[j - 1]) for j in range(t + 2, n + 1)]
-    return Type2Presentation(
-        params, t, tuple(ls), tuple(r for r, _ in rs), tuple(s for _, s in rs)
-    )
+        return Type1Presentation(params, r, s)
+    ls = tuple(lj for lj, _ in coords[1:t])  # theta(a_j) = l_j theta(a_1) for j = 2..t
+    return Type2Presentation(params, t, ls, r, s)
 
 
 def general_presentation(key: SubgroupKey) -> GeneralPresentation:

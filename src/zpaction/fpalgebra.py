@@ -241,27 +241,3 @@ def mat_inverse(a: FpMatrix) -> FpMatrix:
     if any(rows[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise SingularMatrixError("matrix is singular mod p")
     return FpMatrix(a.modulus, tuple(tuple(row[n:]) for row in rows), n)
-
-
-def row_space_coordinates(reduced: FpMatrix, vector: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Coordinates of ``vector`` over the rows of a rref matrix, or None.
-
-    Because the matrix is in rref, the candidate coefficients can be read
-    off the pivot columns directly and then verified.
-    """
-    p = reduced.p
-    pivots = pivot_columns(reduced)
-    coeffs = tuple(vector[c] % p for c in pivots)
-    residual = list(int(e) % p for e in vector)
-    for coeff, row in zip(coeffs, reduced.entries):
-        if coeff:
-            for k, e in enumerate(row):
-                residual[k] = (residual[k] - coeff * e) % p
-    if any(residual):
-        return None
-    return coeffs
-
-
-def row_space_contains(matrix: FpMatrix, vector: tuple[int, ...]) -> bool:
-    reduced, _ = rref(matrix)
-    return row_space_coordinates(reduced, vector) is not None

@@ -1,12 +1,20 @@
 """Curve models, genus arithmetic and Jacobian genus bookkeeping.
 
 A subgroup key K at m = 2 describes a surface S that is the fiber product
-of two cyclic p-covers of the sphere sharing the x coordinate; the
-exponent tables of those covers are read off the type presentation.  For
-every subgroup L of the deck group N = Z_p^m, the quotient S/L is again a
+of two cyclic p-covers of the sphere sharing the x coordinate.  For every
+subgroup L of the deck group N = Z_p^m, the quotient S/L is again a
 cyclic-type cover whose genus follows from Riemann-Hurwitz; at m = 2 the
 p+1 one-dimensional L give the genus decomposition of the Jacobian of S,
 whose dimensions must add up to the genus of S exactly.
+
+Every quotient is read off linear functionals on the generator images
+theta(a_1), ..., theta(a_{n+1}).  L is the common kernel of its
+annihilator, and S/L is branched over a marked point exactly when some
+annihilator functional is nonzero on its image.  For an index-p quotient
+that is one functional, whose values are also the exponents of the
+p-gonal model.  The fiber product is the pair of coordinate functionals of
+the basis (theta(a_1), theta(a_{t+1})): y1 takes the second coordinates
+and y2 the first.
 
 Marked points: the branch point at infinity is carried as point index 1
 with an exponent slot like any other; rendering omits its factor, and the
@@ -16,26 +24,13 @@ keeps the arithmetic uniform with no special cases.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import (
-    ActionParams,
-    SubgroupKey,
-    Type1Presentation,
-    Type2Presentation,
-    VerificationError,
-    classify_type,
-)
-from .fpalgebra import (
-    FpMatrix,
-    PrimeModulus,
-    kernel_basis,
-    pivot_columns,
-    rref,
-    row_space_coordinates,
-)
+from .enumeration import SubgroupKey, VerificationError, plane_coordinates
+from .fpalgebra import FpMatrix, PrimeModulus, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -149,11 +144,14 @@ def total_genus(k: int, n: int, m: int) -> int:
 
 
 def subspace(modulus: PrimeModulus, vectors) -> FpMatrix:
-    """Canonical (rref) basis matrix of the span of ``vectors`` in Z_p^m."""
+    """Canonical (rref) basis of the span of ``vectors`` in Z_p^m.
+
+    The span is the common kernel of its annihilator, and ``kernel_basis``
+    returns every kernel as its rref basis.
+    """
     rows = tuple(tuple(v) for v in vectors)
     width = len(rows[0]) if rows else 0
-    reduced, rank = rref(FpMatrix(modulus, rows, width))
-    return FpMatrix(modulus, reduced.entries[:rank], width)
+    return kernel_basis(kernel_basis(FpMatrix(modulus, rows, width)))
 
 
 def line(modulus: PrimeModulus, vector) -> FpMatrix:
@@ -164,131 +162,109 @@ def line(modulus: PrimeModulus, vector) -> FpMatrix:
 
 
 def lines_of_plane(modulus: PrimeModulus) -> list[FpMatrix]:
-    """The p+1 one-dimensional subspaces of Z_p^2, sorted by generator."""
-    p = modulus.p
-    gens = [(0, 1)] + [(1, c) for c in range(p)]
-    return [line(modulus, g) for g in sorted(gens)]
+    """The p+1 one-dimensional subspaces of Z_p^2, sorted by their rref generator."""
+    gens = [(0, 1)] + [(1, c) for c in range(modulus.p)]
+    return [FpMatrix(modulus, (g,)) for g in gens]
 
 
-def hyperplanes(modulus: PrimeModulus, m: int) -> list[FpMatrix]:
-    """All (m-1)-dimensional subspaces of Z_p^m, as kernels of normalized functionals.
+def normalized_functionals(modulus: PrimeModulus, m: int) -> list[tuple[int, ...]]:
+    """The functionals on Z_p^m with leading coefficient 1, one per hyperplane.
 
-    Functionals with leading coefficient 1 are pairwise non-proportional,
-    so their kernels are pairwise distinct.
+    No two of them are proportional, so their kernels are the
+    (p^m - 1)/(p - 1) hyperplanes, each exactly once.
     """
-    p = modulus.p
-    out = []
-    for code in range(p**m):
-        vec = []
-        c = code
-        for _ in range(m):
-            c, d = divmod(c, p)
-            vec.append(d)
-        if next((e for e in vec if e), None) == 1:
-            out.append(kernel_basis(FpMatrix(modulus, (tuple(vec),), m)))
-    return out
+    return [
+        (0,) * k + (1,) + rest
+        for k in range(m)
+        for rest in itertools.product(range(modulus.p), repeat=m - 1 - k)
+    ]
 
 
-def _membership_mask(key: SubgroupKey, reduced: FpMatrix) -> list[bool]:
-    """Whether each generator image of ``key`` lies in L; ``reduced`` must be L's rref basis."""
-    return [row_space_coordinates(reduced, img) is not None for img in key.images]
+def _values(key: SubgroupKey, functional) -> list[int]:
+    """A functional on Z_p^m evaluated at theta(a_1), ..., theta(a_{n+1})."""
+    p = key.params.p
+    return [sum(f * x for f, x in zip(functional, img)) % p for img in key.images]
+
+
+def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: int) -> int:
+    """Riemann-Hurwitz genus of S/L from its deck order and its number of branched marked points.
+
+    Over a branched marked point lie deck/p points of multiplicity p; all
+    other points are unramified.  The result must be a nonnegative
+    integer; a violation signals an internal inconsistency.
+    """
+    p = key.params.p
+    genus = 1 - deck + Fraction(branched * deck * (p - 1), 2 * p)
+    if genus.denominator != 1 or genus < 0:
+        raise VerificationError(
+            f"quotient genus came out as {genus} for key {key}, deck order {deck} "
+            f"and {branched} branched points"
+        )
+    return int(genus)
 
 
 def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
     """Genus of S/L for a proper subgroup L <= Z_p^m, by Riemann-Hurwitz.
 
-    The cover S/L -> sphere has deck order d = p^(m - dim L); over a
-    marked point whose image lies outside L there are d/p points of
-    multiplicity p, all other points are unramified.  The result must be
-    a nonnegative integer; a violation signals an internal inconsistency.
+    L is the common kernel of its annihilator A = ``kernel_basis(sub)``.
+    The deck group (Z_p^m)/L has order p^(rows of A), and S/L is branched
+    over a marked point exactly when some row of A is nonzero on its image.
     """
     params = key.params
-    p, m = params.p, params.m
-    if sub.cols != m or sub.modulus != params.modulus:
+    if sub.cols != params.m or sub.modulus != params.modulus:
         raise ValueError("subspace does not live in the quotient Z_p^m")
-    reduced, rank = rref(sub)
-    if rank >= m:
+    annihilator = kernel_basis(sub)
+    if not annihilator.rows:
         raise ValueError("L must be a proper subgroup of Z_p^m")
-    branched = sum(1 for inside in _membership_mask(key, reduced) if not inside)
-    deck = p ** (m - rank)
-    genus = 1 - deck + Fraction(branched * deck * (p - 1), 2 * p)
-    if genus.denominator != 1 or genus < 0:
-        raise VerificationError(
-            f"quotient genus came out as {genus} for key {key} and L of rank {rank}"
-        )
-    return int(genus)
+    values = [_values(key, f) for f in annihilator.entries]
+    branched = sum(1 for column in zip(*values) if any(column))
+    return _riemann_hurwitz(key, params.p**annihilator.rows, branched)
+
+
+def _pgonal_curve(key: SubgroupKey, values: list[int], points: MarkedPoints | None) -> CurveModel:
+    """The p-cover with exponents ``values``, scaled so the first nonzero finite one is 1."""
+    params = key.params
+    lead = next((e for e in values[1:] if e), None)
+    assert lead is not None  # rank 2 forces a branched finite point
+    scale = params.modulus.inv(lead)
+    pts = points if points is not None else MarkedPoints.standard(params.n)
+    return CurveModel(params.modulus, pts, tuple(scale * e % params.p for e in values))
 
 
 def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = None) -> CurveModel:
     """Exponent table of the cyclic p-cover S/L -> sphere, for a line L.
 
-    Exponents are discrete logs of the marked-point images in the cyclic
-    quotient (Z_p^2)/L, with the generator scaled so that the first
-    nonzero exponent among the finite points equals 1.  The exponents sum
-    to 0 mod p with the infinity slot included.
+    The functional f cutting out L maps (Z_p^2)/L onto Z_p, so the
+    exponents are the values of f on the marked-point images, scaled so
+    that the first nonzero exponent among the finite points equals 1.  The
+    exponents sum to 0 mod p with the infinity slot included.
     """
     params = key.params
     if params.m != 2:
         raise ValueError("per-line models are defined for m = 2")
-    p = params.p
-    modulus = params.modulus
-    reduced, rank = rref(sub)
-    if rank != 1 or sub.cols != 2:
+    annihilator = kernel_basis(sub)
+    if sub.cols != 2 or annihilator.rows != 1:
         raise ValueError("L must be a line in Z_p^2")
-    a, b = reduced.entries[0]
-    functional = (b % p, (-a) % p)  # kernel of the functional is exactly L
-    exps = [
-        (functional[0] * img[0] + functional[1] * img[1]) % p for img in key.images
-    ]
-    lead = next((e for e in exps[1:] if e), None)
-    assert lead is not None  # rank 2 forces a branched finite point
-    scale = modulus.inv(lead)
-    exps = [(scale * e) % p for e in exps]
-    pts = points if points is not None else MarkedPoints.standard(params.n)
-    return CurveModel(modulus, pts, tuple(exps))
+    return _pgonal_curve(key, _values(key, annihilator.entries[0]), points)
 
 
 def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) -> FiberProductModel:
-    """The two-equation algebraic model of S, read off the type presentation.
+    """The two-equation algebraic model of S, from the coordinates of the images.
 
-    Type 1 (independent first two images): y1^p = x prod (x-q_j)^{s_j},
+    With theta(a_j) = r_j theta(a_1) + s_j theta(a_{t+1}) as in
+    ``plane_coordinates``, y1 takes the exponents s_j and y2 the r_j.  In
+    the type presentation, Type 1 (t = 1) reads y1^p = x prod (x-q_j)^{s_j},
     y2^p = prod (x-q_j)^{r_j} over j = 3..n+1, with the last exponents
     forced by s_{n+1} = -(1 + s_3 + ... + s_n) and r_{n+1} = -(1 + r_3 +
-    ... + r_n) mod p.  Type 2 shifts the leading factor of y1 to
-    q_{t+1} and gives y2 the l_j exponents over q_2..q_t.
+    ... + r_n) mod p.  Type 2 shifts the leading factor of y1 to q_{t+1}
+    and gives y2 the l_j exponents over q_2..q_t.
     """
     params = key.params
-    if params.m != 2:
-        raise ValueError("fiber product models are defined for m = 2")
-    p, n = params.p, params.n
-    pres = classify_type(key)
-    y1 = [0] * (n + 1)
-    y2 = [0] * (n + 1)
-    if isinstance(pres, Type1Presentation):
-        y1[1] = 1
-        for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=3):
-            y1[j - 1] = sj
-            y2[j - 1] = rj
-        y1[n] = pres.forced_s
-        y2[n] = pres.forced_r
-        y2[0] = (-(sum(pres.r) + pres.forced_r)) % p  # infinity slot, always 1
-    elif isinstance(pres, Type2Presentation):
-        t = pres.t
-        y1[t] = 1  # the factor (x - q_{t+1})
-        for j, lj in enumerate(pres.l, start=2):
-            y2[j - 1] = lj
-        for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=t + 2):
-            y1[j - 1] = sj
-            y2[j - 1] = rj
-        y1[n] = pres.forced_s
-        y2[n] = pres.forced_r
-        y2[0] = (-(sum(pres.l) + sum(pres.r) + pres.forced_r)) % p
-    else:
-        raise ValueError("fiber product models need the m = 2 presentation")
-    pts = points if points is not None else MarkedPoints.standard(n)
-    modulus = params.modulus
+    _, coords = plane_coordinates(key)  # raises ValueError unless m = 2
+    pts = points if points is not None else MarkedPoints.standard(params.n)
     return FiberProductModel(
-        CurveModel(modulus, pts, tuple(y1)), CurveModel(modulus, pts, tuple(y2))
+        CurveModel(params.modulus, pts, tuple(s for _, s in coords)),
+        CurveModel(params.modulus, pts, tuple(r for r, _ in coords)),
     )
 
 
@@ -340,18 +316,24 @@ class JacobianReport:
 
 
 def jacobian_decomposition(key: SubgroupKey, points: MarkedPoints | None = None) -> JacobianReport:
-    """Per-line quotient genera, fixed-point counts and models at m = 2."""
+    """Per-line quotient genera, fixed-point counts and models at m = 2.
+
+    The line spanned by (a, b) is the kernel of f = (b, -a).  The values of
+    f on the n+1 images give all three: S/L is branched where f is nonzero,
+    each zero contributes p fixed points, and the values are the p-gonal
+    exponents up to scale.
+    """
     params = key.params
     if params.m != 2:
         raise ValueError("the line decomposition is defined for m = 2")
     p = params.p
     entries = []
     for ln in lines_of_plane(params.modulus):
-        genus = quotient_genus(key, ln)
-        inside = sum(1 for flag in _membership_mask(key, ln) if flag)
-        fixed = p * inside
-        model = pgonal_model(key, ln, points)
-        entries.append(JacobianLine(ln, genus, fixed, model))
+        ((a, b),) = ln.entries
+        values = _values(key, (b, -a))
+        zeros = values.count(0)
+        genus = _riemann_hurwitz(key, p, len(values) - zeros)
+        entries.append(JacobianLine(ln, genus, p * zeros, _pgonal_curve(key, values, points)))
     total = total_genus(p, params.n, params.m)
     return JacobianReport(key, tuple(entries), total)
 
@@ -377,8 +359,12 @@ def conjecture_probe(key: SubgroupKey) -> ConjectureProbe:
     params = key.params
     if params.m < 2:
         raise ValueError("the probe needs m >= 2")
-    total = total_genus(params.p, params.n, params.m)
-    sum_genus = sum(quotient_genus(key, h) for h in hyperplanes(params.modulus, params.m))
+    p = params.p
+    total = total_genus(p, params.n, params.m)
+    sum_genus = 0
+    for functional in normalized_functionals(params.modulus, params.m):
+        values = _values(key, functional)
+        sum_genus += _riemann_hurwitz(key, p, len(values) - values.count(0))
     return ConjectureProbe(sum_genus, total)
 
 

@@ -255,3 +255,80 @@ def test_uncached_runs_never_hash_the_sources(monkeypatch, capsys):
     ):
         code, _, _ = run_cli(args, capsys)
         assert code == 0
+
+
+def test_jacobian_type2_json(capsys):
+    # golden output; the d3 key K(2) at p = 5 is type 2 with t = 3
+    code, out, _ = run_cli(
+        ["jacobian", "--p", "5", "--n", "5", "--family", "d3", "--name", "K(2)",
+         "--format", "json", "--no-cache"],
+        capsys,
+    )
+    lines = [
+        ("0,1", 2, 15, "y^5 = x*(x - 1)"),
+        ("1,0", 2, 15, "y^5 = (x - q4)*(x - q5)^2*(x - q6)^2"),
+        ("1,1", 8, 0, "y^5 = x*(x - 1)*(x - q4)^2*(x - q5)^4*(x - q6)^4"),
+        ("1,2", 8, 0, "y^5 = x*(x - 1)*(x - q4)*(x - q5)^2*(x - q6)^2"),
+        ("1,3", 8, 0, "y^5 = x*(x - 1)*(x - q4)^4*(x - q5)^3*(x - q6)^3"),
+        ("1,4", 8, 0, "y^5 = x*(x - 1)*(x - q4)^3*(x - q5)*(x - q6)"),
+    ]
+    expected = {
+        "params": {"p": 5, "n": 5, "m": 2},
+        "key": "1,2,2,0,0;0,0,0,1,2",
+        "genus": 36,
+        "lines": [
+            {"line": ln, "genus": g, "fixed_points": f, "model": model}
+            for ln, g, f, model in lines
+        ],
+        "genus_sum": 36,
+        "fixed_sum": 30,
+    }
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_models_d3_type1(capsys):
+    code, out, _ = run_cli(
+        ["models", "--p", "7", "--n", "5", "--family", "d3", "--name", "K(2,3)", "--no-cache"],
+        capsys,
+    )
+    assert code == 0
+    assert out == (
+        "y1^7 = x*(x - 1)^6*(x - q4)^3*(x - q5)^6*(x - q6)^5 ; "
+        "y2^7 = (x - 1)^6*(x - q4)^2*(x - q5)^4*(x - q6)\n"
+    )
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(
+        ["enumerate", "--p", "5", "--n", "3", "--no-cache", "--output", str(blocker / "x.txt")],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unstorable_cache_entry_is_skipped(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["enumerate", "--p", "5", "--n", "3"]
+    _, expected, _ = run_cli(args + ["--no-cache"], capsys)
+    code, out, err = run_cli(args + ["--cache-dir", str(blocker / "cache")], capsys)
+    assert code == 0 and out == expected and err == ""
+    assert blocker.read_text() == ""
+
+
+def test_exhaustive_table_checks_every_cap_first(monkeypatch, capsys):
+    import zpaction.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a row was computed before the cap check")
+
+    monkeypatch.setattr(zpaction.cli, "classify_triples", never)
+    code, out, err = run_cli(
+        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--no-cache"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "scale cap exceeded" in err and "470458810" in err  # p = 19, n = 5

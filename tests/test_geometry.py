@@ -1,11 +1,19 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpaction.fpalgebra import PrimeModulus
-from zpaction.enumeration import ActionParams, enumerate_actions, key_from_named
+from zpaction.fpalgebra import FpMatrix, PrimeModulus, kernel_basis
+from zpaction.enumeration import (
+    ActionParams,
+    Type1Presentation,
+    classify_type,
+    enumerate_actions,
+    key_from_named,
+)
 from zpaction.classify import act
 from zpaction.geometry import (
     ConjectureProbe,
@@ -14,10 +22,10 @@ from zpaction.geometry import (
     MarkedPoints,
     conjecture_probe,
     fiber_product_model,
-    hyperplanes,
     jacobian_decomposition,
     line,
     lines_of_plane,
+    normalized_functionals,
     pgonal_model,
     points_preset,
     quotient_genus,
@@ -198,9 +206,11 @@ def test_conjecture_probe_reports_m3():
 
 def test_hyperplane_count():
     for p, m in [(3, 2), (3, 3), (2, 4)]:
-        kernels = hyperplanes(PrimeModulus(p), m)
-        assert len(kernels) == (p**m - 1) // (p - 1)
-        assert len({h.entries for h in kernels}) == len(kernels)
+        modulus = PrimeModulus(p)
+        functionals = normalized_functionals(modulus, m)
+        assert len(functionals) == (p**m - 1) // (p - 1)
+        kernels = {kernel_basis(FpMatrix(modulus, (f,), m)).entries for f in functionals}
+        assert len(kernels) == len(functionals)
 
 
 def test_render_json_round_trip():
@@ -234,3 +244,98 @@ def test_quotient_genus_nonnegative_exhaustive(p, n, m):
     for key in enumerate_actions(params):
         for ln in lines:
             assert quotient_genus(key, ln) >= 0  # raises on non-integrality
+
+
+# ---------------------------------------------------------------------------
+# oracles: subgroups as explicit element sets, models from the presentation
+
+
+def _elements(basis, p, m):
+    """Every element of the span of ``basis``: all p^dim coefficient combinations."""
+    return {
+        tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) % p for i in range(m))
+        for coeffs in itertools.product(range(p), repeat=len(basis))
+    }
+
+
+def _all_subspaces(p, m, dim):
+    """(basis, element set) for every dim-dimensional subspace of Z_p^m, found by listing spans."""
+    found = {}
+    for basis in itertools.combinations(itertools.product(range(p), repeat=m), dim):
+        elements = frozenset(_elements(basis, p, m))
+        if len(elements) == p**dim:
+            found.setdefault(elements, basis)
+    return [(basis, elements) for elements, basis in found.items()]
+
+
+def _oracle_genus(p, m, elements, images):
+    deck = p**m // len(elements)
+    branched = sum(1 for img in images if img not in elements)
+    genus = 1 - deck + Fraction(branched * deck * (p - 1), 2 * p)
+    assert genus.denominator == 1 and genus >= 0
+    return int(genus)
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 4, 3), (2, 5, 3)])
+def test_quotient_genus_matches_element_listing(p, n, m):
+    params = ActionParams(p, n, m)
+    subspaces = [sub for dim in range(m) for sub in _all_subspaces(p, m, dim)]
+    assert len(subspaces) == 1 + 2 * (p**m - 1) // (p - 1)  # L = 0, lines, planes
+    for key in enumerate_actions(params):
+        for basis, elements in subspaces:
+            sub = FpMatrix(params.modulus, basis, m)
+            assert quotient_genus(key, sub) == _oracle_genus(p, m, elements, key.images)
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (3, 5), (7, 4)])
+def test_jacobian_lines_match_element_listing(p, n):
+    params = ActionParams(p, n, 2)
+    lines = [(ln, _elements(ln.entries, p, 2)) for ln in lines_of_plane(params.modulus)]
+    for key in enumerate_actions(params):
+        images = key.images
+        report = jacobian_decomposition(key)
+        assert [entry.line for entry in report.lines] == [ln for ln, _ in lines]
+        for entry, (ln, elements) in zip(report.lines, lines):
+            genus = _oracle_genus(p, 2, elements, images)
+            assert entry.genus == genus == quotient_genus(key, ln)
+            assert entry.fixed_points == p * sum(1 for img in images if img in elements)
+            # exponent of x: the e with x - e*g in L, g the first finite image outside L
+            g = next(img for img in images[1:] if img not in elements)
+            exponents = tuple(
+                next(
+                    e for e in range(p)
+                    if tuple((x - e * y) % p for x, y in zip(img, g)) in elements
+                )
+                for img in images
+            )
+            assert entry.model.exponents == exponents == pgonal_model(key, ln).exponents
+
+
+def _presentation_model(key):
+    """y1 and y2 exponents from the type presentation's r, s, l, t and forced fields."""
+    n, p = key.params.n, key.params.p
+    pres = classify_type(key)
+    y1 = [0] * (n + 1)
+    y2 = [0] * (n + 1)
+    if isinstance(pres, Type1Presentation):
+        y1[1] = 1
+        start, ls = 3, ()
+    else:
+        y1[pres.t] = 1  # the factor (x - q_{t+1})
+        start, ls = pres.t + 2, pres.l
+        for j, lj in enumerate(ls, start=2):
+            y2[j - 1] = lj
+    for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=start):
+        y1[j - 1] = sj
+        y2[j - 1] = rj
+    y1[n] = pres.forced_s
+    y2[n] = pres.forced_r
+    y2[0] = (-(sum(ls) + sum(pres.r) + pres.forced_r)) % p  # infinity slot, always 1
+    return tuple(y1), tuple(y2)
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (3, 5), (7, 4)])
+def test_fiber_product_matches_presentation(p, n):
+    for key in enumerate_actions(ActionParams(p, n, 2)):
+        fm = fiber_product_model(key)
+        assert (fm.first.exponents, fm.second.exponents) == _presentation_model(key)
