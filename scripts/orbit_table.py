@@ -8,7 +8,7 @@ counts are asserted equal.
 
 import argparse
 
-from zpaction.enumeration import ActionParams, enumerate_actions
+from zpaction.enumeration import ActionParams, KeySet
 from zpaction.classify import burnside_count_full, orbit_partition
 from zpaction.hgroup import symmetric_group
 
@@ -23,7 +23,7 @@ def main():
     print("p     |F|     N")
     for p in (int(tok) for tok in args.primes.split(",")):
         params = ActionParams(p, 3, 2)
-        keys = enumerate_actions(params)
+        keys = KeySet.full(params)
         count = orbit_partition(keys, s4).count
         assert count == burnside_count_full(params, s4)
         print(f"{p:<5d} {len(keys):<7d} {count}")

@@ -19,6 +19,7 @@ from .fpalgebra import FpMatrix, PrimeModulus, rref
 from .hgroup import Permutation, close_group, parse_cycles, symmetric_group
 from .enumeration import (
     ActionParams,
+    KeySet,
     SubgroupKey,
     brute_force_oracle,
     enumerate_actions,
@@ -30,6 +31,7 @@ from .classify import (
     burnside_count_full,
     classify_triples,
     count_orbits_burnside,
+    invariant_set,
     orbit_partition,
 )
 from .predictions import case_group, predicted_invariant_set, predicted_triple_count
@@ -69,8 +71,7 @@ def check_1_orbit_table() -> str:
     """Orbit counts of the n=3 space under S_4 match the published table."""
     start = time.perf_counter()
     for p, expected in N3_ORBIT_TABLE.items():
-        keys = enumerate_actions(ActionParams(p, 3, 2))
-        got = orbit_partition(keys, _s4()).count
+        got = orbit_partition(KeySet.full(ActionParams(p, 3, 2)), _s4()).count
         assert got == expected, f"p={p}: {got} orbits, expected {expected}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"orbit table took {elapsed:.1f}s, budget 10s"
@@ -79,9 +80,9 @@ def check_1_orbit_table() -> str:
 
 def check_2_space_sizes() -> str:
     """|F(5,3,2)| = 27 and |F(p,3,2)| = p^2 + p - 3 for primes up to 113."""
-    assert len(enumerate_actions(ActionParams(5, 3, 2))) == 27
+    assert len(KeySet.full(ActionParams(5, 3, 2))) == 27
     for p in PRIMES_TO_113:
-        got = len(enumerate_actions(ActionParams(p, 3, 2)))
+        got = len(KeySet.full(ActionParams(p, 3, 2)))
         assert got == p * p + p - 3, f"p={p}: {got} != p^2+p-3"
     return f"{len(PRIMES_TO_113)} primes (3..113; p=2 is non-hyperbolic at n=3)"
 
@@ -89,7 +90,7 @@ def check_2_space_sizes() -> str:
 def check_3_p5_representatives() -> str:
     """The four p=5 orbits contain K(0,1), K(0,2), K(0,4), K(1,2) separately."""
     params = ActionParams(5, 3, 2)
-    report = orbit_partition(enumerate_actions(params), _s4())
+    report = orbit_partition(KeySet.full(params), _s4())
     assert report.count == 4, f"expected 4 orbits, got {report.count}"
     named = [key_from_named(params, n) for n in ("K(0,1)", "K(0,2)", "K(0,4)", "K(1,2)")]
     indices = {report.orbit_of(k) for k in named}
@@ -99,14 +100,12 @@ def check_3_p5_representatives() -> str:
 
 def check_4_invariant_sets() -> str:
     """Computed invariant sets match the closed-form lists for p in {3,5,7}."""
-    from .classify import invariant_set
-
     start = time.perf_counter()
     for p in (3, 5, 7):
-        keys = enumerate_actions(ActionParams(p, 3, 2))
+        keys = KeySet.full(ActionParams(p, 3, 2))
         for j in range(1, 9):
             case = f"N3_Q{j}"
-            generic = sorted(invariant_set(keys, case_group(case)))
+            generic = sorted(invariant_set(keys, case_group(case)).keys())
             predicted = predicted_invariant_set(case, p)
             assert generic == predicted, (
                 f"{case} at p={p}: generic {len(generic)} keys != predicted {len(predicted)}"

@@ -13,33 +13,31 @@ averages fixed-point counts over the group; on a G-stable key set
 Fix(tau sigma tau^-1) = tau Fix(sigma), so it takes one fixed-point count
 per conjugacy class, weighted by the class size.
 
-Hot paths note.  Both routes work on the keys as one (N, m, n) array.
-Keys fixed by a relabeling are detected without re-echelonizing:
-theta' = theta M^{-1} has the same row space as theta iff theta' equals
-A theta for A = theta' restricted to theta's pivot columns.  That check
-vectorizes over the whole enumeration table, which is what makes
-exhaustive n = 5 runs cheap.  Orbit closure moves the whole array by one
+Hot paths note.  Key sets are ``KeySet`` rows: both routes work on one
+sorted (N, m, n) array and build no ``SubgroupKey``; ``OrbitReport``
+builds keys only when a caller reads them.  A relabeling fixes a key iff
+theta' = theta M^{-1} equals A theta for A = theta' restricted to theta's
+pivot columns, so fixed keys are found without re-echelonizing, over the
+whole table at once.  Orbit closure moves the whole array by one
 generator at a time (a product and a batched rref in a narrow unsigned
-dtype), finds each image's row by binary search in the sorted array, and
-merges orbits by minimum-label propagation.  ``act`` is the per-key
-pure-Python action the tests check these against.
+dtype), finds each image's row by binary search, and merges orbits by
+minimum-label propagation.  ``act`` is the per-key pure-Python action
+the tests check these against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .enumeration import (
     DEFAULT_CANDIDATE_CAP,
     ActionParams,
+    KeySet,
     SubgroupKey,
     VerificationError,
-    _dtype_for,
-    _key_from_row,
-    theta_table,
     transform_key,
 )
 from .hgroup import PermGroup, Permutation, normalizer_in_symmetric, perm_to_matrix
@@ -58,143 +56,123 @@ def act(sigma: Permutation, key: SubgroupKey) -> SubgroupKey:
     return transform_key(key, sigma)
 
 
+def _product_dtype(params: ActionParams):
+    """Narrowest unsigned dtype for theta . M^-1 before its reduction mod p.
+
+    Entries below p bound it by n(p-1)^2 + p; that covers ``coeff @ block`` too, as m <= n.
+    """
+    bound = params.n * (params.p - 1) ** 2 + params.p
+    return np.uint16 if bound < 1 << 16 else np.uint32 if bound < 1 << 32 else np.uint64
+
+
 @lru_cache(maxsize=256)
 def _inverse_action(sigma: Permutation, params: ActionParams) -> np.ndarray:
-    """M_sigma^{-1} as a read-only int64 array."""
+    """M_sigma^{-1} as a read-only array in the product dtype."""
     entries = perm_to_matrix(sigma.inverse(), params.modulus, params.n).entries
-    minv = np.array(entries, dtype=np.int64)
+    minv = np.array(entries, dtype=_product_dtype(params))
     minv.setflags(write=False)
     return minv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitReport:
-    """A partition of a key set into orbits, with canonical representatives."""
+    """A key set's orbits: ``labels[i]`` is the least row, and representative, of row i's orbit."""
 
-    params: ActionParams
+    keys: KeySet
     group: PermGroup
-    orbits: tuple[tuple[SubgroupKey, tuple[SubgroupKey, ...]], ...]
+    labels: np.ndarray
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        return np.flatnonzero(self.labels == np.arange(len(self.labels)))
 
     @property
     def count(self) -> int:
-        return len(self.orbits)
+        return len(self._roots)
+
+    @cached_property
+    def orbit_rows(self) -> list[list[int]]:
+        """Each orbit's rows, ascending, orbits in representative order."""
+        order = np.argsort(self.labels, kind="stable")
+        pieces = np.split(order, np.searchsorted(self.labels[order], self._roots))[1:]
+        return [rows.tolist() for rows in pieces]  # the split's first piece is empty
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[SubgroupKey, tuple[SubgroupKey, ...]], ...]:
+        """(representative, members) per orbit, as keys."""
+        keys = self.keys.keys()
+        return tuple((keys[rows[0]], tuple(keys[i] for i in rows)) for rows in self.orbit_rows)
 
     @property
     def representatives(self) -> tuple[SubgroupKey, ...]:
-        return tuple(rep for rep, _ in self.orbits)
+        return tuple(KeySet(self.keys.params, self.keys.rows[self._roots]).keys())
 
     def orbit_of(self, key: SubgroupKey) -> int:
         """Index of the orbit containing ``key``; raises KeyError if absent."""
-        for i, (_, members) in enumerate(self.orbits):
-            if key in members:
-                return i
-        raise KeyError(key)
+        if key.params != self.keys.params:
+            raise KeyError(key)
+        (row,) = self.keys.rows_of(np.array([key.theta.entries]))
+        return int(np.searchsorted(self._roots, self.labels[row]))
 
 
-def _distinct_keys(keys) -> tuple[list[SubgroupKey], ActionParams | None, np.ndarray | None]:
-    """The distinct keys sorted by digits, their shared params and their (N, m, n) array."""
-    keys = list(keys)
-    if not keys:
-        return [], None, None
-    params = {k.params for k in keys}
-    if len(params) != 1:
-        raise ValueError("keys must share a single parameter set")
-    params = params.pop()
-    table = _keys_to_array(keys, params)
-    _, first = np.unique(_row_codes(table), return_index=True)
-    return [keys[i] for i in first.tolist()], params, table[first]
-
-
-def orbit_partition(keys, group: PermGroup) -> OrbitReport:
+def orbit_partition(keys: KeySet, group: PermGroup) -> OrbitReport:
     """Partition ``keys`` into orbits under the generators of ``group``.
 
     Deterministic: orbit representatives are the lexicographically least
     members, orbits are sorted by representative.  Raises
     ActionOutsideSetError if a generator maps a key out of the set.
     """
-    keys, params, table = _distinct_keys(keys)
-    if not keys:
-        raise ValueError("cannot partition an empty key set without parameters")
-    if group.degree != params.n + 1:
-        raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
-    codes = _row_codes(table)
-    images = [_image_rows(table, codes, g, params) for g in group.generators]
-    labels = _orbit_labels(images, len(keys))
-    orbits: dict[int, list[SubgroupKey]] = {}
-    for key, label in zip(keys, labels.tolist()):
-        orbits.setdefault(label, []).append(key)
-    ordered = sorted(orbits.items())  # by least member's row: the lexicographic order
-    return OrbitReport(params, group, tuple((members[0], tuple(members)) for _, members in ordered))
+    if group.degree != keys.params.n + 1:
+        raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
+    images = [_image_rows(keys, g) for g in group.generators]
+    return OrbitReport(keys, group, _orbit_labels(images, len(keys)))
 
 
-def count_orbits_burnside(keys, group: PermGroup) -> int:
+def count_orbits_burnside(keys: KeySet, group: PermGroup) -> int:
     """Burnside orbit count of a G-stable key set; must equal the partition count."""
-    keys, params, table = _distinct_keys(keys)
-    if not keys:
-        return 0
-    if group.degree != params.n + 1:
-        raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
-    return _burnside(table, group, params)
+    if group.degree != keys.params.n + 1:
+        raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
+    classes = group.conjugacy_classes
+    total = sum(size * int(_fixed_mask(keys, sigma).sum()) for sigma, size in classes)
+    if total % group.order != 0:
+        raise VerificationError("Burnside sum is not divisible by the group order")
+    return total // group.order
 
 
 def burnside_count_full(
     params: ActionParams, group: PermGroup, max_candidates: int = DEFAULT_CANDIDATE_CAP
 ) -> int:
     """Burnside orbit count over the whole parameter space."""
-    return _burnside(theta_table(params, max_candidates), group, params)
+    return count_orbits_burnside(KeySet.full(params, max_candidates), group)
 
 
-def invariant_set(keys, group: PermGroup) -> list[SubgroupKey]:
+def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
     """Keys fixed by every generator of ``group`` (hence by all of it)."""
-    keys, params, table = _distinct_keys(keys)
-    if not keys:
-        return []
-    mask = _invariant_mask(table, group, params)
-    return [key for key, fixed in zip(keys, mask.tolist()) if fixed]
+    mask = np.ones(len(keys), dtype=bool)
+    for g in group.generators:
+        mask &= _fixed_mask(keys, g)
+    return KeySet(keys.params, keys.rows[mask])
 
 
 # ---------------------------------------------------------------------------
-# vectorized internals over key tables
+# vectorized internals over key sets
 
 
-def _keys_to_array(keys, params: ActionParams) -> np.ndarray:
-    arr = np.array([k.digits for k in keys], dtype=_dtype_for(params.p))
-    return arr.reshape(len(keys), params.m, params.n)
-
-
-def _fixed_mask(table: np.ndarray, sigma: Permutation, params: ActionParams) -> np.ndarray:
+def _fixed_mask(keys: KeySet, sigma: Permutation) -> np.ndarray:
     """Boolean mask of keys fixed by sigma, no echelonization needed."""
-    p = params.p
-    minv = _inverse_action(sigma, params)
-    n_keys = len(table)
-    mask = np.empty(n_keys, dtype=bool)
+    p = keys.params.p
+    minv = _inverse_action(sigma, keys.params)
+    mask = np.empty(len(keys), dtype=bool)
     chunk = 1 << 20
-    for start in range(0, n_keys, chunk):
-        block = np.asarray(table[start : start + chunk], dtype=np.int64)
-        moved = np.matmul(block, minv) % p
-        pivots = (block != 0).argmax(axis=2)  # first nonzero column per row (rref)
-        m = params.m
-        idx = np.broadcast_to(pivots[:, None, :], (len(block), m, m))
-        coeff = np.take_along_axis(moved, idx, axis=2)
-        rebuilt = np.matmul(coeff, block) % p
+    for start in range(0, len(keys), chunk):
+        block = keys.rows[start : start + chunk].astype(minv.dtype)
+        moved = block @ minv
+        moved %= p
+        pivots = (block != 0).argmax(axis=2)[:, None, :]  # first nonzero column per row (rref)
+        rebuilt = np.take_along_axis(moved, pivots, axis=2) @ block
+        rebuilt %= p
         mask[start : start + len(block)] = (rebuilt == moved).all(axis=(1, 2))
     return mask
-
-
-def _invariant_mask(table: np.ndarray, group: PermGroup, params: ActionParams) -> np.ndarray:
-    mask = np.ones(len(table), dtype=bool)
-    for g in group.generators:
-        mask &= _fixed_mask(table, g, params)
-    return mask
-
-
-def _burnside(table: np.ndarray, group: PermGroup, params: ActionParams) -> int:
-    """(1/|G|) sum over G of fixed keys, for a G-stable table: one mask per class."""
-    classes = group.conjugacy_classes
-    total = sum(size * int(_fixed_mask(table, sigma, params).sum()) for sigma, size in classes)
-    if total % group.order != 0:
-        raise VerificationError("Burnside sum is not divisible by the group order")
-    return total // group.order
 
 
 def _rref_rows(block: np.ndarray, params: ActionParams) -> None:
@@ -222,32 +200,18 @@ def _rref_rows(block: np.ndarray, params: ActionParams) -> None:
         rank[k] += 1
 
 
-def _row_codes(table: np.ndarray) -> np.ndarray:
-    """One opaque scalar per key that sorts like the key's digits.
-
-    Big-endian 16-bit digits compared bytewise order the same as the
-    digit tuples, for every p < 2^16 and any m, n.
-    """
-    flat = np.ascontiguousarray(table.reshape(len(table), -1), dtype=">u2")
-    return flat.view(np.dtype((np.void, 2 * flat.shape[1]))).ravel()
-
-
-def _image_rows(
-    table: np.ndarray, codes: np.ndarray, sigma: Permutation, params: ActionParams
-) -> np.ndarray:
-    """Row of each key's image under sigma, in a table sorted by ``codes``."""
-    bound = params.n * (params.p - 1) ** 2 + params.p  # theta . M^-1 before reduction mod p
-    dtype = np.uint16 if bound < 1 << 16 else np.uint32 if bound < 1 << 32 else np.uint64
-    moved = np.matmul(table.astype(dtype), _inverse_action(sigma, params).astype(dtype))
-    moved %= params.p
-    _rref_rows(moved, params)
-    images = _row_codes(moved)
-    rows = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
-    if not (codes[rows] == images).all():
+def _image_rows(keys: KeySet, sigma: Permutation) -> np.ndarray:
+    """Row of each key's image under sigma."""
+    minv = _inverse_action(sigma, keys.params)
+    moved = keys.rows.astype(minv.dtype) @ minv
+    moved %= keys.params.p
+    _rref_rows(moved, keys.params)
+    try:
+        return keys.rows_of(moved)
+    except KeyError:
         raise ActionOutsideSetError(
             "the action maps a key outside the supplied set; the set is not closed under the group"
-        )
-    return rows
+        ) from None
 
 
 def _orbit_labels(images: list[np.ndarray], size: int) -> np.ndarray:
@@ -272,10 +236,9 @@ def _orbit_labels(images: list[np.ndarray], size: int) -> np.ndarray:
 
 def invariant_keys_full(
     params: ActionParams, group: PermGroup, max_candidates: int = TRIPLES_CANDIDATE_CAP
-) -> list[SubgroupKey]:
-    """All keys in the parameter space fixed by ``group`` (array path)."""
-    table = theta_table(params, max_candidates)
-    return [_key_from_row(params, row) for row in table[_invariant_mask(table, group, params)]]
+) -> KeySet:
+    """All keys in the parameter space fixed by ``group``."""
+    return invariant_set(KeySet.full(params, max_candidates), group)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +253,7 @@ class TriplesReport:
     group: PermGroup
     normalizer: PermGroup
     mode: str
-    invariant: tuple[SubgroupKey, ...]
+    invariant: KeySet
     report: OrbitReport
 
     @property
@@ -321,16 +284,12 @@ def classify_triples(
         from .predictions import family_for_group, predicted_invariant_set
 
         case = family_for_group(params.n, group)
-        invariant = predicted_invariant_set(case, params.p)
-        if invariant:
-            fixed = _invariant_mask(_keys_to_array(invariant, params), group, params)
-            if not fixed.all():
-                bad = invariant[int(np.argmin(fixed))]
-                raise VerificationError(f"predicted member {bad} is not invariant")
+        predicted = KeySet.of(params, predicted_invariant_set(case, params.p))
+        invariant = invariant_set(predicted, group)
+        if invariant != predicted:
+            bad = min(set(predicted.digit_strings()) - set(invariant.digit_strings()))
+            raise VerificationError(f"predicted member {bad} is not invariant")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if invariant:
-        report = orbit_partition(invariant, normalizer)
-    else:
-        report = OrbitReport(params, normalizer, ())
-    return TriplesReport(params, group, normalizer, mode, tuple(sorted(invariant)), report)
+    report = orbit_partition(invariant, normalizer)
+    return TriplesReport(params, group, normalizer, mode, invariant, report)

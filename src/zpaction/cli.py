@@ -28,11 +28,11 @@ from .enumeration import (
     DEFAULT_CANDIDATE_CAP,
     ActionParams,
     AdmissibilityError,
+    KeySet,
     ScaleCapError,
     SubgroupKey,
     VerificationError,
     check_candidate_cap,
-    enumerate_actions,
     key_from_digit_string,
     key_from_named,
 )
@@ -241,18 +241,20 @@ def _with_cache(config: RunConfig, compute) -> dict:
 # result documents
 
 
-def _key_entry(key: SubgroupKey) -> str:
-    return key.digit_string()
-
-
 def _params_doc(params: ActionParams) -> dict:
     return {"p": params.p, "n": params.n, "m": params.m}
 
 
+def _group_head(config: RunConfig) -> dict:
+    """The leading fields of a document about a group action."""
+    return {"params": _params_doc(config.params()), "group": list(config.canonical_group_text())}
+
+
 def _orbit_entries(report) -> list[dict]:
+    digits = report.keys.digit_strings()
     return [
-        {"rep": _key_entry(rep), "size": len(members), "members": [_key_entry(k) for k in members]}
-        for rep, members in report.orbits
+        {"rep": digits[rows[0]], "size": len(rows), "members": [digits[i] for i in rows]}
+        for rows in report.orbit_rows
     ]
 
 
@@ -262,51 +264,32 @@ def _cap(config: RunConfig) -> dict:
 
 
 def _orbits_doc(config: RunConfig) -> dict:
-    params = config.params()
-    group = config.parsed_groups()
-    report = orbit_partition(enumerate_actions(params, **_cap(config)), group)
+    params, group = config.params(), config.parsed_groups()
+    report = orbit_partition(KeySet.full(params, **_cap(config)), group)
     burnside = burnside_count_full(params, group, **_cap(config))
     if burnside != report.count:
         raise VerificationError(f"Burnside {burnside} != partition {report.count}")
-    return {
-        "params": _params_doc(params),
-        "group": list(config.canonical_group_text()),
-        "count": report.count,
-        "orbits": _orbit_entries(report),
-    }
+    return {**_group_head(config), "count": report.count, "orbits": _orbit_entries(report)}
 
 
 def _enumerate_doc(config: RunConfig) -> dict:
-    params = config.params()
-    keys = enumerate_actions(params, **_cap(config))
-    return {
-        "params": _params_doc(params),
-        "count": len(keys),
-        "keys": [_key_entry(k) for k in keys],
-    }
+    keys = KeySet.full(config.params(), **_cap(config))
+    return {"params": _params_doc(keys.params), "count": len(keys), "keys": keys.digit_strings()}
 
 
 def _invariants_doc(config: RunConfig) -> dict:
-    params = config.params()
-    group = config.parsed_groups()
+    params, group = config.params(), config.parsed_groups()
     inv = invariant_keys_full(params, group, config.max_candidates or DEFAULT_CANDIDATE_CAP)
-    return {
-        "params": _params_doc(params),
-        "group": list(config.canonical_group_text()),
-        "count": len(inv),
-        "keys": [_key_entry(k) for k in inv],
-    }
+    return {**_group_head(config), "count": len(inv), "keys": inv.digit_strings()}
 
 
 def _triples_doc(config: RunConfig) -> dict:
     params = config.params()
     if not config.groups:
         raise UsageError("triples requires at least one --group generator")
-    group = config.parsed_groups()
-    result = classify_triples(params, group, mode=config.mode, **_cap(config))
+    result = classify_triples(params, config.parsed_groups(), mode=config.mode, **_cap(config))
     return {
-        "params": _params_doc(params),
-        "group": list(config.canonical_group_text()),
+        **_group_head(config),
         "mode": result.mode,
         "normalizer_order": result.normalizer.order,
         "invariant_count": len(result.invariant),
@@ -335,7 +318,7 @@ def _models_doc(config: RunConfig) -> dict:
     model = fiber_product_model(key, points)
     return {
         "params": _params_doc(params),
-        "key": _key_entry(key),
+        "key": key.digit_string(),
         "labels": list(points.labels),
         "y1": list(model.first.exponents),
         "y2": list(model.second.exponents),
@@ -350,7 +333,7 @@ def _jacobian_doc(config: RunConfig) -> dict:
     report = jacobian_decomposition(key, points)
     return {
         "params": _params_doc(params),
-        "key": _key_entry(key),
+        "key": key.digit_string(),
         "genus": report.total,
         "lines": [
             {
@@ -398,8 +381,8 @@ def _table_doc(config: RunConfig) -> dict:
 def _render_text(config: RunConfig, doc: dict) -> str:
     cmd = config.command
     lines: list[str] = []
-    if cmd == "enumerate":
-        lines.append(f"p, count")
+    if cmd in ("enumerate", "invariants"):
+        lines.append("p, count")
         lines.append(f"{doc['params']['p']}, {doc['count']}")
         lines.extend(doc["keys"])
     elif cmd in ("orbits", "triples"):
@@ -411,10 +394,6 @@ def _render_text(config: RunConfig, doc: dict) -> str:
             lines.append(f"invariant subgroups: {doc['invariant_count']}")
         for i, orbit in enumerate(doc["orbits"], start=1):
             lines.append(f"{i:4d}. size {orbit['size']:4d}  rep {orbit['rep']}")
-    elif cmd == "invariants":
-        lines.append("p, count")
-        lines.append(f"{doc['params']['p']}, {doc['count']}")
-        lines.extend(doc["keys"])
     elif cmd == "models":
         lines.append(doc["text"])
     elif cmd == "jacobian":

@@ -12,10 +12,14 @@ Admissibility in matrix terms: all n columns of theta are nonzero and so
 is the implied image of a_{n+1}, i.e. minus the column sum.
 
 Two independent enumeration routes are kept deliberately separate:
-``enumerate_actions`` walks rank-m rref matrices directly by pivot-column
+``theta_table`` walks rank-m rref matrices directly by pivot-column
 pattern (vectorized, no deduplication needed), while
 ``brute_force_oracle`` canonicalizes every m x n matrix over F_p and
 deduplicates.  They must agree wherever both are feasible.
+
+At run time a key set is a ``KeySet``, one sorted (N, m, n) digit array;
+``SubgroupKey`` objects are built only on request.  Only this module
+knows the row format: digit dtype, sort order and row codes.
 """
 
 from __future__ import annotations
@@ -319,14 +323,24 @@ def _dtype_for(p: int):
     return np.uint8 if p < 256 else np.uint16
 
 
+def _row_codes(table: np.ndarray) -> np.ndarray:
+    """One opaque scalar per key that sorts like the key's digits.
+
+    Big-endian 16-bit digits compared bytewise order the same as the
+    digit tuples, for every p < 2^16 and any m, n.
+    """
+    flat = np.ascontiguousarray(table.reshape(len(table), math.prod(table.shape[1:])), dtype=">u2")
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
 @lru_cache(maxsize=6)
 def _theta_table_cached(params: ActionParams) -> np.ndarray:
     """All admissible rref quotient matrices as an (N, m, n) array, sorted.
 
     Walks pivot-column combinations in lexicographic order and free
     entries in odometer order; each emitted matrix is already canonical,
-    so no deduplication is needed.  A final lexicographic sort is applied
-    as a safety net.
+    so no deduplication is needed.  The walk is not in digit order from
+    n = 4 on, so a final sort gives the order ``KeySet`` relies on.
     """
     p, n, m = params.p, params.n, params.m
     dtype = _dtype_for(p)
@@ -381,17 +395,65 @@ def theta_table(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CA
     return _theta_table_cached(params)
 
 
-def _key_from_row(params: ActionParams, row: np.ndarray) -> SubgroupKey:
-    entries = tuple(map(tuple, row.tolist()))
-    return SubgroupKey(params, FpMatrix(params.modulus, entries, params.n))
+@dataclass(frozen=True, eq=False)
+class KeySet:
+    """Keys at one (p, n, m): distinct rref rows of an (N, m, n) array, sorted by digits."""
+
+    params: ActionParams
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, params: ActionParams, keys) -> "KeySet":
+        """The distinct ``keys``, which must all have ``params``."""
+        keys = list(keys)
+        if any(key.params != params for key in keys):
+            raise ValueError("keys must share the key set's parameters")
+        rows = np.array([key.digits for key in keys], dtype=_dtype_for(params.p))
+        rows = rows.reshape(-1, params.m, params.n)
+        _, first = np.unique(_row_codes(rows), return_index=True)
+        return cls(params, rows[first])
+
+    @classmethod
+    def full(cls, params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> "KeySet":
+        """Every admissible key at ``params``: the cached ``theta_table``."""
+        return cls(params, theta_table(params, max_candidates))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, KeySet) and self.params == other.params
+        return same and np.array_equal(self.rows, other.rows)
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return _row_codes(self.rows)
+
+    def rows_of(self, matrices: np.ndarray) -> np.ndarray:
+        """Row of each rref (m, n) matrix, by binary search; KeyError if one is absent."""
+        codes, targets = self._codes, _row_codes(matrices)
+        rows = np.searchsorted(codes, targets)
+        if not (rows < len(codes)).all() or not (codes[rows] == targets).all():
+            raise KeyError("a matrix is not a row of the key set")
+        return rows
+
+    def keys(self) -> list[SubgroupKey]:
+        """The keys themselves, validated, in row order."""
+        params, rows = self.params, self.rows.tolist()  # m >= 1 rows, so FpMatrix infers n
+        return [SubgroupKey(params, FpMatrix(params.modulus, tuple(map(tuple, r)))) for r in rows]
+
+    def digit_strings(self) -> list[str]:
+        """``SubgroupKey.digit_string`` of every row, without building keys."""
+        m, n = self.params.m, self.params.n
+        spec = ";".join([",".join(["%d"] * n)] * m)
+        return [spec % tuple(row) for row in self.rows.reshape(len(self), m * n).tolist()]
 
 
 def enumerate_actions(
     params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP
 ) -> list[SubgroupKey]:
     """All admissible subgroups at (p, n, m), sorted by canonical key."""
-    table = theta_table(params, max_candidates)
-    return [_key_from_row(params, row) for row in table]
+    return KeySet.full(params, max_candidates).keys()
 
 
 def brute_force_oracle(

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from zpaction.enumeration import (
     ActionParams,
+    KeySet,
     SubgroupKey,
     enumerate_actions,
     key_from_named,
+    key_from_theta,
     name_of_key,
 )
 from zpaction.classify import (
@@ -86,7 +88,7 @@ def test_act_preserves_admissibility(key, images):
 
 
 def test_orbit_partition_p5():
-    report = orbit_partition(enumerate_actions(P5), S4)
+    report = orbit_partition(KeySet.full(P5), S4)
     assert report.count == 4
     names = {name_of_key(rep) for rep in report.representatives}
     assert names == {"K(0,1)", "K(0,2)", "K(0,4)", "K(1,2)"}
@@ -99,12 +101,12 @@ def test_orbit_partition_p5():
 
 
 def test_orbit_partition_p3():
-    report = orbit_partition(enumerate_actions(ActionParams(3, 3, 2)), S4)
+    report = orbit_partition(KeySet.full(ActionParams(3, 3, 2)), S4)
     assert report.count == 2
 
 
 def test_orbit_partition_trivial_group():
-    keys = enumerate_actions(ActionParams(3, 3, 2))
+    keys = KeySet.full(ActionParams(3, 3, 2))
     trivial = close_group([], degree=4)
     report = orbit_partition(keys, trivial)
     assert report.count == len(keys)
@@ -113,11 +115,11 @@ def test_orbit_partition_trivial_group():
 def test_orbit_partition_action_leaves_set():
     keys = enumerate_actions(P5)[:5]
     with pytest.raises(ActionOutsideSetError):
-        orbit_partition(keys, S4)
+        orbit_partition(KeySet.of(P5, keys), S4)
 
 
 def test_burnside_matches_partition():
-    keys = enumerate_actions(P5)
+    keys = KeySet.full(P5)
     assert count_orbits_burnside(keys, S4) == 4
     assert burnside_count_full(P5, S4) == 4
 
@@ -129,37 +131,37 @@ def test_burnside_p113():
 def test_burnside_singleton():
     key = named("K(4,0)")
     q7 = close_group([parse_cycles("(1 2 3 4)", 4), parse_cycles("(2 4)", 4)])
-    assert count_orbits_burnside([key], q7) == 1
+    assert count_orbits_burnside(KeySet.of(P5, [key]), q7) == 1
 
 
 def test_invariant_set_q1():
-    inv = invariant_set(enumerate_actions(P5), close_group([parse_cycles("(3 4)", 4)]))
+    inv = invariant_set(KeySet.full(P5), close_group([parse_cycles("(3 4)", 4)])).keys()
     assert sorted(name_of_key(k) for k in inv) == ["K(1)", "K(2)", "K(2,2)", "K(3)", "K(4)"]
 
 
 def test_invariant_set_q8_empty():
     q8 = close_group([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(2 3 4)", 4)])
-    assert invariant_set(enumerate_actions(P5), q8) == []
+    assert invariant_set(KeySet.full(P5), q8).keys() == []
 
 
 def test_invariant_set_three_cycle_p7():
-    keys = enumerate_actions(ActionParams(7, 3, 2))
-    inv = invariant_set(keys, close_group([parse_cycles("(2 3 4)", 4)]))
+    keys = KeySet.full(ActionParams(7, 3, 2))
+    inv = invariant_set(keys, close_group([parse_cycles("(2 3 4)", 4)])).keys()
     assert sorted(name_of_key(k) for k in inv) == ["K(1,4)", "K(5,2)"]
 
 
 def test_invariant_set_q5_p3():
-    keys = enumerate_actions(ActionParams(3, 3, 2))
+    keys = KeySet.full(ActionParams(3, 3, 2))
     q5 = close_group([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 4)(2 3)", 4)])
-    inv = invariant_set(keys, q5)
+    inv = invariant_set(keys, q5).keys()
     assert sorted(name_of_key(k) for k in inv) == ["K(0,2)", "K(2)", "K(2,0)"]
 
 
 def test_invariant_set_fixed_by_full_closure():
     # generator-only filtering suffices: the whole closure fixes the set pointwise
-    keys = enumerate_actions(P5)
+    keys = KeySet.full(P5)
     q = close_group([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 4)(2 3)", 4)])
-    inv = invariant_set(keys, q)
+    inv = invariant_set(keys, q).keys()
     for key in inv:
         for sigma in q:
             assert act(sigma, key) == key
@@ -168,9 +170,9 @@ def test_invariant_set_fixed_by_full_closure():
 def test_invariant_set_is_normalizer_stable():
     from zpaction.hgroup import normalizer_in_symmetric
 
-    keys = enumerate_actions(P5)
+    keys = KeySet.full(P5)
     q1 = close_group([parse_cycles("(3 4)", 4)])
-    inv = set(invariant_set(keys, q1))
+    inv = set(invariant_set(keys, q1).keys())
     for tau in normalizer_in_symmetric(q1):
         assert {act(tau, k) for k in inv} == inv
 
@@ -178,10 +180,10 @@ def test_invariant_set_is_normalizer_stable():
 def test_vectorized_invariants_match_object_path():
     params = ActionParams(3, 5, 2)
     q = close_group([parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 6)(3 5)", 6)])
-    fast = invariant_keys_full(params, q)
+    fast = invariant_keys_full(params, q).keys()
     slow = [k for k in enumerate_actions(params) if all(act(g, k) == k for g in q.generators)]
     assert sorted(fast) == slow
-    assert invariant_set(enumerate_actions(params), q) == slow
+    assert invariant_set(KeySet.full(params), q).keys() == slow
 
 
 def test_triples_d3_p5_exhaustive():
@@ -213,7 +215,7 @@ def test_triples_k4_p2():
 def test_triples_n3_q7():
     q7 = close_group([parse_cycles("(1 2 3 4)", 4), parse_cycles("(2 4)", 4)])
     res = classify_triples(P5, q7, mode="exhaustive")
-    assert [name_of_key(k) for k in res.invariant] == ["K(4,0)"]
+    assert [name_of_key(k) for k in res.invariant.keys()] == ["K(4,0)"]
     assert res.count == 1
 
 
@@ -300,7 +302,7 @@ def test_class_weighted_burnside_matches_per_element_s4(p):
     params = ActionParams(p, 3, 2)
     keys = enumerate_actions(params)
     expected = burnside_per_element(keys, S4)
-    assert count_orbits_burnside(keys, S4) == expected
+    assert count_orbits_burnside(KeySet.of(params, keys), S4) == expected
     assert burnside_count_full(params, S4) == expected
 
 
@@ -327,7 +329,7 @@ def test_class_weighted_burnside_matches_per_element_normalizer():
     invariant = invariant_keys_full(params, q)
     normalizer = normalizer_in_symmetric(q)
     assert normalizer.order == 48
-    expected = burnside_per_element(invariant, normalizer)
+    expected = burnside_per_element(invariant.keys(), normalizer)
     assert count_orbits_burnside(invariant, normalizer) == expected
     assert orbit_partition(invariant, normalizer).count == expected
 
@@ -346,9 +348,9 @@ def test_class_weighted_burnside_matches_per_element_normalizer():
 )
 def test_array_orbit_partition_matches_bfs(params, group):
     keys = enumerate_actions(params)
-    report = orbit_partition(keys, group)
+    report = orbit_partition(KeySet.of(params, keys), group)
     assert report.orbits == bfs_orbits(keys, group)
-    assert report.count == count_orbits_burnside(keys, group)
+    assert report.count == count_orbits_burnside(KeySet.of(params, keys), group)
 
 
 def test_array_orbit_partition_matches_bfs_16_bit_digits():
@@ -358,6 +360,40 @@ def test_array_orbit_partition_matches_bfs_16_bit_digits():
     seeds = [named(name, params) for name in names]
     keys = set().union(*(orbit_by_bfs(seed, S4) for seed in seeds))
     assert max(max(k.digits) for k in keys) > 255
-    report = orbit_partition(keys, S4)
+    report = orbit_partition(KeySet.of(params, keys), S4)
     assert report.orbits == bfs_orbits(keys, S4)
-    assert report.count == count_orbits_burnside(keys, S4) > 1
+    assert report.count == count_orbits_burnside(KeySet.of(params, keys), S4) > 1
+
+
+@pytest.mark.parametrize(
+    "params, group",
+    [(ActionParams(5, 3, 2), S4), (ActionParams(3, 5, 2), symmetric_group(6))],
+    ids=["S4-p5", "S6-p3"],
+)
+def test_orbit_of_matches_bfs(params, group):
+    keys = enumerate_actions(params)
+    report = orbit_partition(KeySet.full(params), group)
+    expected = {key: i for i, (_, members) in enumerate(bfs_orbits(keys, group)) for key in members}
+    assert {key: report.orbit_of(key) for key in keys} == expected
+    trivial = orbit_partition(KeySet.of(params, keys[1:]), close_group([], degree=params.n + 1))
+    with pytest.raises(KeyError):
+        trivial.orbit_of(keys[0])
+    other_prime = ActionParams(params.p + 2, params.n, 2)
+    with pytest.raises(KeyError):  # the same digits at another prime
+        report.orbit_of(key_from_theta(other_prime, keys[0].theta.entries))
+
+
+def test_empty_key_set_takes_the_array_path():
+    empty = KeySet.of(P5, [])
+    report = orbit_partition(empty, S4)
+    assert report.count == 0 and report.orbits == () and report.representatives == ()
+    assert count_orbits_burnside(empty, S4) == 0
+    assert len(invariant_set(empty, S4)) == 0
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "predicted"])
+def test_triples_with_no_invariant_keys(mode):
+    q8 = close_group([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(2 3 4)", 4)])
+    res = classify_triples(P5, q8, mode=mode)
+    assert len(res.invariant) == 0 and res.count == 0
+    assert res.normalizer.order == 24

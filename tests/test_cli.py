@@ -332,3 +332,35 @@ def test_exhaustive_table_checks_every_cap_first(monkeypatch, capsys):
     )
     assert code == 2 and out == ""
     assert "scale cap exceeded" in err and "470458810" in err  # p = 19, n = 5
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "predicted"])
+def test_triples_with_no_invariant_keys(mode, capsys):
+    code, out, _ = run_cli(
+        ["triples", "--p", "5", "--n", "3", "--group", "(1 2)(3 4)", "--group", "(2 3 4)",
+         "--mode", mode, "--format", "json", "--no-cache"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["invariant_count"], doc["count"], doc["orbits"]) == (0, 0, [])
+
+
+def test_key_objects_are_built_only_where_needed(monkeypatch, capsys):
+    from zpaction.enumeration import SubgroupKey
+
+    built = []
+    real = SubgroupKey.__post_init__
+    monkeypatch.setattr(SubgroupKey, "__post_init__", lambda self: built.append(1) or real(self))
+    for args in (["orbits", "--p", "5", "--n", "5"], ["enumerate", "--p", "5", "--n", "4"]):
+        code, _, _ = run_cli(args + ["--format", "json", "--no-cache"], capsys)
+        assert code == 0 and built == [], args
+    d3 = ["--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)"]
+    for mode in ("exhaustive", "predicted"):
+        built.clear()
+        code, out, _ = run_cli(
+            ["triples", "--p", "7", "--n", "5", *d3, "--mode", mode, "--format", "json",
+             "--no-cache"],
+            capsys,
+        )
+        assert code == 0 and len(built) <= json.loads(out)["invariant_count"], mode

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus
@@ -5,6 +8,7 @@ from zpaction.enumeration import (
     ActionParams,
     AdmissibilityError,
     GeneralPresentation,
+    KeySet,
     ScaleCapError,
     SubgroupKey,
     Type1Presentation,
@@ -19,7 +23,9 @@ from zpaction.enumeration import (
     key_from_presentation,
     key_from_theta,
     name_of_key,
+    theta_table,
 )
+from zpaction.enumeration import _row_codes
 
 
 def test_params_validation():
@@ -56,6 +62,74 @@ def test_enumeration_sorted_and_valid():
 def test_oracle_equivalence(p, n, m):
     params = ActionParams(p, n, m)
     assert enumerate_actions(params) == brute_force_oracle(params)
+
+
+def gaussian_binomial(a: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^a."""
+    if not 0 <= k <= a:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (a - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "p,n,m",
+    [(3, 3, 2), (113, 3, 2), (7, 4, 2), (13, 4, 2), (2, 5, 2), (7, 5, 2), (5, 6, 2), (2, 7, 2),
+     (3, 4, 3), (2, 5, 3), (3, 6, 3), (3, 5, 4), (7, 3, 1), (5, 4, 1)],
+)
+def test_space_size_closed_form(p, n, m):
+    # A key is a codimension-m subgroup K avoiding the n+1 generators a_j, i.e. an
+    # m-dimensional subspace of the dual space F_p^n avoiding the n+1 hyperplanes
+    # a_j^perp.  Any s <= n of those hyperplanes meet in dimension n - s and all
+    # n+1 meet in 0, so inclusion-exclusion gives sum_{s<=n} (-1)^s C(n+1, s) [n-s choose m]_p.
+    expected = sum(
+        (-1) ** s * math.comb(n + 1, s) * gaussian_binomial(n - s, m, p) for s in range(n + 1)
+    )
+    assert len(theta_table(ActionParams(p, n, m))) == expected
+
+
+def matrices(keys):
+    return np.array([key.theta.entries for key in keys])
+
+
+def test_key_set_of_sorts_and_deduplicates():
+    params = ActionParams(5, 3, 2)
+    keys = enumerate_actions(params)
+    shuffled = keys[::-1] + keys[3:9]
+    key_set = KeySet.of(params, shuffled)
+    assert key_set == KeySet.full(params) and len(key_set) == 27
+    assert key_set.keys() == keys
+    assert key_set.digit_strings() == [key.digit_string() for key in keys]
+    expected_rows = list(range(26, -1, -1)) + list(range(3, 9))
+    assert key_set.rows_of(matrices(shuffled)).tolist() == expected_rows
+    with pytest.raises(ValueError, match="share"):
+        KeySet.of(params, keys[:1] + enumerate_actions(ActionParams(3, 3, 2))[:1])
+
+
+def test_key_set_rows_of_misses_raise_key_error():
+    params = ActionParams(5, 3, 2)
+    keys = enumerate_actions(params)
+    for key_set, key in (
+        (KeySet.of(params, keys[1:]), keys[0]),  # sorts before every row
+        (KeySet.of(params, keys[:-1]), keys[-1]),  # sorts after every row
+        (KeySet.of(params, keys[:5] + keys[6:]), keys[5]),  # falls between two rows
+        (KeySet.of(params, []), keys[0]),
+    ):
+        with pytest.raises(KeyError):
+            key_set.rows_of(matrices([key]))
+        with pytest.raises(KeyError):
+            key_set.rows_of(matrices(keys))
+    assert KeySet.of(params, []).rows_of(np.zeros((0, 2, 3), np.uint8)).shape == (0,)
+
+
+def test_empty_key_sets():
+    assert _row_codes(np.zeros((0, 2, 3), np.uint8)).shape == (0,)
+    empty = KeySet.of(ActionParams(5, 3, 2), [])
+    assert len(empty) == 0 and empty.rows.shape == (0, 2, 3)
+    assert empty.keys() == [] and empty.digit_strings() == []
 
 
 def test_scale_caps():

@@ -1,6 +1,6 @@
 import pytest
 
-from zpaction.enumeration import ActionParams, enumerate_actions, name_of_key
+from zpaction.enumeration import ActionParams, KeySet, name_of_key
 from zpaction.classify import act, classify_triples, invariant_set
 from zpaction.predictions import (
     CASES,
@@ -77,25 +77,25 @@ def test_alpha_branch_consistency_at_p3():
 @pytest.mark.parametrize("case", [c for c in CASES if c.startswith("N3")])
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_n3_predictions_match_generic(case, p):
-    keys = enumerate_actions(ActionParams(p, 3, 2))
+    keys = KeySet.full(ActionParams(p, 3, 2))
     generic = invariant_set(keys, case_group(case))
-    assert sorted(generic) == predicted_invariant_set(case, p)
+    assert sorted(generic.keys()) == predicted_invariant_set(case, p)
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c.startswith("N3")])
 @pytest.mark.parametrize("p", [29, 113])
 def test_n3_predictions_match_generic_large(case, p):
-    keys = enumerate_actions(ActionParams(p, 3, 2))
+    keys = KeySet.full(ActionParams(p, 3, 2))
     generic = invariant_set(keys, case_group(case))
-    assert sorted(generic) == predicted_invariant_set(case, p)
+    assert sorted(generic.keys()) == predicted_invariant_set(case, p)
 
 
 @pytest.mark.parametrize("case", ["N5_D3", "N5_K4"])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_n5_predictions_match_generic(case, p):
-    keys = enumerate_actions(ActionParams(p, 5, 2))
+    keys = KeySet.full(ActionParams(p, 5, 2))
     generic = invariant_set(keys, case_group(case))
-    assert sorted(generic) == predicted_invariant_set(case, p)
+    assert sorted(generic.keys()) == predicted_invariant_set(case, p)
 
 
 @pytest.mark.parametrize("case", CASES)
