@@ -147,11 +147,13 @@ def burnside_count_full(
 
 
 def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
-    """Keys fixed by every generator of ``group`` (hence by all of it)."""
-    mask = np.ones(len(keys), dtype=bool)
+    """Keys fixed by every generator of ``group`` (hence by all of it).
+
+    Each generator scans only the keys the earlier ones fixed.
+    """
     for g in group.generators:
-        mask &= _fixed_mask(keys, g)
-    return KeySet(keys.params, keys.rows[mask])
+        keys = KeySet(keys.params, keys.rows[_fixed_mask(keys, g)])
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: enumerate, orbits, invariants, triples, models, jacobian,
-table, verify.  Output is deterministic text, JSON or CSV; heavyweight
-results are cached as JSON documents keyed by the command, parameters,
-canonical group text and a digest of the package's source files.
+table, verify.  A command table maps every subcommand but verify to
+three functions: a builder that computes a JSON-ready document from the
+parsed arguments, and the two functions that lay that document out as
+text lines and as CSV lines; ``--format json`` prints the document
+itself.  Output is deterministic.  The documents of the heavyweight
+commands are cached as JSON keyed by the command, parameters, canonical
+group text and a digest of the package's source files.
 
 Exit codes: 0 success, 1 usage or validation error, 2 scale cap
 exceeded, 3 verification failure.
@@ -17,7 +21,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from .enumeration import (
     ScaleCapError,
     SubgroupKey,
     VerificationError,
+    candidate_estimate,
     check_candidate_cap,
     key_from_digit_string,
     key_from_named,
@@ -43,8 +47,14 @@ from .classify import (
     invariant_keys_full,
     orbit_partition,
 )
-from .geometry import fiber_product_model, jacobian_decomposition, points_preset, render_model
-from .predictions import predicted_triple_count
+from .geometry import (
+    MarkedPoints,
+    fiber_product_model,
+    jacobian_decomposition,
+    points_preset,
+    render_model,
+)
+from .predictions import case_group, predicted_triple_count
 
 CACHE_ENV = "ZPACTION_CACHE_DIR"
 CACHEABLE = {"enumerate", "orbits", "invariants", "triples", "table"}
@@ -65,43 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: subcommand, parameters, groups, output options."""
-
-    command: str
-    p: int | None = None
-    n: int | None = None
-    m: int | None = None
-    groups: tuple[str, ...] = ()
-    mode: str = "exhaustive"
-    format: str = "text"
-    output: str | None = None
-    labels: str | None = None
-    name: str | None = None
-    family: str | None = None
-    key: str | None = None
-    which: str | None = None
-    primes: tuple[int, ...] = ()
-    max_candidates: int | None = None
-    cache_dir: str | None = None
-    no_cache: bool = False
-
-    def params(self) -> ActionParams:
-        return ActionParams(self.p, self.n, self.m)
-
-    def parsed_groups(self) -> PermGroup:
-        degree = self.n + 1
-        gens = [parse_cycles(g, degree) for g in self.groups]
-        if not gens:
-            return symmetric_group(degree)
-        return close_group(gens, degree=degree)
-
-    def canonical_group_text(self) -> tuple[str, ...]:
-        degree = self.n + 1
-        return tuple(parse_cycles(g, degree).cycle_string() for g in self.groups)
-
-
 def _prime_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
@@ -109,37 +82,32 @@ def _prime_list(text: str) -> tuple[int, ...]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="zpaction", description=__doc__)
     parser.add_argument("--version", action="version", version=f"zpaction {__version__}")
+    # Every field of the cache key exists on every namespace, taken or not.
+    parser.set_defaults(p=None, n=None, m=None, groups=(), mode="exhaustive", which=None, primes=())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_group=False, with_m=True):
-        p.add_argument("--p", type=int, required=True, help="prime modulus")
-        p.add_argument("--n", type=int, required=True, help="number of branch points minus one")
-        if with_m:
-            p.add_argument("--m", type=int, default=2, help="rank of the deck group (default 2)")
-        if with_group:
-            p.add_argument(
-                "--group",
-                action="append",
-                default=[],
-                dest="groups",
-                metavar="CYCLES",
-                help="generator in cycle notation, repeatable",
-            )
+    def add_output(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--output", metavar="PATH", help="write output to a file instead of stdout")
         p.add_argument("--cache-dir", metavar="DIR")
         p.add_argument("--no-cache", action="store_true")
+
+    def add_common(p, with_group=False):
+        p.add_argument("--p", type=int, required=True, help="prime modulus")
+        p.add_argument("--n", type=int, required=True, help="number of branch points minus one")
+        p.add_argument("--m", type=int, default=2, help="rank of the deck group (default 2)")
+        if with_group:
+            p.add_argument("--group", action="append", default=[], dest="groups", metavar="CYCLES",
+                           help="generator in cycle notation, repeatable")
+        add_output(p)
         p.add_argument("--max-candidates", type=int, metavar="N", help="override the scale cap")
 
-    p_enum = sub.add_parser("enumerate", help="list the admissible subgroup keys")
-    add_common(p_enum)
-
-    p_orbits = sub.add_parser("orbits", help="orbit partition under relabelings")
-    add_common(p_orbits, with_group=True)
-
-    p_inv = sub.add_parser("invariants", help="subgroups invariant under a symmetry group")
-    add_common(p_inv, with_group=True)
-
+    add_common(sub.add_parser("enumerate", help="list the admissible subgroup keys"))
+    add_common(sub.add_parser("orbits", help="orbit partition under relabelings"), with_group=True)
+    add_common(
+        sub.add_parser("invariants", help="subgroups invariant under a symmetry group"),
+        with_group=True,
+    )
     p_tri = sub.add_parser("triples", help="classes of actions with extra symmetry")
     add_common(p_tri, with_group=True)
     p_tri.add_argument("--mode", choices=("exhaustive", "predicted"), default="exhaustive")
@@ -158,31 +126,32 @@ def build_parser() -> _Parser:
     p_table.add_argument("--primes", type=_prime_list, default=(),
                          help="comma-separated primes (defaults per table)")
     p_table.add_argument("--mode", choices=("exhaustive", "predicted"), default="predicted")
-    p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--output", metavar="PATH")
-    p_table.add_argument("--cache-dir", metavar="DIR")
-    p_table.add_argument("--no-cache", action="store_true")
+    add_output(p_table)
 
     sub.add_parser("verify", help="run the built-in verification suite")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    return RunConfig(**{**given, "groups": tuple(given.get("groups", ()))})
+def _params(args) -> ActionParams:
+    return ActionParams(args.p, args.n, args.m)
+
+
+def _group(args) -> PermGroup:
+    degree = args.n + 1
+    gens = [parse_cycles(g, degree) for g in args.groups]
+    return close_group(gens, degree=degree) if gens else symmetric_group(degree)
+
+
+def _group_text(args) -> list[str]:
+    return [parse_cycles(g, args.n + 1).cycle_string() for g in args.groups]
 
 
 # ---------------------------------------------------------------------------
 # caching
 
 
-def _cache_dir(config: RunConfig) -> Path:
-    if config.cache_dir:
-        return Path(config.cache_dir)
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "zpaction"
+def _cache_dir(args) -> Path:
+    return Path(args.cache_dir or os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "zpaction")
 
 
 @cache
@@ -194,26 +163,26 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def _cache_key(config: RunConfig) -> dict:
+def _cache_key(args) -> dict:
     return {
-        "command": config.command,
-        "p": config.p,
-        "n": config.n,
-        "m": config.m,
-        "groups": list(config.canonical_group_text()) if config.n else list(config.groups),
-        "mode": config.mode,
-        "which": config.which,
-        "primes": list(config.primes),
+        "command": args.command,
+        "p": args.p,
+        "n": args.n,
+        "m": args.m,
+        "groups": _group_text(args) if args.n else list(args.groups),
+        "mode": args.mode,
+        "which": args.which,
+        "primes": list(args.primes),
         "source": _source_digest(),
     }
 
 
-def _with_cache(config: RunConfig, compute) -> dict:
-    if config.no_cache or config.command not in CACHEABLE:
+def _with_cache(args, compute) -> dict:
+    if args.no_cache or args.command not in CACHEABLE:
         return compute()
-    key = _cache_key(config)
+    key = _cache_key(args)
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
-    path = _cache_dir(config) / f"{digest}.json"
+    path = _cache_dir(args) / f"{digest}.json"
     try:
         stored = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):  # missing or unreadable: a miss, overwritten below
@@ -245,9 +214,9 @@ def _params_doc(params: ActionParams) -> dict:
     return {"p": params.p, "n": params.n, "m": params.m}
 
 
-def _group_head(config: RunConfig) -> dict:
+def _group_head(args) -> dict:
     """The leading fields of a document about a group action."""
-    return {"params": _params_doc(config.params()), "group": list(config.canonical_group_text())}
+    return {"params": _params_doc(_params(args)), "group": _group_text(args)}
 
 
 def _orbit_entries(report) -> list[dict]:
@@ -258,38 +227,38 @@ def _orbit_entries(report) -> list[dict]:
     ]
 
 
-def _cap(config: RunConfig) -> dict:
+def _cap(args) -> dict:
     """``--max-candidates`` as keyword arguments; absent or 0 keeps each route's default cap."""
-    return {"max_candidates": config.max_candidates} if config.max_candidates else {}
+    return {"max_candidates": args.max_candidates} if args.max_candidates else {}
 
 
-def _orbits_doc(config: RunConfig) -> dict:
-    params, group = config.params(), config.parsed_groups()
-    report = orbit_partition(KeySet.full(params, **_cap(config)), group)
-    burnside = burnside_count_full(params, group, **_cap(config))
+def _orbits_doc(args) -> dict:
+    params, group = _params(args), _group(args)
+    report = orbit_partition(KeySet.full(params, **_cap(args)), group)
+    burnside = burnside_count_full(params, group, **_cap(args))
     if burnside != report.count:
         raise VerificationError(f"Burnside {burnside} != partition {report.count}")
-    return {**_group_head(config), "count": report.count, "orbits": _orbit_entries(report)}
+    return {**_group_head(args), "count": report.count, "orbits": _orbit_entries(report)}
 
 
-def _enumerate_doc(config: RunConfig) -> dict:
-    keys = KeySet.full(config.params(), **_cap(config))
+def _enumerate_doc(args) -> dict:
+    keys = KeySet.full(_params(args), **_cap(args))
     return {"params": _params_doc(keys.params), "count": len(keys), "keys": keys.digit_strings()}
 
 
-def _invariants_doc(config: RunConfig) -> dict:
-    params, group = config.params(), config.parsed_groups()
-    inv = invariant_keys_full(params, group, config.max_candidates or DEFAULT_CANDIDATE_CAP)
-    return {**_group_head(config), "count": len(inv), "keys": inv.digit_strings()}
+def _invariants_doc(args) -> dict:
+    params, group = _params(args), _group(args)
+    inv = invariant_keys_full(params, group, args.max_candidates or DEFAULT_CANDIDATE_CAP)
+    return {**_group_head(args), "count": len(inv), "keys": inv.digit_strings()}
 
 
-def _triples_doc(config: RunConfig) -> dict:
-    params = config.params()
-    if not config.groups:
+def _triples_doc(args) -> dict:
+    params = _params(args)
+    if not args.groups:
         raise UsageError("triples requires at least one --group generator")
-    result = classify_triples(params, config.parsed_groups(), mode=config.mode, **_cap(config))
+    result = classify_triples(params, _group(args), mode=args.mode, **_cap(args))
     return {
-        **_group_head(config),
+        **_group_head(args),
         "mode": result.mode,
         "normalizer_order": result.normalizer.order,
         "invariant_count": len(result.invariant),
@@ -298,26 +267,23 @@ def _triples_doc(config: RunConfig) -> dict:
     }
 
 
-def _select_key(config: RunConfig, params: ActionParams) -> SubgroupKey:
-    if (config.name is None) == (config.key is None):
+def _key_and_points(args) -> tuple[SubgroupKey, MarkedPoints]:
+    """The one subgroup that ``--name`` or ``--key`` selects, and its ``--labels`` points."""
+    params = _params(args)
+    if (args.name is None) == (args.key is None):
         raise UsageError("select the subgroup with exactly one of --name or --key")
-    if config.name is not None:
-        return key_from_named(params, config.name, config.family)
-    return key_from_digit_string(params, config.key)
+    if args.name is not None:
+        key = key_from_named(params, args.name, args.family)
+    else:
+        key = key_from_digit_string(params, args.key)
+    return key, points_preset(args.labels or ("lambda" if params.n == 3 else "standard"), params.n)
 
 
-def _points_for(config: RunConfig, n: int):
-    preset = config.labels or ("lambda" if n == 3 else "standard")
-    return points_preset(preset, n)
-
-
-def _models_doc(config: RunConfig) -> dict:
-    params = config.params()
-    key = _select_key(config, params)
-    points = _points_for(config, params.n)
+def _models_doc(args) -> dict:
+    key, points = _key_and_points(args)
     model = fiber_product_model(key, points)
     return {
-        "params": _params_doc(params),
+        "params": _params_doc(key.params),
         "key": key.digit_string(),
         "labels": list(points.labels),
         "y1": list(model.first.exponents),
@@ -326,13 +292,11 @@ def _models_doc(config: RunConfig) -> dict:
     }
 
 
-def _jacobian_doc(config: RunConfig) -> dict:
-    params = config.params()
-    key = _select_key(config, params)
-    points = _points_for(config, params.n)
+def _jacobian_doc(args) -> dict:
+    key, points = _key_and_points(args)
     report = jacobian_decomposition(key, points)
     return {
-        "params": _params_doc(params),
+        "params": _params_doc(key.params),
         "key": key.digit_string(),
         "genus": report.total,
         "lines": [
@@ -349,110 +313,99 @@ def _jacobian_doc(config: RunConfig) -> dict:
     }
 
 
-def _table_doc(config: RunConfig) -> dict:
-    which = config.which
-    primes = config.primes or DEFAULT_TABLE_PRIMES[which]
-    rows = []
-    if which == "n3-orbits":
+def _table_doc(args) -> dict:
+    primes = args.primes or DEFAULT_TABLE_PRIMES[args.which]
+    case = "N5_D3" if args.which == "d3-triples" else "N5_K4"
+    if args.which == "n3-orbits":
         s4 = symmetric_group(4)
-        for p in primes:
-            rows.append({"p": p, "N": burnside_count_full(ActionParams(p, 3, 2), s4)})
+        count = lambda p: burnside_count_full(ActionParams(p, 3, 2), s4)
+    elif args.mode == "predicted":
+        count = lambda p: predicted_triple_count(case, p)
     else:
-        case = "N5_D3" if which == "d3-triples" else "N5_K4"
-        from .predictions import case_group
-
-        group = case_group(case)
-        if config.mode == "exhaustive":  # fail on the first prime over the cap before any row runs
+        if args.primes:  # fail on the first prime over the cap before any row runs
             for p in primes:
                 check_candidate_cap(ActionParams(p, 5, 2), TRIPLES_CANDIDATE_CAP)
-        for p in primes:
-            if config.mode == "exhaustive":
-                count = classify_triples(ActionParams(p, 5, 2), group, mode="exhaustive").count
-            else:
-                count = predicted_triple_count(case, p)
-            rows.append({"p": p, "N": count})
-    return {"table": which, "mode": config.mode, "rows": rows}
+        else:  # the default primes are those the cap admits
+            primes = [p for p in primes
+                      if candidate_estimate(ActionParams(p, 5, 2)) <= TRIPLES_CANDIDATE_CAP]
+        group = case_group(case)
+        count = lambda p: classify_triples(ActionParams(p, 5, 2), group, mode="exhaustive").count
+    rows = [{"p": p, "N": count(p)} for p in primes]
+    return {"table": args.which, "mode": args.mode, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# text and CSV lines
 
 
-def _render_text(config: RunConfig, doc: dict) -> str:
-    cmd = config.command
-    lines: list[str] = []
-    if cmd in ("enumerate", "invariants"):
-        lines.append("p, count")
-        lines.append(f"{doc['params']['p']}, {doc['count']}")
-        lines.extend(doc["keys"])
-    elif cmd in ("orbits", "triples"):
-        lines.append("p, N")
-        lines.append(f"{doc['params']['p']}, {doc['count']}")
-        if cmd == "triples":
-            lines.append(f"mode: {doc['mode']}")
-            lines.append(f"normalizer order: {doc['normalizer_order']}")
-            lines.append(f"invariant subgroups: {doc['invariant_count']}")
-        for i, orbit in enumerate(doc["orbits"], start=1):
-            lines.append(f"{i:4d}. size {orbit['size']:4d}  rep {orbit['rep']}")
-    elif cmd == "models":
-        lines.append(doc["text"])
-    elif cmd == "jacobian":
-        lines.append(f"genus {doc['genus']}")
-        for entry in doc["lines"]:
-            lines.append(
-                f"line <{entry['line']}>  genus {entry['genus']:3d}  "
-                f"fixed {entry['fixed_points']:3d}  {entry['model']}"
-            )
-        lines.append(f"genus sum {doc['genus_sum']}, fixed sum {doc['fixed_sum']}")
-    elif cmd == "table":
-        width = max(len(str(row["p"])) for row in doc["rows"])
-        lines.append(f"{'p'.ljust(width)}  N")
-        for row in doc["rows"]:
-            lines.append(f"{str(row['p']).ljust(width)}  {row['N']}")
-    return "\n".join(lines) + "\n"
+def _keys_text(doc: dict) -> list[str]:
+    return ["p, count", f"{doc['params']['p']}, {doc['count']}", *doc["keys"]]
 
 
-def _render_csv(config: RunConfig, doc: dict) -> str:
-    cmd = config.command
-    rows: list[str] = []
-    if cmd == "enumerate" or cmd == "invariants":
-        rows.append("key")
-        rows.extend(doc["keys"])
-    elif cmd in ("orbits", "triples"):
-        rows.append("orbit,size,rep")
-        for i, orbit in enumerate(doc["orbits"], start=1):
-            rows.append(f"{i},{orbit['size']},{orbit['rep']}")
-    elif cmd == "models":
-        rows.append("curve,exponents")
-        rows.append("y1," + ";".join(str(e) for e in doc["y1"]))
-        rows.append("y2," + ";".join(str(e) for e in doc["y2"]))
-    elif cmd == "jacobian":
-        rows.append("line,genus,fixed_points")
-        for entry in doc["lines"]:
-            rows.append(f"{entry['line'].replace(',', ';')},{entry['genus']},{entry['fixed_points']}")
-    elif cmd == "table":
-        rows.append("p,N")
-        for row in doc["rows"]:
-            rows.append(f"{row['p']},{row['N']}")
-    return "\n".join(rows) + "\n"
+def _keys_csv(doc: dict) -> list[str]:
+    return ["key", *doc["keys"]]
 
 
-def _emit(config: RunConfig, doc: dict) -> str:
-    if config.format == "json":
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    if config.format == "csv":
-        return _render_csv(config, doc)
-    return _render_text(config, doc)
+def _orbits_text(doc: dict, details: tuple[str, ...] = ()) -> list[str]:
+    orbits = enumerate(doc["orbits"], start=1)
+    return [
+        "p, N",
+        f"{doc['params']['p']}, {doc['count']}",
+        *details,
+        *(f"{i:4d}. size {orbit['size']:4d}  rep {orbit['rep']}" for i, orbit in orbits),
+    ]
 
 
+def _triples_text(doc: dict) -> list[str]:
+    return _orbits_text(doc, (
+        f"mode: {doc['mode']}",
+        f"normalizer order: {doc['normalizer_order']}",
+        f"invariant subgroups: {doc['invariant_count']}",
+    ))
+
+
+def _orbits_csv(doc: dict) -> list[str]:
+    orbits = enumerate(doc["orbits"], start=1)
+    return ["orbit,size,rep", *(f"{i},{orbit['size']},{orbit['rep']}" for i, orbit in orbits)]
+
+
+def _models_csv(doc: dict) -> list[str]:
+    return ["curve,exponents", *(f"{y}," + ";".join(map(str, doc[y])) for y in ("y1", "y2"))]
+
+
+def _jacobian_text(doc: dict) -> list[str]:
+    return [
+        f"genus {doc['genus']}",
+        *(f"line <{e['line']}>  genus {e['genus']:3d}  fixed {e['fixed_points']:3d}  {e['model']}"
+          for e in doc["lines"]),
+        f"genus sum {doc['genus_sum']}, fixed sum {doc['fixed_sum']}",
+    ]
+
+
+def _jacobian_csv(doc: dict) -> list[str]:
+    return ["line,genus,fixed_points", *(
+        f"{e['line'].replace(',', ';')},{e['genus']},{e['fixed_points']}" for e in doc["lines"]
+    )]
+
+
+def _table_text(doc: dict) -> list[str]:
+    width = max(len(str(row["p"])) for row in doc["rows"])
+    return [f"{'p':<{width}}  N", *(f"{row['p']:<{width}}  {row['N']}" for row in doc["rows"])]
+
+
+def _table_csv(doc: dict) -> list[str]:
+    return ["p,N", *(f"{row['p']},{row['N']}" for row in doc["rows"])]
+
+
+# subcommand -> (document builder, text lines, CSV lines); JSON is the document itself.
 _COMMANDS = {
-    "enumerate": _enumerate_doc,
-    "orbits": _orbits_doc,
-    "invariants": _invariants_doc,
-    "triples": _triples_doc,
-    "models": _models_doc,
-    "jacobian": _jacobian_doc,
-    "table": _table_doc,
+    "enumerate": (_enumerate_doc, _keys_text, _keys_csv),
+    "orbits": (_orbits_doc, _orbits_text, _orbits_csv),
+    "invariants": (_invariants_doc, _keys_text, _keys_csv),
+    "triples": (_triples_doc, _triples_text, _orbits_csv),
+    "models": (_models_doc, lambda doc: [doc["text"]], _models_csv),
+    "jacobian": (_jacobian_doc, _jacobian_text, _jacobian_csv),
+    "table": (_table_doc, _table_text, _table_csv),
 }
 
 
@@ -472,13 +425,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        if config.command == "verify":
+        if args.command == "verify":
             return _run_verify()
-        doc = _with_cache(config, lambda: _COMMANDS[config.command](config))
-        text = _emit(config, doc)
-        if config.output:
-            Path(config.output).write_text(text)
+        build, text_lines, csv_lines = _COMMANDS[args.command]
+        doc = _with_cache(args, lambda: build(args))
+        if args.format == "json":
+            text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        else:
+            text = "\n".join((csv_lines if args.format == "csv" else text_lines)(doc)) + "\n"
+        if args.output:
+            Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)
         return 0

@@ -25,7 +25,6 @@ keeps the arithmetic uniform with no special cases.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,9 +73,9 @@ class MarkedPoints:
 
 _PRESETS = {
     "standard": MarkedPoints.standard,
-    "lambda": lambda n: MarkedPoints.with_lambda(n),
-    "d3": lambda n: MarkedPoints.threefold(n),
-    "k4": lambda n: MarkedPoints.fourgroup(n),
+    "lambda": MarkedPoints.with_lambda,
+    "d3": MarkedPoints.threefold,
+    "k4": MarkedPoints.fourgroup,
 }
 
 
@@ -383,25 +382,8 @@ def _render_curve(model: CurveModel, name: str = "y") -> str:
     return f"{name}^{model.p} = {product}"
 
 
-def render_model(model: CurveModel | FiberProductModel, format: str = "text") -> str:
-    """Deterministic text or JSON rendering of a curve or fiber product."""
-    if format == "text":
-        if isinstance(model, CurveModel):
-            return _render_curve(model)
-        return _render_curve(model.first, "y1") + " ; " + _render_curve(model.second, "y2")
-    if format == "json":
-        if isinstance(model, CurveModel):
-            doc = {
-                "p": model.p,
-                "points": list(model.points.labels),
-                "exponents": list(model.exponents),
-            }
-        else:
-            doc = {
-                "p": model.first.p,
-                "points": list(model.first.points.labels),
-                "y1": list(model.first.exponents),
-                "y2": list(model.second.exponents),
-            }
-        return json.dumps(doc, ensure_ascii=False)
-    raise ValueError(f"unknown render format {format!r}")
+def render_model(model: CurveModel | FiberProductModel) -> str:
+    """Deterministic text rendering of a curve or fiber product."""
+    if isinstance(model, CurveModel):
+        return _render_curve(model)
+    return _render_curve(model.first, "y1") + " ; " + _render_curve(model.second, "y2")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zpaction
 from zpaction.cli import main
 
 
@@ -328,10 +333,34 @@ def test_exhaustive_table_checks_every_cap_first(monkeypatch, capsys):
 
     monkeypatch.setattr(zpaction.cli, "classify_triples", never)
     code, out, err = run_cli(
-        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--no-cache"], capsys
+        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--primes", "5,7,19",
+         "--no-cache"],
+        capsys,
     )
     assert code == 2 and out == ""
     assert "scale cap exceeded" in err and "470458810" in err  # p = 19, n = 5
+
+
+def test_exhaustive_table_defaults_to_the_primes_the_cap_admits(monkeypatch, capsys):
+    import types
+
+    import zpaction.cli
+
+    computed = []
+
+    def record(params, group, mode):
+        computed.append(params.p)
+        return types.SimpleNamespace(count=0)
+
+    monkeypatch.setattr(zpaction.cli, "classify_triples", record)
+    code, out, _ = run_cli(
+        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--format", "csv",
+         "--no-cache"],
+        capsys,
+    )
+    assert code == 0
+    assert computed == [5, 7, 11, 13, 17]
+    assert out.splitlines() == ["p,N", "5,0", "7,0", "11,0", "13,0", "17,0"]
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "predicted"])
@@ -364,3 +393,177 @@ def test_key_objects_are_built_only_where_needed(monkeypatch, capsys):
             capsys,
         )
         assert code == 0 and len(built) <= json.loads(out)["invariant_count"], mode
+
+
+def test_console_entry_point_exit_status():
+    src = str(Path(zpaction.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zpaction.cli", "enumerate", "--p", "4", "--n", "3", "--no-cache"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "composite modulus unsupported" in proc.stderr
+
+
+# Exact output of every (subcommand, format) pair at small parameters.  JSON
+# documents are given as values and compared as the indented dump the command
+# line prints.
+D3 = ["--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)"]
+P3N3_KEYS = [
+    "1,0,0;0,1,1", "1,0,0;0,1,2", "1,0,1;0,1,0", "1,0,1;0,1,1", "1,0,1;0,1,2",
+    "1,0,2;0,1,0", "1,0,2;0,1,1", "1,1,0;0,0,1", "1,2,0;0,0,1",
+]
+P5_INVOLUTION_KEYS = ["1,0,2;0,1,2", "1,1,0;0,0,1", "1,2,0;0,0,1", "1,3,0;0,0,1", "1,4,0;0,0,1"]
+ORBITS_P3 = ["orbits", "--p", "3", "--n", "3"]
+INVARIANTS_P5 = ["invariants", "--p", "5", "--n", "3", "--group", "(3 4)"]
+TRIPLES_P5 = ["triples", "--p", "5", "--n", "3", "--group", "(3 4)"]
+MODELS_P5 = ["models", "--p", "5", "--n", "3", "--name", "K(0,1)"]
+JACOBIAN_P3 = ["jacobian", "--p", "3", "--n", "3", "--name", "K(0,2)"]
+
+
+def _params(p, n, m=2):
+    return {"p": p, "n": n, "m": m}
+
+
+def _orbit(members):
+    return {"rep": members[0], "size": len(members), "members": members}
+
+
+GOLDEN = {
+    "enumerate-text": (
+        ["enumerate", "--p", "3", "--n", "3"],
+        "\n".join(["p, count", "3, 9", *P3N3_KEYS]) + "\n",
+    ),
+    "enumerate-json": (
+        ["enumerate", "--p", "3", "--n", "3", "--format", "json"],
+        {"params": _params(3, 3), "count": 9, "keys": P3N3_KEYS},
+    ),
+    "enumerate-csv": (
+        ["enumerate", "--p", "3", "--n", "3", "--format", "csv"],
+        "\n".join(["key", *P3N3_KEYS]) + "\n",
+    ),
+    "orbits-text": (
+        ORBITS_P3,
+        "p, N\n3, 2\n   1. size    6  rep 1,0,0;0,1,1\n   2. size    3  rep 1,0,0;0,1,2\n",
+    ),
+    "orbits-json": (
+        ORBITS_P3 + ["--format", "json"],
+        {
+            "params": _params(3, 3),
+            "group": [],
+            "count": 2,
+            "orbits": [
+                _orbit([P3N3_KEYS[i] for i in (0, 2, 3, 4, 6, 7)]),
+                _orbit([P3N3_KEYS[i] for i in (1, 5, 8)]),
+            ],
+        },
+    ),
+    "orbits-csv": (
+        ORBITS_P3 + ["--format", "csv"],
+        "orbit,size,rep\n1,6,1,0,0;0,1,1\n2,3,1,0,0;0,1,2\n",
+    ),
+    "invariants-text": (
+        INVARIANTS_P5,
+        "\n".join(["p, count", "5, 5", *P5_INVOLUTION_KEYS]) + "\n",
+    ),
+    "invariants-json": (
+        INVARIANTS_P5 + ["--format", "json"],
+        {"params": _params(5, 3), "group": ["(3 4)"], "count": 5, "keys": P5_INVOLUTION_KEYS},
+    ),
+    "invariants-csv": (
+        INVARIANTS_P5 + ["--format", "csv"],
+        "\n".join(["key", *P5_INVOLUTION_KEYS]) + "\n",
+    ),
+    "triples-text": (
+        TRIPLES_P5,
+        "p, N\n5, 4\nmode: exhaustive\nnormalizer order: 4\ninvariant subgroups: 5\n"
+        "   1. size    1  rep 1,0,2;0,1,2\n"
+        "   2. size    1  rep 1,1,0;0,0,1\n"
+        "   3. size    2  rep 1,2,0;0,0,1\n"
+        "   4. size    1  rep 1,4,0;0,0,1\n",
+    ),
+    "triples-json": (
+        TRIPLES_P5 + ["--format", "json"],
+        {
+            "params": _params(5, 3),
+            "group": ["(3 4)"],
+            "mode": "exhaustive",
+            "normalizer_order": 4,
+            "invariant_count": 5,
+            "count": 4,
+            "orbits": [
+                _orbit(["1,0,2;0,1,2"]),
+                _orbit(["1,1,0;0,0,1"]),
+                _orbit(["1,2,0;0,0,1", "1,3,0;0,0,1"]),
+                _orbit(["1,4,0;0,0,1"]),
+            ],
+        },
+    ),
+    "triples-csv": (
+        TRIPLES_P5 + ["--format", "csv"],
+        "orbit,size,rep\n1,1,1,0,2;0,1,2\n2,1,1,1,0;0,0,1\n3,2,1,2,0;0,0,1\n4,1,1,4,0;0,0,1\n",
+    ),
+    "triples-predicted-text": (
+        ["triples", "--p", "7", "--n", "5", *D3, "--mode", "predicted"],
+        "p, N\n7, 3\nmode: predicted\nnormalizer order: 36\ninvariant subgroups: 8\n"
+        "   1. size    3  rep 1,0,6,0,1;0,1,6,6,1\n"
+        "   2. size    3  rep 1,0,6,0,6;0,1,6,1,6\n"
+        "   3. size    2  rep 1,2,4,0,0;0,0,0,1,4\n",
+    ),
+    "models-json": (
+        MODELS_P5 + ["--format", "json"],
+        {
+            "params": _params(5, 3),
+            "key": "1,0,0;0,1,1",
+            "labels": ["inf", "0", "1", "λ"],
+            "y1": [0, 1, 1, 3],
+            "y2": [1, 0, 0, 4],
+            "text": "y1^5 = x*(x - 1)*(x - λ)^3 ; y2^5 = (x - λ)^4",
+        },
+    ),
+    "models-csv": (
+        MODELS_P5 + ["--format", "csv"],
+        "curve,exponents\ny1,0;1;1;3\ny2,1;0;0;4\n",
+    ),
+    "jacobian-text": (
+        JACOBIAN_P3,
+        "genus 4\n"
+        "line <0,1>  genus   0  fixed   6  y^3 = (x - λ)\n"
+        "line <1,0>  genus   0  fixed   6  y^3 = x*(x - 1)^2\n"
+        "line <1,1>  genus   2  fixed   0  y^3 = x*(x - 1)^2*(x - λ)\n"
+        "line <1,2>  genus   2  fixed   0  y^3 = x*(x - 1)^2*(x - λ)^2\n"
+        "genus sum 4, fixed sum 12\n",
+    ),
+    "jacobian-csv": (
+        JACOBIAN_P3 + ["--format", "csv"],
+        "line,genus,fixed_points\n0;1,0,6\n1;0,0,6\n1;1,2,0\n1;2,2,0\n",
+    ),
+    "table-text": (
+        ["table", "--which", "k4-triples", "--primes", "2,3,11"],
+        "p   N\n2   3\n3   7\n11  15\n",
+    ),
+    "table-json": (
+        ["table", "--which", "n3-orbits", "--primes", "3,5,11", "--format", "json"],
+        {
+            "table": "n3-orbits",
+            "mode": "predicted",
+            "rows": [{"p": 3, "N": 2}, {"p": 5, "N": 4}, {"p": 11, "N": 10}],
+        },
+    ),
+    "table-csv": (
+        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--primes", "5,7",
+         "--format", "csv"],
+        "p,N\n5,2\n7,3\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(case, capsys):
+    args, expected = GOLDEN[case]
+    if isinstance(expected, dict):
+        expected = json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    assert (code, err) == (0, "")
+    assert out == expected

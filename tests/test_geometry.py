@@ -1,5 +1,4 @@
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
@@ -211,17 +210,6 @@ def test_hyperplane_count():
         assert len(functionals) == (p**m - 1) // (p - 1)
         kernels = {kernel_basis(FpMatrix(modulus, (f,), m)).entries for f in functionals}
         assert len(kernels) == len(functionals)
-
-
-def test_render_json_round_trip():
-    params = ActionParams(5, 3, 2)
-    fm = fiber_product_model(key_from_named(params, "K(1,2)"), MarkedPoints.with_lambda())
-    doc = json.loads(render_model(fm, format="json"))
-    assert doc["p"] == 5 and doc["y1"] == [0, 1, 2, 2] and doc["y2"] == [1, 0, 1, 3]
-    single = render_model(fm.first, format="json")
-    assert json.loads(single)["exponents"] == [0, 1, 2, 2]
-    with pytest.raises(ValueError):
-        render_model(fm, format="yaml")
 
 
 @settings(max_examples=60, deadline=None)
