@@ -1,8 +1,9 @@
 """Orbit and invariance computations on the subgroup parameter space.
 
 The relabeling group S_{n+1} acts on admissible subgroups by
-``(sigma, K) -> Phi_sigma(K)``; on canonical keys this is
-``rref(theta . M_sigma^{-1})``.  Orbits under the full group count
+``(sigma, K) -> Phi_sigma(K)``, where Phi_sigma(a_j) = a_{sigma(j)}.  On
+keys it only permutes the n+1 generator images: theta'(a_j) =
+theta(a_{sigma^-1(j)}).  Orbits under the full group count
 topologically inequivalent actions; orbits of an invariant set under the
 normalizer of a permutation subgroup Q count inequivalent triples (the
 action together with its extra automorphisms).
@@ -15,20 +16,21 @@ per conjugacy class, weighted by the class size.
 
 Hot paths note.  Key sets are ``KeySet`` rows: both routes work on one
 sorted (N, m, n) array and build no ``SubgroupKey``; ``OrbitReport``
-builds keys only when a caller reads them.  A relabeling fixes a key iff
-theta' = theta M^{-1} equals A theta for A = theta' restricted to theta's
-pivot columns, so fixed keys are found without re-echelonizing, over the
-whole table at once.  Orbit closure moves the whole array by one
-generator at a time (a product and a batched rref in a narrow unsigned
-dtype), finds each image's row by binary search, and merges orbits by
-minimum-label propagation.  ``act`` is the per-key pure-Python action
-the tests check these against.
+builds keys only when a caller reads them.  A relabeling moves a whole
+array at once by gathering columns, the implied image of a_{n+1} filled
+in where it lands.  It fixes a key iff the moved theta' equals A theta for
+A = theta' restricted to theta's pivot columns, so fixed keys are found
+without re-echelonizing.  Orbit closure moves the whole array by one
+generator at a time, re-echelonizes it in a narrow unsigned dtype, finds
+each image's row by binary search, and merges orbits by minimum-label
+propagation.  ``act`` is the per-key pure-Python action the tests check
+these against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .enumeration import (
     VerificationError,
     transform_key,
 )
-from .hgroup import PermGroup, Permutation, normalizer_in_symmetric, perm_to_matrix
+from .hgroup import PermGroup, Permutation, normalizer_in_symmetric
 
 # Exhaustive triples runs are capped near the p = 17, n = 5 scale; beyond
 # that the predicted families are the intended route.
@@ -57,21 +59,13 @@ def act(sigma: Permutation, key: SubgroupKey) -> SubgroupKey:
 
 
 def _product_dtype(params: ActionParams):
-    """Narrowest unsigned dtype for theta . M^-1 before its reduction mod p.
+    """Narrowest unsigned dtype for the array products before their reduction mod p.
 
-    Entries below p bound it by n(p-1)^2 + p; that covers ``coeff @ block`` too, as m <= n.
+    Those are ``coeff @ block`` in ``_fixed_mask`` and the row updates of
+    ``_rref_rows``; entries below p bound both by n(p-1)^2 + p, as m <= n.
     """
     bound = params.n * (params.p - 1) ** 2 + params.p
     return np.uint16 if bound < 1 << 16 else np.uint32 if bound < 1 << 32 else np.uint64
-
-
-@lru_cache(maxsize=256)
-def _inverse_action(sigma: Permutation, params: ActionParams) -> np.ndarray:
-    """M_sigma^{-1} as a read-only array in the product dtype."""
-    entries = perm_to_matrix(sigma.inverse(), params.modulus, params.n).entries
-    minv = np.array(entries, dtype=_product_dtype(params))
-    minv.setflags(write=False)
-    return minv
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +145,8 @@ def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
 
     Each generator scans only the keys the earlier ones fixed.
     """
+    if group.degree != keys.params.n + 1:
+        raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
     for g in group.generators:
         keys = KeySet(keys.params, keys.rows[_fixed_mask(keys, g)])
     return keys
@@ -160,16 +156,39 @@ def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
 # vectorized internals over key sets
 
 
+def _moved_rows(rows: np.ndarray, sigma: Permutation, params: ActionParams) -> np.ndarray:
+    """Each key's theta' under sigma, theta'(a_j) = theta(a_{sigma^-1(j)}), in the product dtype.
+
+    Column j - 1 gathers column sigma^-1(j) - 1 of theta.  The column that
+    receives a_{n+1}, which theta lacks, is filled with its implied image
+    (p - column sum mod p) mod p: negating the sum in an unsigned dtype
+    would wrap, not reduce mod p.
+    """
+    p, n = params.p, params.n
+    rows = rows.astype(_product_dtype(params), copy=False)
+    inverse = sigma.inverse()
+    # The slot of a_{n+1} takes column n - 1 until it is filled below.  np.take copies in
+    # C order, which the later steps run faster on than a fancy-index copy.
+    moved = np.take(rows, [min(inverse(j), n) - 1 for j in range(1, n + 1)], axis=2)
+    if sigma(n + 1) <= n:
+        implied = np.zeros(rows.shape[:2], rows.dtype)
+        for column in range(n):  # whole-column adds beat a sum over the short last axis
+            implied += rows[:, :, column]
+        implied %= p
+        np.subtract(p, implied, out=implied)
+        implied %= p
+        moved[:, :, sigma(n + 1) - 1] = implied
+    return moved
+
+
 def _fixed_mask(keys: KeySet, sigma: Permutation) -> np.ndarray:
     """Boolean mask of keys fixed by sigma, no echelonization needed."""
     p = keys.params.p
-    minv = _inverse_action(sigma, keys.params)
     mask = np.empty(len(keys), dtype=bool)
     chunk = 1 << 20
     for start in range(0, len(keys), chunk):
-        block = keys.rows[start : start + chunk].astype(minv.dtype)
-        moved = block @ minv
-        moved %= p
+        block = keys.rows[start : start + chunk].astype(_product_dtype(keys.params))
+        moved = _moved_rows(block, sigma, keys.params)
         pivots = (block != 0).argmax(axis=2)[:, None, :]  # first nonzero column per row (rref)
         rebuilt = np.take_along_axis(moved, pivots, axis=2) @ block
         rebuilt %= p
@@ -181,7 +200,7 @@ def _rref_rows(block: np.ndarray, params: ActionParams) -> None:
     """Reduce every (m, n) matrix in ``block`` to rref in place; each has rank m.
 
     Entries stay below p between steps, so the products stay below p^2
-    and fit any dtype that holds theta . M^-1 before its reduction.
+    and fit the product dtype.
     """
     p = params.p
     inverse = np.array(params.modulus.inverse_table, dtype=block.dtype)
@@ -204,9 +223,7 @@ def _rref_rows(block: np.ndarray, params: ActionParams) -> None:
 
 def _image_rows(keys: KeySet, sigma: Permutation) -> np.ndarray:
     """Row of each key's image under sigma."""
-    minv = _inverse_action(sigma, keys.params)
-    moved = keys.rows.astype(minv.dtype) @ minv
-    moved %= keys.params.p
+    moved = _moved_rows(keys.rows, sigma, keys.params)
     _rref_rows(moved, keys.params)
     try:
         return keys.rows_of(moved)

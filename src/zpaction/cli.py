@@ -66,6 +66,17 @@ DEFAULT_TABLE_PRIMES = {
 }
 
 
+DESCRIPTION = """\
+Exact classification of Z_p^m actions on compact Riemann surfaces of
+signature (0; p, ..., p): admissible subgroups, their orbits under
+branch-point relabelings, symmetric triples, curve models and Jacobian
+decompositions.
+
+exit codes: 0 success, 1 usage or validation error, 2 scale cap exceeded,
+3 verification failure
+"""
+
+
 class UsageError(Exception):
     pass
 
@@ -80,7 +91,9 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="zpaction", description=__doc__)
+    parser = _Parser(
+        prog="zpaction", description=DESCRIPTION, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--version", action="version", version=f"zpaction {__version__}")
     # Every field of the cache key exists on every namespace, taken or not.
     parser.set_defaults(p=None, n=None, m=None, groups=(), mode="exhaustive", which=None, primes=())

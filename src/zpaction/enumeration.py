@@ -38,11 +38,10 @@ from .fpalgebra import (
     is_rref,
     kernel_basis,
     mat_inverse,
-    mat_mul,
     pivot_columns,
     rref,
 )
-from .hgroup import Permutation, perm_to_matrix
+from .hgroup import Permutation
 
 DEFAULT_CANDIDATE_CAP = 10**9
 ORACLE_CANDIDATE_CAP = 10**7
@@ -153,7 +152,10 @@ class SubgroupKey:
 
 
 def key_from_digit_string(params: ActionParams, text: str) -> SubgroupKey:
+    """The key whose ``digit_string`` is ``text``; digits outside 0..p-1 are a ValueError."""
     rows = tuple(tuple(int(tok) for tok in row.split(",")) for row in text.split(";"))
+    if any(not 0 <= digit < params.p for row in rows for digit in row):
+        raise ValueError(f"digit string {text!r} has a digit outside 0..{params.p - 1}")
     return SubgroupKey(params, FpMatrix(params.modulus, rows, params.n))
 
 
@@ -594,10 +596,16 @@ TypePresentation = Type1Presentation | Type2Presentation | GeneralPresentation
 
 
 def transform_key(key: SubgroupKey, sigma: Permutation) -> SubgroupKey:
-    """Key of the relabeled subgroup Phi_sigma(K): rref(theta M_sigma^{-1})."""
-    params = key.params
-    m_inv = perm_to_matrix(sigma.inverse(), params.modulus, params.n)
-    return key_from_theta(params, mat_mul(key.theta, m_inv).entries)
+    """Key of the relabeled subgroup Phi_sigma(K).
+
+    Phi_sigma(a_j) = a_{sigma(j)} only permutes the n+1 generator images:
+    the new quotient sends a_j to theta(a_{sigma^-1(j)}).
+    """
+    n = key.params.n
+    if sigma.degree != n + 1:
+        raise ValueError(f"permutation degree {sigma.degree} != n+1 = {n + 1}")
+    inverse = sigma.inverse()
+    return key_from_theta(key.params, zip(*(key.images[inverse(j) - 1] for j in range(1, n + 1))))
 
 
 def plane_coordinates(key: SubgroupKey) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -639,31 +647,29 @@ def classify_type(key: SubgroupKey) -> TypePresentation:
 
 
 def general_presentation(key: SubgroupKey) -> GeneralPresentation:
-    """Any-m canonical form, relabeling by the least permutation that works."""
+    """Any-m canonical form, relabeling by the least permutation that works.
+
+    The relabeled images theta(a_{sigma^-1(j)}) are read straight off
+    ``key.images``; coordinates in the basis of the first m of them do not
+    change under the GL_m rescaling that re-echelonizing would apply.
+    """
     params = key.params
     p, n, m = params.p, params.n, params.m
-    modulus = params.modulus
     images = key.images
-    sigma = None
     for candidate in itertools.permutations(range(1, n + 2)):
-        perm = Permutation(candidate)
-        inv = perm.inverse()
-        chosen = [images[inv(i) - 1] for i in range(1, m + 1)]
-        _, rank = rref(FpMatrix(modulus, tuple(chosen), m))
-        if rank == m:
-            sigma = perm
+        sigma = Permutation(candidate)
+        inverse = sigma.inverse()
+        moved = [images[inverse(j) - 1] for j in range(1, n + 2)]
+        basis = FpMatrix(params.modulus, tuple(moved[:m]))
+        if rref(basis)[1] == m:
             break
-    assert sigma is not None  # the images span Z_p^m, so some relabeling works
-    moved = transform_key(key, sigma)
-    images2 = moved.images
-    basis = FpMatrix(modulus, tuple(images2[:m]))
-    binv = mat_inverse(basis)
-    table = []
-    for j in range(m + 1, n + 2):
-        vec = images2[j - 1]
-        row = tuple(sum(vec[i] * binv.entries[i][k] for i in range(m)) % p for k in range(m))
-        table.append(row)
-    return GeneralPresentation(params, sigma, tuple(table))
+    else:
+        raise AssertionError("the images span Z_p^m, so some relabeling works")
+    binv = mat_inverse(basis).entries
+    table = tuple(
+        tuple(sum(vec[i] * binv[i][k] for i in range(m)) % p for k in range(m)) for vec in moved[m:]
+    )
+    return GeneralPresentation(params, sigma, table)
 
 
 def key_from_presentation(pres: TypePresentation) -> SubgroupKey:

@@ -210,27 +210,6 @@ def kernel_basis(matrix: FpMatrix) -> FpMatrix:
     return FpMatrix(matrix.modulus, tuple(tuple(row) for row in rows), n)
 
 
-def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    if a.modulus != b.modulus:
-        raise DimensionMismatchError("mixed moduli")
-    if a.cols != b.rows:
-        raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    p = a.p
-    bt = [b.column(j) for j in range(b.cols)]
-    rows = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-        for row in a.entries
-    )
-    return FpMatrix(a.modulus, rows, b.cols)
-
-
-def mat_vec(a: FpMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    if a.cols != len(v):
-        raise DimensionMismatchError(f"cannot apply {a.rows}x{a.cols} to a {len(v)}-vector")
-    p = a.p
-    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a.entries)
-
-
 def mat_inverse(a: FpMatrix) -> FpMatrix:
     if a.rows != a.cols:
         raise DimensionMismatchError("inverse of a non-square matrix")

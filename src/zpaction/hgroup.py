@@ -1,17 +1,17 @@
-"""The group H = Z_p^n with n+1 distinguished generators a_1, ..., a_{n+1}.
+"""Permutations of the n+1 branch-point labels and the groups they generate.
 
-The generators multiply to the identity, so a_j is the standard basis
-vector e_j for j <= n while a_{n+1} carries -(e_1 + ... + e_n).  Every
-permutation of the n+1 generator labels is realized by a unique invertible
-n x n matrix over F_p sending each generator vector onto its image; that
-realization is the bridge between the permutation side (relabelings of
-cone points) and the linear-algebra side (subgroups of H).
+H = Z_p^n has n+1 distinguished generators a_1, ..., a_{n+1} that
+multiply to the identity.  A relabeling sigma in S_{n+1} acts on H by
+Phi_sigma(a_j) = a_{sigma(j)}; on a subgroup key it only permutes the n+1
+generator images (``enumeration.transform_key``).  This module holds the
+permutation side: cycle notation, group closure, conjugacy classes and
+normalizers.
 
 Composition convention, fixed once for the whole package: permutations
-compose right-to-left, ``(sigma * tau)(j) = sigma(tau(j))``, which makes
-``perm_to_matrix`` a homomorphism, ``M(sigma * tau) = M(sigma) M(tau)``.
-Both conventions appear in the literature; this one matches the
-conjugation calculus ``Phi_f(a_j) = f a_j f^{-1}``.
+compose right-to-left, ``(sigma * tau)(j) = sigma(tau(j))``, so that
+``Phi_{sigma * tau} = Phi_sigma Phi_tau``.  Both conventions appear in the
+literature; this one matches the conjugation calculus
+``Phi_f(a_j) = f a_j f^{-1}``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-
-from .fpalgebra import FpMatrix, PrimeModulus
 
 DEFAULT_CLOSURE_CAP = math.factorial(10)
 MAX_NORMALIZER_DEGREE = 9
@@ -123,29 +121,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b
     return Permutation(tuple(images))
-
-
-def generator_vector(j: int, n: int, modulus: PrimeModulus) -> tuple[int, ...]:
-    """The vector of a_j in Z_p^n: e_j for j <= n, all-(p-1) for j = n+1."""
-    if not 1 <= j <= n + 1:
-        raise IndexError(f"generator index {j} out of range 1..{n + 1}")
-    if j <= n:
-        return tuple(1 if k == j - 1 else 0 for k in range(n))
-    return (modulus.p - 1,) * n
-
-
-def perm_to_matrix(sigma: Permutation, modulus: PrimeModulus, n: int) -> FpMatrix:
-    """Realize sigma in S_{n+1} as the n x n matrix with column i = vec(a_{sigma(i)}).
-
-    The matrix sends a_j to a_{sigma(j)} for j <= n by construction, and
-    a_{n+1} = -(a_1 + ... + a_n) to -(a_{sigma(1)} + ... + a_{sigma(n)}),
-    which is a_{sigma(n+1)} because all n+1 generators multiply to the
-    identity.
-    """
-    if sigma.degree != n + 1:
-        raise ValueError(f"permutation degree {sigma.degree} != n+1 = {n + 1}")
-    cols = [generator_vector(sigma(i), n, modulus) for i in range(1, n + 1)]
-    return FpMatrix(modulus, tuple(zip(*cols)), n)
 
 
 @dataclass(frozen=True)

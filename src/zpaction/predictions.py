@@ -176,6 +176,7 @@ def predicted_triple_count(case: str, p: int) -> int:
     number of pairs 2 <= s < r <= p-2 on the conic r^2 + s^2 - rs = 1.
     Klein four: 3 at p = 2, else p + 4.
     """
+    ActionParams(p, 5, 2)  # rejects a non-prime p before any scan
     if case == "N5_D3":
         alpha = 0 if p % 3 == 2 else 1
         beta = 1 if p == 2 else 2

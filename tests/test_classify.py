@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from zpaction.enumeration import (
     ActionParams,
+    AdmissibilityError,
     KeySet,
     SubgroupKey,
     enumerate_actions,
@@ -23,6 +25,7 @@ from zpaction.classify import (
     invariant_set,
     orbit_partition,
 )
+from zpaction.classify import _fixed_mask, _image_rows
 from zpaction.hgroup import (
     Permutation,
     close_group,
@@ -55,6 +58,15 @@ def test_act_four_cycle_on_type1():
 def test_act_identity():
     key = named("K(1,2)")
     assert act(Permutation.identity(4), key) == key
+
+
+def test_relabelings_must_have_degree_n_plus_1():
+    s5 = symmetric_group(5)
+    with pytest.raises(ValueError, match="degree 5"):
+        act(parse_cycles("(1 5)", 5), named("K(0,1)"))
+    for route in (orbit_partition, count_orbits_burnside, invariant_set):
+        with pytest.raises(ValueError, match="degree 5"):
+            route(KeySet.full(P5), s5)
 
 
 def test_act_swap_relation_everywhere():
@@ -389,6 +401,48 @@ def test_empty_key_set_takes_the_array_path():
     assert report.count == 0 and report.orbits == () and report.representatives == ()
     assert count_orbits_burnside(empty, S4) == 0
     assert len(invariant_set(empty, S4)) == 0
+
+
+def sample_keys(params, count, seed):
+    """``count`` distinct keys canonicalized from seeded random quotient matrices."""
+    rng = random.Random(seed)
+    keys = set()
+    while len(keys) < count:
+        rows = [[rng.randrange(params.p) for _ in range(params.n)] for _ in range(params.m)]
+        try:
+            keys.add(key_from_theta(params, rows))
+        except AdmissibilityError:
+            pass
+    return keys
+
+
+@pytest.mark.parametrize("p", [113, 127], ids=["uint16", "uint32"])
+def test_fixed_mask_matches_act_at_the_product_dtype_edge(p):
+    # n(p-1)^2 + p first exceeds 16 bits between p = 113 and p = 127 at n = 5
+    from zpaction.predictions import predicted_invariant_set
+
+    params = ActionParams(p, 5, 2)
+    d3_fixed, k4_fixed = (set(predicted_invariant_set(case, p)) for case in ("N5_D3", "N5_K4"))
+    keys = KeySet.of(params, sample_keys(params, 200, seed=p) | d3_fixed | k4_fixed)
+    listed = keys.keys()
+    k4 = close_group([parse_cycles("(3 5)(4 6)", 6), parse_cycles("(1 2)(3 4)(5 6)", 6)])
+    others = [parse_cycles(c, 6) for c in ("(1 6)", "(2 6 4)", "(1 2 3 4 5 6)", "(1 2)")]
+    for sigma in [*D3, *k4, *others]:
+        mask = _fixed_mask(keys, sigma).tolist()
+        assert mask == [act(sigma, key) == key for key in listed], sigma.cycle_string()
+        for group, fixed in ((D3, d3_fixed), (k4, k4_fixed)):
+            if sigma in group:  # every member of the group's family is among the fixed keys
+                assert sum(mask) >= len(fixed) > 0
+
+
+def test_image_rows_match_act_with_16_bit_digits():
+    params = ActionParams(257, 3, 2)
+    seeds = [named(name, params) for name in ("K(0,1)", "K(3)", "K(100,200)", "K(255,254)")]
+    keys = KeySet.of(params, set().union(*(orbit_by_bfs(seed, S4) for seed in seeds)))
+    listed = keys.keys()
+    for sigma in S4:
+        images = [listed[i] for i in _image_rows(keys, sigma)]
+        assert images == [act(sigma, key) for key in listed], sigma.cycle_string()
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "predicted"])

@@ -28,6 +28,46 @@ def test_composite_modulus_rejected(capsys):
     assert "composite modulus unsupported" in err
 
 
+def test_help_shows_usage_and_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exited.value.code == 0
+    assert out.startswith("usage: zpaction ")
+    assert (
+        "\n\nExact classification of Z_p^m actions on compact Riemann surfaces of\n"
+        "signature (0; p, ..., p): admissible subgroups, their orbits under\n"
+        "branch-point relabelings, symmetric triples, curve models and Jacobian\n"
+        "decompositions.\n\n"
+        "exit codes: 0 success, 1 usage or validation error, 2 scale cap exceeded,\n"
+        "3 verification failure\n\n"
+    ) in out
+    assert "cache" not in out and "command table" not in out
+
+
+@pytest.mark.parametrize(
+    "which, prime, message",
+    [
+        ("k4-triples", "4", "composite modulus unsupported: 4"),
+        ("k4-triples", "1", "modulus must be a prime >= 2, got 1"),
+        ("k4-triples", "-7", "modulus must be a prime >= 2, got -7"),
+        # rejected by the range check, before the O(p^2) conic scan starts
+        ("d3-triples", "65537", "modulus 65537 exceeds the supported 16-bit range"),
+    ],
+)
+def test_predicted_table_rejects_non_primes(which, prime, message, capsys):
+    code, out, err = run_cli(["table", "--which", which, "--primes", prime, "--no-cache"], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_models_key_rejects_digits_outside_the_field(capsys):
+    code, out, err = run_cli(
+        ["models", "--p", "5", "--n", "3", "--key", "1,0,7;0,1,-1", "--no-cache"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: digit string '1,0,7;0,1,-1' has a digit outside 0..4\n"
+
+
 def test_scale_cap_exit_code(capsys):
     code, _, err = run_cli(
         ["enumerate", "--p", "113", "--n", "3", "--max-candidates", "10", "--no-cache"], capsys

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus
+from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, mat_inverse
 from zpaction.enumeration import (
     ActionParams,
     AdmissibilityError,
@@ -24,6 +24,7 @@ from zpaction.enumeration import (
     key_from_theta,
     name_of_key,
     theta_table,
+    transform_key,
 )
 from zpaction.enumeration import _row_codes
 
@@ -159,6 +160,15 @@ def test_digit_string_round_trip():
     assert key_from_digit_string(params, key.digit_string()) == key
 
 
+def test_digit_string_rejects_digits_outside_the_field():
+    # a digit string is a canonical key: 7 and -1 are not read as 2 and 4 mod 5
+    params = ActionParams(5, 3, 2)
+    for text in ("1,0,7;0,1,-1", "1,0,5;0,1,4", "1,0,2;0,1,-4"):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            key_from_digit_string(params, text)
+    assert key_from_digit_string(params, "1,0,2;0,1,4").digit_string() == "1,0,2;0,1,4"
+
+
 def test_key_from_named_n3():
     params = ActionParams(5, 3, 2)
     key = key_from_named(params, "K(0,4)")
@@ -245,6 +255,22 @@ def test_general_presentation_m2_agrees():
     params = ActionParams(5, 3, 2)
     for key in enumerate_actions(params):
         pres = general_presentation(key)
+        assert key_from_presentation(pres) == key
+
+
+@pytest.mark.parametrize("p,n,m", [(5, 3, 2), (3, 4, 2), (3, 4, 3), (2, 5, 2), (3, 5, 1), (7, 3, 1)])
+def test_general_presentation_matches_the_echelonized_relabeling(p, n, m):
+    # coordinates read off the permuted images equal those of the re-echelonized moved key
+    params = ActionParams(p, n, m)
+    for key in enumerate_actions(params):
+        pres = general_presentation(key)
+        images = transform_key(key, pres.sigma).images
+        basis_inv = mat_inverse(FpMatrix(params.modulus, images[:m])).entries
+        table = tuple(
+            tuple(sum(v[i] * basis_inv[i][k] for i in range(m)) % p for k in range(m))
+            for v in images[m:]
+        )
+        assert pres.table == table, key
         assert key_from_presentation(pres) == key
 
 

@@ -4,27 +4,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zpaction.fpalgebra import PrimeModulus, mat_mul, mat_vec
+from zpaction.classify import act
+from zpaction.enumeration import ActionParams, enumerate_actions, key_from_theta
+from zpaction.fpalgebra import FpMatrix, mat_inverse
 from zpaction.hgroup import (
     Permutation,
     close_group,
-    generator_vector,
     normalizer_in_symmetric,
     parse_cycles,
-    perm_to_matrix,
     symmetric_group,
 )
 
+# The paper's matrix form of a relabeling, kept here as an oracle for the
+# package's one action on keys, which permutes the n+1 generator images.
 
-def test_generator_vectors():
-    m5 = PrimeModulus(5)
-    assert generator_vector(1, 3, m5) == (1, 0, 0)
-    assert generator_vector(4, 3, m5) == (4, 4, 4)
-    assert generator_vector(6, 5, PrimeModulus(2)) == (1, 1, 1, 1, 1)
-    with pytest.raises(IndexError):
-        generator_vector(5, 3, m5)
-    with pytest.raises(IndexError):
-        generator_vector(0, 3, m5)
+
+def generator_vector(j, n, p):
+    """The vector of a_j in Z_p^n: e_j for j <= n, all-(p-1) for j = n+1."""
+    return tuple(int(k == j - 1) for k in range(n)) if j <= n else (p - 1,) * n
+
+
+def action_matrix(sigma, n, p):
+    """M_sigma, the n x n matrix over F_p whose column i is the vector of a_{sigma(i)}."""
+    return tuple(zip(*(generator_vector(sigma(i), n, p) for i in range(1, n + 1))))
+
+
+def mat_mul(a, b, p):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a)
 
 
 def test_parse_cycles():
@@ -55,48 +61,37 @@ def test_cycle_string_round_trip():
         assert parse_cycles(sigma.cycle_string(), degree) == sigma
 
 
-def test_perm_to_matrix_identity():
-    m5 = PrimeModulus(5)
-    act = perm_to_matrix(Permutation.identity(4), m5, 3)
-    assert act.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_perm_to_matrix_swap():
-    m5 = PrimeModulus(5)
-    act = perm_to_matrix(parse_cycles("(1 2)", 4), m5, 3)
-    assert mat_vec(act, (1, 0, 0)) == (0, 1, 0)
-    assert mat_vec(act, (0, 1, 0)) == (1, 0, 0)
-    assert mat_vec(act, (0, 0, 1)) == (0, 0, 1)
-
-
-def test_perm_to_matrix_last_generator():
-    # sigma = (3 4): column 3 is the vector of a_4
-    m5 = PrimeModulus(5)
-    act = perm_to_matrix(parse_cycles("(3 4)", 4), m5, 3)
-    assert act.column(0) == (1, 0, 0)
-    assert act.column(1) == (0, 1, 0)
-    assert act.column(2) == (4, 4, 4)
-
-
 def test_action_matrix_defining_invariant():
     # M_sigma maps every generator a_j onto a_{sigma(j)}, including j = n+1,
     # for every sigma in S_4 at p = 5 and in S_5 and S_6 at p = 3
     for p, n in [(5, 3), (3, 4), (3, 5)]:
-        modulus = PrimeModulus(p)
         for sigma in symmetric_group(n + 1):
-            act = perm_to_matrix(sigma, modulus, n)
+            act_matrix = action_matrix(sigma, n, p)
             for j in range(1, n + 2):
-                image = generator_vector(sigma(j), n, modulus)
-                assert mat_vec(act, generator_vector(j, n, modulus)) == image, (p, sigma, j)
+                column = tuple((e,) for e in generator_vector(j, n, p))
+                image = mat_mul(act_matrix, column, p)
+                assert image == tuple((e,) for e in generator_vector(sigma(j), n, p)), (p, sigma, j)
 
 
 @given(st.permutations(list(range(1, 6))), st.permutations(list(range(1, 6))))
 def test_matrix_map_is_a_homomorphism(im1, im2):
-    m7 = PrimeModulus(7)
+    # the right-to-left composition convention: M(sigma * tau) = M(sigma) M(tau)
     sigma, tau = Permutation(tuple(im1)), Permutation(tuple(im2))
-    lhs = perm_to_matrix(sigma * tau, m7, 4)
-    rhs = mat_mul(perm_to_matrix(sigma, m7, 4), perm_to_matrix(tau, m7, 4))
+    lhs = action_matrix(sigma * tau, 4, 7)
+    rhs = mat_mul(action_matrix(sigma, 4, 7), action_matrix(tau, 4, 7), 7)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("p, n, m", [(5, 3, 2), (3, 4, 2), (3, 4, 3), (2, 5, 2), (3, 5, 1), (7, 3, 1)])
+def test_matrix_form_matches_key_action(p, n, m):
+    # rref(theta . M_sigma^-1), the paper's form of Phi_sigma(K), for every sigma and key
+    params = ActionParams(p, n, m)
+    keys = enumerate_actions(params)
+    for sigma in symmetric_group(n + 1):
+        m_inv = mat_inverse(FpMatrix(params.modulus, action_matrix(sigma, n, p))).entries
+        for key in keys:
+            expected = key_from_theta(params, mat_mul(key.theta.entries, m_inv, p))
+            assert act(sigma, key) == expected, (sigma, key)
 
 
 def test_close_group_d3():

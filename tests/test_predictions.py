@@ -1,6 +1,7 @@
 import pytest
 
 from zpaction.enumeration import ActionParams, KeySet, name_of_key
+from zpaction.fpalgebra import NotPrimeError
 from zpaction.classify import act, classify_triples, invariant_set
 from zpaction.predictions import (
     CASES,
@@ -59,6 +60,9 @@ def test_predicted_counts():
     assert predicted_triple_count("N5_K4", 2) == 3
     with pytest.raises(ValueError):
         predicted_triple_count("N3_Q1", 5)
+    for p in (4, 1, -7, 65537):
+        with pytest.raises(NotPrimeError):
+            predicted_triple_count("N5_D3", p)
 
 
 def test_d3_count_table():
