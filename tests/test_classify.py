@@ -24,8 +24,9 @@ from zpaction.classify import (
     invariant_keys_full,
     invariant_set,
     orbit_partition,
+    _fixed_mask,
+    _image_rows,
 )
-from zpaction.classify import _fixed_mask, _image_rows
 from zpaction.hgroup import (
     Permutation,
     close_group,
@@ -33,6 +34,7 @@ from zpaction.hgroup import (
     parse_cycles,
     symmetric_group,
 )
+from zpaction.predictions import predicted_invariant_set
 
 P5 = ActionParams(5, 3, 2)
 S4 = symmetric_group(4)
@@ -419,8 +421,6 @@ def sample_keys(params, count, seed):
 @pytest.mark.parametrize("p", [113, 127], ids=["uint16", "uint32"])
 def test_fixed_mask_matches_act_at_the_product_dtype_edge(p):
     # n(p-1)^2 + p first exceeds 16 bits between p = 113 and p = 127 at n = 5
-    from zpaction.predictions import predicted_invariant_set
-
     params = ActionParams(p, 5, 2)
     d3_fixed, k4_fixed = (set(predicted_invariant_set(case, p)) for case in ("N5_D3", "N5_K4"))
     keys = KeySet.of(params, sample_keys(params, 200, seed=p) | d3_fixed | k4_fixed)
