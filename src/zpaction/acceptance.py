@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .fpalgebra import FpMatrix, PrimeModulus, rref
-from .hgroup import Permutation, close_group, parse_cycles, symmetric_group
+from .hgroup import Permutation, symmetric_group
 from .enumeration import (
     ActionParams,
     KeySet,
@@ -24,7 +24,6 @@ from .enumeration import (
     brute_force_oracle,
     enumerate_actions,
     key_from_named,
-    name_of_key,
 )
 from .classify import (
     act,

@@ -40,7 +40,7 @@ from .enumeration import (
     KeySet,
     SubgroupKey,
     VerificationError,
-    transform_key,
+    key_from_theta,
 )
 from .hgroup import PermGroup, Permutation, normalizer_in_symmetric
 
@@ -54,8 +54,16 @@ class ActionOutsideSetError(ValueError):
 
 
 def act(sigma: Permutation, key: SubgroupKey) -> SubgroupKey:
-    """The key of Phi_sigma(K); always admissible again."""
-    return transform_key(key, sigma)
+    """The key of Phi_sigma(K); always admissible again.
+
+    Phi_sigma(a_j) = a_{sigma(j)} only permutes the n+1 generator images:
+    the new quotient sends a_j to theta(a_{sigma^-1(j)}).
+    """
+    n = key.params.n
+    if sigma.degree != n + 1:
+        raise ValueError(f"permutation degree {sigma.degree} != n+1 = {n + 1}")
+    inverse = sigma.inverse()
+    return key_from_theta(key.params, zip(*(key.images[inverse(j) - 1] for j in range(1, n + 1))))
 
 
 def _product_dtype(params: ActionParams):
@@ -292,7 +300,8 @@ def classify_triples(
     invariant subgroups; ``predicted`` instantiates the matching
     closed-form family (and re-verifies every member's invariance).  The
     classes are the orbits of the invariant set under the normalizer of
-    ``group`` inside S_{n+1}.
+    ``group`` inside S_{n+1}; their Burnside count must agree with the
+    partition, else VerificationError.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
@@ -311,4 +320,7 @@ def classify_triples(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     report = orbit_partition(invariant, normalizer)
+    burnside = count_orbits_burnside(invariant, normalizer)  # the invariant set is normalizer-stable
+    if burnside != report.count:
+        raise VerificationError(f"Burnside {burnside} != partition {report.count}")
     return TriplesReport(params, group, normalizer, mode, invariant, report)

@@ -28,7 +28,6 @@ from . import __version__
 from .fpalgebra import NotPrimeError
 from .hgroup import PermGroup, close_group, parse_cycles, symmetric_group
 from .enumeration import (
-    DEFAULT_CANDIDATE_CAP,
     ActionParams,
     AdmissibilityError,
     KeySet,
@@ -261,7 +260,7 @@ def _enumerate_doc(args) -> dict:
 
 def _invariants_doc(args) -> dict:
     params, group = _params(args), _group(args)
-    inv = invariant_keys_full(params, group, args.max_candidates or DEFAULT_CANDIDATE_CAP)
+    inv = invariant_keys_full(params, group, **_cap(args))
     return {**_group_head(args), "count": len(inv), "keys": inv.digit_strings()}
 
 

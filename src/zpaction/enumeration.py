@@ -20,6 +20,15 @@ deduplicates.  They must agree wherever both are feasible.
 At run time a key set is a ``KeySet``, one sorted (N, m, n) digit array;
 ``SubgroupKey`` objects are built only on request.  Only this module
 knows the row format: digit dtype, sort order and row codes.
+
+A presentation is the canonical form of one key: the coordinates of its
+n+1 generator images in a basis drawn from them.  At m = 2 that is
+``PlanePresentation`` (basis theta(a_1), theta(a_{t+1})), at any m
+``GeneralPresentation`` (a relabeling plus the coordinate table).
+``classify_type`` reads one off a key; ``key_from_presentation`` rebuilds
+the key from the images, and the n = 3 names K(r,s) and K(l) resolve the
+same way.  Generator words (``key_from_generators``) serve the named d3
+and k4 families.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import numpy as np
 from .fpalgebra import (
     FpMatrix,
     PrimeModulus,
+    SingularMatrixError,
     is_rref,
     kernel_basis,
     mat_inverse,
@@ -208,7 +218,7 @@ def key_from_named(params: ActionParams, name: str, family: str | None = None) -
 
     Families:
       * ``n3`` (default when n == 3): K(r,s) = <a1^r a2^s a3^-1> and
-        K(l) = <a1^l a2^-1>.
+        K(l) = <a1^l a2^-1>, the plane presentations with t = 1 and t = 2.
       * ``d3`` (n == 5, threefold symmetry): K(r,s) = <a1 a2 a3,
         a1^r a2^s a4^-1, a1^-s a2^(r-s) a5^-1> and K(l) = <a1 a2 a3,
         a1^l a2^-1, a4^l a6^-1>.
@@ -230,15 +240,14 @@ def key_from_named(params: ActionParams, name: str, family: str | None = None) -
         if n != 3 or not match:
             raise ValueError(f"{name!r} is not an n=3 family name")
         first, second = match.groups()
-        if second is not None:
-            r, s = int(first), int(second)
-            if (r % p, s % p) in ((0, 0), (p - 1, p - 1)):
-                raise AdmissibilityError(f"K({r},{s}) is not admissible at p={p}")
-            return key_from_generators(params, [word([(1, r), (2, s), (3, -1)])])
-        l = int(first)
-        if l % p == 0:
-            raise AdmissibilityError(f"K({l}) requires l nonzero mod p")
-        return key_from_generators(params, [word([(1, l), (2, -1)])])
+        try:
+            if second is None:
+                pres = PlanePresentation(params, 2, (int(first),), (), ())
+            else:
+                pres = PlanePresentation(params, 1, (), (int(first),), (int(second),))
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(f"{text} is not admissible at p={p}: {exc}") from None
+        return key_from_presentation(pres)
 
     if family == "d3":
         match = _PAREN_RE.match(text)
@@ -306,11 +315,7 @@ def name_of_key(key: SubgroupKey) -> str | None:
     if key.params.n != 3 or key.params.m != 2:
         return None
     pres = classify_type(key)
-    if isinstance(pres, Type1Presentation):
-        return f"K({pres.r[0]},{pres.s[0]})"
-    if isinstance(pres, Type2Presentation):
-        return f"K({pres.l[0]})"
-    return None
+    return f"K({pres.r[0]},{pres.s[0]})" if pres.t == 1 else f"K({pres.l[0]})"
 
 
 # ---------------------------------------------------------------------------
@@ -495,42 +500,14 @@ def brute_force_oracle(
 
 
 @dataclass(frozen=True)
-class Type1Presentation:
-    """m=2 form with independent first two images.
-
-    K = <a1^{r_j} a2^{s_j} a_j^{-1} : j = 3..n>, parameters indexed by
-    j = 3..n; the images of a_{n+1} are forced by the column congruences.
-    """
-
-    params: ActionParams
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.params.p
-        if len(self.r) != self.params.n - 2 or len(self.s) != self.params.n - 2:
-            raise ValueError("presentation length must be n - 2")
-        if any((rj % p, sj % p) == (0, 0) for rj, sj in zip(self.r, self.s)):
-            raise AdmissibilityError("some (r_j, s_j) is (0, 0)")
-        if (1 + sum(self.r)) % p == 0 and (1 + sum(self.s)) % p == 0:
-            raise AdmissibilityError("the forced image of a_{n+1} vanishes")
-
-    @property
-    def forced_r(self) -> int:
-        return (-(1 + sum(self.r))) % self.params.p
-
-    @property
-    def forced_s(self) -> int:
-        return (-(1 + sum(self.s))) % self.params.p
-
-
-@dataclass(frozen=True)
-class Type2Presentation:
-    """m=2 form with an initial run of t images inside <theta(a_1)>.
+class PlanePresentation:
+    """The m = 2 form: coordinates in the basis (theta(a_1), theta(a_{t+1})).
 
     K = <a1^{l_j} a_j^{-1} : j = 2..t> + <a1^{r_j} a_{t+1}^{s_j} a_j^{-1} :
-    j = t+2..n>; l parameters are indexed by j = 2..t and r, s by
-    j = t+2..n.
+    j = t+2..n>, so theta(a_j) = l_j theta(a_1) for j = 2..t and r_j theta(a_1)
+    + s_j theta(a_{t+1}) for j = t+2..n.  l is indexed by j = 2..t (empty
+    when t = 1) and r, s by j = t+2..n; the image of a_{n+1} is forced by
+    the column congruences.
     """
 
     params: ActionParams
@@ -541,18 +518,15 @@ class Type2Presentation:
 
     def __post_init__(self) -> None:
         p, n = self.params.p, self.params.n
-        if not 2 <= self.t <= n - 1:
-            raise ValueError(f"t must lie in 2..n-1, got {self.t}")
+        if not 1 <= self.t <= n - 1:
+            raise ValueError(f"t must lie in 1..n-1, got {self.t}")
         if len(self.l) != self.t - 1:
             raise ValueError("l must have t - 1 entries")
         if len(self.r) != n - self.t - 1 or len(self.s) != n - self.t - 1:
             raise ValueError("r, s must have n - t - 1 entries")
-        if any(lj % p == 0 for lj in self.l):
-            raise AdmissibilityError("some l_j vanishes")
-        if any((rj % p, sj % p) == (0, 0) for rj, sj in zip(self.r, self.s)):
-            raise AdmissibilityError("some (r_j, s_j) is (0, 0)")
-        if (1 + sum(self.l) + sum(self.r)) % p == 0 and (1 + sum(self.s)) % p == 0:
-            raise AdmissibilityError("the forced image of a_{n+1} vanishes")
+        for j, image in enumerate(self.images, start=1):
+            if all(e % p == 0 for e in image):
+                raise AdmissibilityError(f"generator a_{j} lies in the subgroup")
 
     @property
     def forced_r(self) -> int:
@@ -561,6 +535,12 @@ class Type2Presentation:
     @property
     def forced_s(self) -> int:
         return (-(1 + sum(self.s))) % self.params.p
+
+    @property
+    def images(self) -> tuple[tuple[int, int], ...]:
+        """Coordinates of theta(a_1), ..., theta(a_{n+1}) in the basis."""
+        ls = ((lj, 0) for lj in self.l)
+        return ((1, 0), *ls, (0, 1), *zip(self.r, self.s), (self.forced_r, self.forced_s))
 
 
 @dataclass(frozen=True)
@@ -591,21 +571,15 @@ class GeneralPresentation:
             if (1 + sum(row[i] for row in self.table)) % p != 0:
                 raise AdmissibilityError(f"column {i + 1} violates the trivial-product congruence")
 
+    @property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        """theta(a_i) = theta'(a_{sigma(i)}) for i = 1..n+1, in the basis theta'(a_1..a_m)."""
+        m = self.params.m
+        relabeled = [tuple(int(i == k) for k in range(m)) for i in range(m)] + list(self.table)
+        return tuple(relabeled[self.sigma(i) - 1] for i in range(1, self.params.n + 2))
 
-TypePresentation = Type1Presentation | Type2Presentation | GeneralPresentation
 
-
-def transform_key(key: SubgroupKey, sigma: Permutation) -> SubgroupKey:
-    """Key of the relabeled subgroup Phi_sigma(K).
-
-    Phi_sigma(a_j) = a_{sigma(j)} only permutes the n+1 generator images:
-    the new quotient sends a_j to theta(a_{sigma^-1(j)}).
-    """
-    n = key.params.n
-    if sigma.degree != n + 1:
-        raise ValueError(f"permutation degree {sigma.degree} != n+1 = {n + 1}")
-    inverse = sigma.inverse()
-    return key_from_theta(key.params, zip(*(key.images[inverse(j) - 1] for j in range(1, n + 1))))
+Presentation = PlanePresentation | GeneralPresentation
 
 
 def plane_coordinates(key: SubgroupKey) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -631,19 +605,15 @@ def plane_coordinates(key: SubgroupKey) -> tuple[int, tuple[tuple[int, int], ...
     )
 
 
-def classify_type(key: SubgroupKey) -> TypePresentation:
-    """Canonical presentation of a key: the two m=2 forms, else the general form."""
-    if key.params.m != 2:
-        return general_presentation(key)
+def classify_type(key: SubgroupKey) -> Presentation:
+    """Canonical presentation of a key: the plane form at m = 2, else the general form."""
     params = key.params
+    if params.m != 2:
+        return general_presentation(key)
     t, coords = plane_coordinates(key)
     rs = coords[t + 1 : params.n]  # theta(a_j) for j = t+2..n
-    r = tuple(rj for rj, _ in rs)
-    s = tuple(sj for _, sj in rs)
-    if t == 1:
-        return Type1Presentation(params, r, s)
     ls = tuple(lj for lj, _ in coords[1:t])  # theta(a_j) = l_j theta(a_1) for j = 2..t
-    return Type2Presentation(params, t, ls, r, s)
+    return PlanePresentation(params, t, ls, tuple(r for r, _ in rs), tuple(s for _, s in rs))
 
 
 def general_presentation(key: SubgroupKey) -> GeneralPresentation:
@@ -660,42 +630,18 @@ def general_presentation(key: SubgroupKey) -> GeneralPresentation:
         sigma = Permutation(candidate)
         inverse = sigma.inverse()
         moved = [images[inverse(j) - 1] for j in range(1, n + 2)]
-        basis = FpMatrix(params.modulus, tuple(moved[:m]))
-        if rref(basis)[1] == m:
-            break
-    else:
-        raise AssertionError("the images span Z_p^m, so some relabeling works")
-    binv = mat_inverse(basis).entries
-    table = tuple(
-        tuple(sum(vec[i] * binv[i][k] for i in range(m)) % p for k in range(m)) for vec in moved[m:]
-    )
-    return GeneralPresentation(params, sigma, table)
+        try:
+            binv = mat_inverse(FpMatrix(params.modulus, tuple(moved[:m]))).entries
+        except SingularMatrixError:
+            continue
+        table = tuple(
+            tuple(sum(vec[i] * binv[i][k] for i in range(m)) % p for k in range(m))
+            for vec in moved[m:]
+        )
+        return GeneralPresentation(params, sigma, table)
+    raise AssertionError("the images span Z_p^m, so some relabeling works")
 
 
-def key_from_presentation(pres: TypePresentation) -> SubgroupKey:
-    """Rebuild the subgroup key a presentation came from (round trip)."""
-    params = pres.params
-    n = params.n
-    word = lambda entries: _word(n, entries)
-
-    if isinstance(pres, Type1Presentation):
-        words = [
-            word([(1, rj), (2, sj), (j, -1)])
-            for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=3)
-        ]
-        return key_from_generators(params, words)
-    if isinstance(pres, Type2Presentation):
-        words = [word([(1, lj), (j, -1)]) for j, lj in enumerate(pres.l, start=2)]
-        words += [
-            word([(1, rj), (pres.t + 1, sj), (j, -1)])
-            for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=pres.t + 2)
-        ]
-        return key_from_generators(params, words)
-    if isinstance(pres, GeneralPresentation):
-        m = params.m
-        words = []
-        for j, row in zip(range(m + 1, n + 1), pres.table):
-            words.append(word([(i + 1, e) for i, e in enumerate(row)] + [(j, -1)]))
-        moved = key_from_generators(params, words)
-        return transform_key(moved, pres.sigma.inverse())
-    raise TypeError(f"not a presentation: {pres!r}")
+def key_from_presentation(pres: Presentation) -> SubgroupKey:
+    """Rebuild the subgroup key a presentation came from: theta's columns are its first n images."""
+    return key_from_theta(pres.params, zip(*pres.images[:-1]))

@@ -252,11 +252,11 @@ def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) ->
 
     With theta(a_j) = r_j theta(a_1) + s_j theta(a_{t+1}) as in
     ``plane_coordinates``, y1 takes the exponents s_j and y2 the r_j.  In
-    the type presentation, Type 1 (t = 1) reads y1^p = x prod (x-q_j)^{s_j},
+    the plane presentation with t = 1 this reads y1^p = x prod (x-q_j)^{s_j},
     y2^p = prod (x-q_j)^{r_j} over j = 3..n+1, with the last exponents
     forced by s_{n+1} = -(1 + s_3 + ... + s_n) and r_{n+1} = -(1 + r_3 +
-    ... + r_n) mod p.  Type 2 shifts the leading factor of y1 to q_{t+1}
-    and gives y2 the l_j exponents over q_2..q_t.
+    ... + r_n) mod p.  With t >= 2 the leading factor of y1 moves to
+    q_{t+1} and y2 gains the l_j exponents over q_2..q_t.
     """
     params = key.params
     _, coords = plane_coordinates(key)  # raises ValueError unless m = 2

@@ -3,7 +3,7 @@
 H = Z_p^n has n+1 distinguished generators a_1, ..., a_{n+1} that
 multiply to the identity.  A relabeling sigma in S_{n+1} acts on H by
 Phi_sigma(a_j) = a_{sigma(j)}; on a subgroup key it only permutes the n+1
-generator images (``enumeration.transform_key``).  This module holds the
+generator images (``classify.act``).  This module holds the
 permutation side: cycle notation, group closure, conjugacy classes and
 normalizers.
 

@@ -27,19 +27,6 @@ from dataclasses import dataclass
 from .enumeration import ActionParams, SubgroupKey, VerificationError, key_from_named
 from .hgroup import PermGroup, close_group, parse_cycles
 
-CASES = (
-    "N3_Q1",
-    "N3_Q2",
-    "N3_Q3",
-    "N3_Q4",
-    "N3_Q5",
-    "N3_Q6",
-    "N3_Q7",
-    "N3_Q8",
-    "N5_D3",
-    "N5_K4",
-)
-
 _CASE_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {
     "N3_Q1": (3, ("(3 4)",)),
     "N3_Q2": (3, ("(1 2)(3 4)",)),
@@ -52,6 +39,7 @@ _CASE_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {
     "N5_D3": (5, ("(1 2 3)(4 5 6)", "(1 4)(2 6)(3 5)")),
     "N5_K4": (5, ("(3 5)(4 6)", "(1 2)(3 4)(5 6)")),
 }
+CASES = tuple(_CASE_GENERATORS)
 
 
 @dataclass(frozen=True)

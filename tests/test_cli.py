@@ -234,6 +234,41 @@ def test_route_disagreement_exit_code(monkeypatch, capsys):
     assert err == "verification failed: Burnside 5 != partition 4\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["triples", "--p", "7", "--n", "5", "--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)"],
+        ["triples", "--p", "7", "--n", "5", "--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)",
+         "--mode", "predicted"],
+        ["table", "--which", "d3-triples", "--primes", "7", "--mode", "exhaustive"],
+        ["table", "--which", "k4-triples", "--primes", "5", "--mode", "exhaustive"],
+    ],
+)
+def test_triples_route_disagreement_exit_code(args, monkeypatch, capsys):
+    import zpaction.classify
+
+    real = zpaction.classify.count_orbits_burnside
+    monkeypatch.setattr(zpaction.classify, "count_orbits_burnside", lambda *a: real(*a) + 1)
+    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("verification failed: Burnside ") and err.count("\n") == 1
+
+
+def test_invariants_uses_the_triples_cap(monkeypatch, capsys):
+    # the same scan as exhaustive triples, so the same default cap; no table build starts
+    import zpaction.enumeration
+
+    def never(params):
+        raise AssertionError("the table build started")
+
+    monkeypatch.setattr(zpaction.enumeration, "_theta_table_cached", never)
+    code, out, err = run_cli(
+        ["invariants", "--p", "19", "--n", "5", "--group", "(1 2)(3 4)(5 6)", "--no-cache"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("scale cap exceeded:") and "(estimated candidates: 470458810)" in err
+
+
 def test_predicted_member_check_exit_code(monkeypatch, capsys):
     import zpaction.predictions
     from zpaction.enumeration import ActionParams, key_from_digit_string

@@ -9,10 +9,9 @@ from zpaction.enumeration import (
     AdmissibilityError,
     GeneralPresentation,
     KeySet,
+    PlanePresentation,
     ScaleCapError,
     SubgroupKey,
-    Type1Presentation,
-    Type2Presentation,
     brute_force_oracle,
     classify_type,
     enumerate_actions,
@@ -24,9 +23,9 @@ from zpaction.enumeration import (
     key_from_theta,
     name_of_key,
     theta_table,
-    transform_key,
 )
-from zpaction.enumeration import _row_codes
+from zpaction.enumeration import _row_codes, _word
+from zpaction.classify import act
 
 
 def test_params_validation():
@@ -231,13 +230,58 @@ def test_classify_type_examples():
     p = 5
     params = ActionParams(p, 3, 2)
     pres = classify_type(key_from_named(params, f"K(0,{p - 1})"))
-    assert isinstance(pres, Type1Presentation)
+    assert pres.t == 1 and pres.l == ()
     assert (pres.r, pres.s) == ((0,), (p - 1,))
     assert (pres.forced_r, pres.forced_s) == (p - 1, 0)
+    assert pres.images == ((1, 0), (0, 1), (0, p - 1), (p - 1, 0))
 
     pres2 = classify_type(key_from_named(params, "K(2)"))
-    assert isinstance(pres2, Type2Presentation)
     assert pres2.t == 2 and pres2.l == (2,)
+    assert (pres2.r, pres2.s) == ((), ())
+
+
+def test_plane_presentation_rejects_t_outside_1_to_n_minus_1():
+    params = ActionParams(5, 3, 2)
+    with pytest.raises(ValueError, match="t must lie in 1..n-1"):
+        PlanePresentation(params, 0, (), (1, 2), (3, 4))
+    with pytest.raises(ValueError, match="t must lie in 1..n-1"):
+        PlanePresentation(params, 3, (1, 2), (), ())
+    with pytest.raises(AdmissibilityError, match="a_2"):
+        PlanePresentation(params, 2, (5,), (), ())  # l_2 = 0 mod 5
+    with pytest.raises(AdmissibilityError, match="a_4"):
+        PlanePresentation(params, 1, (), (4,), (4,))  # the forced image of a_4 vanishes
+
+
+def _key_from_words(pres):
+    """The words route: a presentation's relations as generator words, through ``key_from_generators``."""
+    params = pres.params
+    n, m = params.n, params.m
+    if isinstance(pres, PlanePresentation):
+        words = [_word(n, [(1, lj), (j, -1)]) for j, lj in enumerate(pres.l, start=2)]
+        words += [
+            _word(n, [(1, rj), (pres.t + 1, sj), (j, -1)])
+            for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=pres.t + 2)
+        ]
+        return key_from_generators(params, words)
+    words = [
+        _word(n, [(i + 1, e) for i, e in enumerate(row)] + [(j, -1)])
+        for j, row in zip(range(m + 1, n + 1), pres.table)
+    ]
+    return act(pres.sigma.inverse(), key_from_generators(params, words))
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 3), (3, 4), (7, 4), (3, 5), (2, 5)])
+def test_plane_presentation_matches_the_words_route(p, n):
+    for key in enumerate_actions(ActionParams(p, n, 2)):
+        pres = classify_type(key)
+        assert key_from_presentation(pres) == _key_from_words(pres) == key, key
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 4, 3), (3, 5, 1), (2, 5, 3)])
+def test_general_presentation_matches_the_words_route(p, n, m):
+    for key in enumerate_actions(ActionParams(p, n, m)):
+        pres = general_presentation(key)
+        assert key_from_presentation(pres) == _key_from_words(pres) == key, key
 
 
 @pytest.mark.parametrize("p,n,m", [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 4, 2), (3, 4, 3)])
@@ -264,7 +308,7 @@ def test_general_presentation_matches_the_echelonized_relabeling(p, n, m):
     params = ActionParams(p, n, m)
     for key in enumerate_actions(params):
         pres = general_presentation(key)
-        images = transform_key(key, pres.sigma).images
+        images = act(pres.sigma, key).images
         basis_inv = mat_inverse(FpMatrix(params.modulus, images[:m])).entries
         table = tuple(
             tuple(sum(v[i] * basis_inv[i][k] for i in range(m)) % p for k in range(m))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zpaction.fpalgebra import FpMatrix, PrimeModulus, kernel_basis
 from zpaction.enumeration import (
     ActionParams,
-    Type1Presentation,
     classify_type,
     enumerate_actions,
     key_from_named,
@@ -300,25 +299,20 @@ def test_jacobian_lines_match_element_listing(p, n):
 
 
 def _presentation_model(key):
-    """y1 and y2 exponents from the type presentation's r, s, l, t and forced fields."""
+    """y1 and y2 exponents from the plane presentation's t, l, r, s and forced fields."""
     n, p = key.params.n, key.params.p
     pres = classify_type(key)
     y1 = [0] * (n + 1)
     y2 = [0] * (n + 1)
-    if isinstance(pres, Type1Presentation):
-        y1[1] = 1
-        start, ls = 3, ()
-    else:
-        y1[pres.t] = 1  # the factor (x - q_{t+1})
-        start, ls = pres.t + 2, pres.l
-        for j, lj in enumerate(ls, start=2):
-            y2[j - 1] = lj
-    for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=start):
+    y1[pres.t] = 1  # the factor (x - q_{t+1})
+    for j, lj in enumerate(pres.l, start=2):
+        y2[j - 1] = lj
+    for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=pres.t + 2):
         y1[j - 1] = sj
         y2[j - 1] = rj
     y1[n] = pres.forced_s
     y2[n] = pres.forced_r
-    y2[0] = (-(sum(ls) + sum(pres.r) + pres.forced_r)) % p  # infinity slot, always 1
+    y2[0] = (-(sum(pres.l) + sum(pres.r) + pres.forced_r)) % p  # infinity slot, always 1
     return tuple(y1), tuple(y2)
 
 
