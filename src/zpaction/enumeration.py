@@ -26,9 +26,9 @@ n+1 generator images in a basis drawn from them.  At m = 2 that is
 ``PlanePresentation`` (basis theta(a_1), theta(a_{t+1})), at any m
 ``GeneralPresentation`` (a relabeling plus the coordinate table).
 ``classify_type`` reads one off a key; ``key_from_presentation`` rebuilds
-the key from the images, and the n = 3 names K(r,s) and K(l) resolve the
-same way.  Generator words (``key_from_generators``) serve the named d3
-and k4 families.
+the key from the images.  The named subgroups (the n = 3 family and the
+n = 5 d3 and k4 families) are plane presentations too: ``NAMED_FORMS``
+gives each form's (t, l, r, s) and ``named_key`` resolves it the same way.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -177,137 +178,91 @@ def key_from_theta(params: ActionParams, rows) -> SubgroupKey:
     return SubgroupKey(params, reduced)
 
 
-def key_from_generators(params: ActionParams, words) -> SubgroupKey:
-    """Key of the subgroup generated by exponent words over a_1..a_{n+1}.
+# Each named form as a plane presentation: NAMED_FORMS[family][form, arity] maps
+# the form's integer parameters to the (t, l, r, s) of that member.  An entry
+# is the paper's generator words (in its comment) solved for the images
+# theta(a_j) in the basis (theta(a_1), theta(a_{t+1})); solving K1, K2, K5, K6
+# and the k4 K(r,s) divides by 2.  The test suite checks every entry against
+# its words.
+NAMED_FORMS: dict[str, dict[tuple[str, int], Callable[..., tuple]]] = {
+    "n3": {
+        ("K", 2): lambda r, s: (1, (), (r,), (s,)),  # <a1^r a2^s a3^-1>
+        ("K", 1): lambda l: (2, (l,), (), ()),  # <a1^l a2^-1>
+    },
+    "d3": {
+        # <a1 a2 a3, a1^r a2^s a4^-1, a1^-s a2^(r-s) a5^-1>
+        ("K", 2): lambda r, s: (1, (), (-1, r, -s), (-1, s, r - s)),
+        # <a1 a2 a3, a1^l a2^-1, a4^l a6^-1>
+        ("K", 1): lambda l: (3, (l, -1 - l), (0,), (-1 - l,)),
+    },
+    "k4": {
+        # <a1^r a2^s a3^-1, a3 a5^-1, a4 a6^-1> with 2(r+s) + 1 = 0
+        ("K", 2): lambda r, s: (1, (), (r, s, r), (s, r, s)),
+        ("K1", 0): lambda: (2, (1,), (0, -1), (1, -1)),  # <a1 a2^-1, a3 a4^-1, a5 a6^-1>
+        ("K2", 0): lambda: (2, (1,), (-1, -1), (-1, -1)),  # <a1 a2^-1, a3 a6^-1, a4 a5^-1>
+        ("K5", 0): lambda: (2, (1,), (-1, 0), (-1, 1)),  # <a1 a2^-1, a3 a5^-1, a4 a6^-1>
+        ("K6", 0): lambda: (2, (-1,), (0, 0), (-1, 1)),  # <a1 a2, a3 a5^-1, a4 a6^-1>
+        ("K3", 1): lambda r: (2, (-1,), (-r, r), (1, -1)),  # <a1^r a3^-1 a4, a1 a2, a3 a6>
+        ("K4", 1): lambda r: (2, (-1,), (0, r), (-1, -1)),  # <a1^r a3^-1 a6, a1 a2, a3 a4>
+        ("Kbar1", 0): lambda: (2, (1,), (0, 0), (1, 1)),  # <a1 a2, a3 a4, a3 a5>
+        ("Kbar2", 0): lambda: (2, (1,), (0, 1), (1, 1)),  # <a1 a2, a3 a4, a1 a3 a5>
+        ("Kbar3", 0): lambda: (2, (1,), (1, 0), (1, 1)),  # <a1 a2, a3 a5, a1 a3 a4>
+        ("Kbar4", 0): lambda: (2, (1,), (1, 1), (1, 1)),  # <a1 a2, a4 a5, a1 a3 a4>
+    },
+}
+_NAME_RE = re.compile(r"(K(?:bar)?\d?)(?:\((\d+(?:,\d+)?)\))?")
 
-    Each word is a length-(n+1) exponent sequence w; since a_{n+1} is
-    -(e_1 + ... + e_n), its vector is (w_j - w_{n+1}) for j = 1..n.  The
-    words must span a subgroup of rank exactly n - m.
+
+def named_key(params: ActionParams, family: str, form: str, *args: int) -> SubgroupKey:
+    """The member ``form(*args)`` of a named family: ``named_key(params, "k4", "K3", 2)`` is K3(2).
+
+    The key of the form's ``NAMED_FORMS`` presentation.  Which p and which
+    parameters a family admits is ``key_from_named``'s to check.
     """
-    n, m, p = params.n, params.m, params.p
-    vectors = []
-    for word in words:
-        exps = tuple(word)
-        if len(exps) != n + 1:
-            raise ValueError(f"generator word must have {n + 1} exponents, got {len(exps)}")
-        vectors.append(tuple((e - exps[n]) % p for e in exps[:n]))
-    span = FpMatrix(params.modulus, tuple(vectors), n)
-    _, rank = rref(span)
-    if rank != n - m:
-        raise AdmissibilityError(
-            f"generators span a subgroup of rank {rank}, expected n - m = {n - m}"
-        )
-    return SubgroupKey(params, kernel_basis(span))
-
-
-_PAREN_RE = re.compile(r"^K\((\d+)(?:,(\d+))?\)$")
-_INDEXED_RE = re.compile(r"^K([34])\((\d+)\)$")
-_PLAIN_RE = re.compile(r"^K([1256])$")
-_BAR_RE = re.compile(r"^Kbar([1-4])$")
-
-
-def _word(n: int, entries) -> tuple[int, ...]:
-    w = [0] * (n + 1)
-    for idx, e in entries:
-        w[idx - 1] = e
-    return tuple(w)
+    t, l, r, s = NAMED_FORMS[family][form, len(args)](*args)
+    return key_from_presentation(PlanePresentation(params, t, l, r, s))
 
 
 def key_from_named(params: ActionParams, name: str, family: str | None = None) -> SubgroupKey:
     """Resolve a named subgroup such as ``K(0,4)``, ``K(2)``, ``K3(1)`` or ``Kbar2``.
 
-    Families:
-      * ``n3`` (default when n == 3): K(r,s) = <a1^r a2^s a3^-1> and
-        K(l) = <a1^l a2^-1>, the plane presentations with t = 1 and t = 2.
-      * ``d3`` (n == 5, threefold symmetry): K(r,s) = <a1 a2 a3,
-        a1^r a2^s a4^-1, a1^-s a2^(r-s) a5^-1> and K(l) = <a1 a2 a3,
-        a1^l a2^-1, a4^l a6^-1>.
-      * ``k4`` (n == 5, Klein-four symmetry): K(r,s) = <a1^r a2^s a3^-1,
-        a3 a5^-1, a4 a6^-1>, the fixed groups K1, K2, K5, K6, the
-        one-parameter groups K3(r), K4(r), and Kbar1..Kbar4 at p = 2.
+    A name is a form and its integer parameters, each in 0..p-1; it
+    resolves through ``named_key``.  Families:
+      * ``n3`` (default when n == 3): K(r,s) and K(l), the plane
+        presentations with t = 1 and t = 2.
+      * ``d3`` (n == 5, threefold symmetry): K(r,s) and K(l).
+      * ``k4`` (n == 5, Klein-four symmetry): K(r,s) with 2(r+s)+1 = 0 mod p,
+        the fixed groups K1, K2, K5, K6 (p odd), the one-parameter groups
+        K3(r), K4(r), and Kbar1..Kbar4 (p = 2 only).
     """
     if family is None:
-        if params.n == 3:
-            family = "n3"
-        else:
+        if params.n != 3:
             raise ValueError(f"family required to resolve {name!r} at n={params.n}")
-    text = re.sub(r"\s+", "", name)
-    n, p = params.n, params.p
-    word = lambda entries: _word(n, entries)
-
-    if family == "n3":
-        match = _PAREN_RE.match(text)
-        if n != 3 or not match:
-            raise ValueError(f"{name!r} is not an n=3 family name")
-        first, second = match.groups()
-        try:
-            if second is None:
-                pres = PlanePresentation(params, 2, (int(first),), (), ())
-            else:
-                pres = PlanePresentation(params, 1, (), (int(first),), (int(second),))
-        except AdmissibilityError as exc:
-            raise AdmissibilityError(f"{text} is not admissible at p={p}: {exc}") from None
-        return key_from_presentation(pres)
-
-    if family == "d3":
-        match = _PAREN_RE.match(text)
-        if n != 5 or not match:
-            raise ValueError(f"{name!r} is not a d3 family name")
-        first, second = match.groups()
-        base = word([(1, 1), (2, 1), (3, 1)])
-        if second is not None:
-            r, s = int(first), int(second)
-            return key_from_generators(
-                params,
-                [base, word([(1, r), (2, s), (4, -1)]), word([(1, -s), (2, r - s), (5, -1)])],
-            )
-        l = int(first)
-        return key_from_generators(
-            params, [base, word([(1, l), (2, -1)]), word([(4, l), (6, -1)])]
-        )
-
+        family = "n3"
+    if family not in NAMED_FORMS:
+        raise ValueError(f"unknown family {family!r}")
+    p, text = params.p, re.sub(r"\s+", "", name)
+    match = _NAME_RE.fullmatch(text)
+    form, digits = match.groups() if match else (None, None)
+    args = tuple(int(a) for a in digits.split(",")) if digits else ()
+    if (form, len(args)) not in NAMED_FORMS[family] or params.n != (3 if family == "n3" else 5):
+        raise ValueError(f"{name!r} is not a name in the {family} family at n={params.n}")
+    if any(not 0 <= a < p for a in args):
+        raise ValueError(f"{text} has a parameter outside 0..{p - 1}")
     if family == "k4":
-        if n != 5:
-            raise ValueError(f"{name!r} is not a k4 family name")
-        if match := _BAR_RE.match(text):
-            if p != 2:
-                raise ValueError(f"{name!r} only exists at p=2")
-            words = {
-                1: [word([(1, 1), (2, 1)]), word([(3, 1), (4, 1)]), word([(3, 1), (5, 1)])],
-                2: [word([(1, 1), (2, 1)]), word([(3, 1), (4, 1)]), word([(1, 1), (3, 1), (5, 1)])],
-                3: [word([(1, 1), (2, 1)]), word([(3, 1), (5, 1)]), word([(1, 1), (3, 1), (4, 1)])],
-                4: [word([(1, 1), (2, 1)]), word([(4, 1), (5, 1)]), word([(1, 1), (3, 1), (4, 1)])],
-            }[int(match.group(1))]
-            return key_from_generators(params, words)
-        if match := _PLAIN_RE.match(text):
-            words = {
-                1: [word([(1, 1), (2, -1)]), word([(3, 1), (4, -1)]), word([(5, 1), (6, -1)])],
-                2: [word([(1, 1), (2, -1)]), word([(3, 1), (6, -1)]), word([(4, 1), (5, -1)])],
-                5: [word([(1, 1), (2, -1)]), word([(3, 1), (5, -1)]), word([(4, 1), (6, -1)])],
-                6: [word([(1, 1), (2, 1)]), word([(3, 1), (5, -1)]), word([(4, 1), (6, -1)])],
-            }[int(match.group(1))]
-            return key_from_generators(params, words)
-        if match := _INDEXED_RE.match(text):
-            idx, r = int(match.group(1)), int(match.group(2))
-            if idx == 3:
-                words = [word([(1, r), (3, -1), (4, 1)]), word([(1, 1), (2, 1)]), word([(3, 1), (6, 1)])]
-            else:
-                words = [word([(1, r), (3, -1), (6, 1)]), word([(1, 1), (2, 1)]), word([(3, 1), (4, 1)])]
-            return key_from_generators(params, words)
-        if match := _PAREN_RE.match(text):
-            first, second = match.groups()
-            if second is None:
-                raise ValueError(f"{name!r} is not a k4 family name")
-            r, s = int(first), int(second)
-            if (2 * (r + s) + 1) % p != 0:
-                raise AdmissibilityError(f"K({r},{s}) is not in the k4 family at p={p}")
-            return key_from_generators(
-                params,
-                [word([(1, r), (2, s), (3, -1)]), word([(3, 1), (5, -1)]), word([(4, 1), (6, -1)])],
+        if form.startswith("Kbar") and p != 2:
+            raise ValueError(f"{name!r} only exists at p=2")
+        if form in ("K1", "K2", "K5", "K6") and p == 2:
+            raise AdmissibilityError(
+                f"{text} is not admissible at p=2: its generators span a subgroup of rank 2,"
+                " expected n - m = 3"
             )
-        raise ValueError(f"unrecognized subgroup name: {name!r}")
-
-    raise ValueError(f"unknown family {family!r}")
+        if form == "K" and (2 * sum(args) + 1) % p:
+            raise AdmissibilityError(f"{text} is not in the k4 family at p={p}")
+    try:
+        return named_key(params, family, form, *args)
+    except AdmissibilityError as exc:
+        raise AdmissibilityError(f"{text} is not admissible at p={p}: {exc}") from None
 
 
 def name_of_key(key: SubgroupKey) -> str | None:

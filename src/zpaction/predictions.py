@@ -8,8 +8,11 @@ an independent oracle against it.
 Cases: the eight n = 3 symmetry groups Q1..Q8, and at n = 5 the
 threefold-symmetry (D3) and Klein-four (K4) one-dimensional families.
 
-All congruence solving is by exhaustive residue scan; at 16-bit moduli
-that is instant and has no square-root edge cases.
+Every family is a list of named forms and integer parameters, resolved
+through ``enumeration.named_key``.  Congruences are solved in O(p) work:
+the one-variable quadratics by residue scan, the D3 conic
+r^2 + s^2 - rs = 1 by a square-root table, so every 16-bit prime takes
+well under a second.
 
 One deliberate correction: the published closed form for the n = 3
 four-cycle case lists K(s/(1-s), s) over the roots of s^2 + 2s + 2, which
@@ -22,9 +25,7 @@ test suite confirm it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .enumeration import ActionParams, SubgroupKey, VerificationError, key_from_named
+from .enumeration import ActionParams, SubgroupKey, VerificationError, named_key
 from .hgroup import PermGroup, close_group, parse_cycles
 
 _CASE_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {
@@ -40,20 +41,6 @@ _CASE_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {
     "N5_K4": (5, ("(3 5)(4 6)", "(1 2)(3 4)(5 6)")),
 }
 CASES = tuple(_CASE_GENERATORS)
-
-
-@dataclass(frozen=True)
-class PredictedFamily:
-    """A closed-form invariant family instantiated at a specific prime."""
-
-    case: str
-    params: ActionParams
-    member_names: tuple[str, ...]
-    family_tag: str | None  # key_from_named family ("n3", "d3", "k4")
-
-    def keys(self) -> list[SubgroupKey]:
-        out = [key_from_named(self.params, name, self.family_tag) for name in self.member_names]
-        return sorted(out)
 
 
 def case_group(case: str) -> PermGroup:
@@ -84,76 +71,68 @@ def _roots(p: int, c0: int, c1: int) -> list[int]:
 
 
 def _conic_points(p: int) -> list[tuple[int, int]]:
-    """Solutions of r^2 + s^2 - rs = 1 mod p, by residue scan."""
-    return [
-        (r, s)
-        for r in range(p)
-        for s in range(p)
-        if (r * r + s * s - r * s - 1) % p == 0
-    ]
+    """Solutions of r^2 + s^2 - rs = 1 mod p, in lexicographic order.
+
+    For odd p, s = (r +- sqrt(4 - 3r^2)) / 2, with square roots read from
+    a table of x^2 mod p: O(p) work.  At p = 2 the three points are listed.
+    """
+    if p == 2:
+        return [(0, 1), (1, 0), (1, 1)]
+    roots = {x * x % p: x for x in range(p)}
+    half = (p + 1) // 2
+    points = []
+    for r in range(p):
+        root = roots.get((4 - 3 * r * r) % p)
+        if root is not None:
+            points += [(r, s) for s in sorted({(r - root) * half % p, (r + root) * half % p})]
+    return points
 
 
-def predicted_family(case: str, p: int) -> PredictedFamily:
-    """Instantiate a case at a prime, listing its members by name."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    n, _ = _CASE_GENERATORS[case]
-    params = ActionParams(p, n, 2)
+def _members(case: str, p: int) -> list[tuple]:
+    """The members of a case at p, each as (form, *parameters) of its ``NAMED_FORMS`` entry."""
     h = (p - 1) // 2
-
     if case == "N3_Q1":
-        names = [f"K({l})" for l in range(1, p)] + [f"K({h},{h})"]
-        return PredictedFamily(case, params, tuple(names), "n3")
+        return [("K", l) for l in range(1, p)] + [("K", h, h)]
     if case == "N3_Q2":
-        names = ["K(1)", f"K({p - 1})"] + [f"K({r},{p - 1 - r})" for r in range(p)]
-        return PredictedFamily(case, params, tuple(names), "n3")
+        return [("K", 1), ("K", p - 1)] + [("K", r, p - 1 - r) for r in range(p)]
     if case == "N3_Q3":
         if p == 3 or p % 3 == 2:
-            names = []
-        else:
-            names = [
-                f"K({s * pow(1 - s, -1, p) % p},{s})" for s in _roots(p, 1, 1)
-            ]
-        return PredictedFamily(case, params, tuple(names), "n3")
+            return []
+        return [("K", s * pow(1 - s, -1, p) % p, s) for s in _roots(p, 1, 1)]
     if case == "N3_Q4":
         # corrected closed form: K(s+1, s) over roots of s^2 + 2s + 2
-        names = [f"K({p - 1},0)"] + [f"K({(s + 1) % p},{s})" for s in _roots(p, 2, 2)]
-        return PredictedFamily(case, params, tuple(names), "n3")
+        return [("K", p - 1, 0)] + [("K", (s + 1) % p, s) for s in _roots(p, 2, 2)]
     if case == "N3_Q5":
-        names = [f"K({p - 1})", f"K(0,{p - 1})", f"K({p - 1},0)"]
-        return PredictedFamily(case, params, tuple(names), "n3")
+        return [("K", p - 1), ("K", 0, p - 1), ("K", p - 1, 0)]
     if case == "N3_Q6":
-        names = ["K(1)", f"K({p - 1})", f"K({h},{h})"]
-        return PredictedFamily(case, params, tuple(names), "n3")
+        return [("K", 1), ("K", p - 1), ("K", h, h)]
     if case == "N3_Q7":
-        return PredictedFamily(case, params, (f"K({p - 1},0)",), "n3")
+        return [("K", p - 1, 0)]
     if case == "N3_Q8":
-        return PredictedFamily(case, params, (), "n3")
-
+        return []
     if case == "N5_D3":
-        names = [f"K({r},{s})" for r, s in _conic_points(p)]
+        members = [("K", r, s) for r, s in _conic_points(p)]
         if p == 3 or p % 3 == 1:
-            names += [f"K({l})" for l in _roots(p, 1, 1) if l]
-        return PredictedFamily(case, params, tuple(names), "d3")
-
+            members += [("K", l) for l in _roots(p, 1, 1) if l]
+        return members
     # N5_K4
     if p == 2:
-        return PredictedFamily(case, params, ("Kbar1", "Kbar2", "Kbar3", "Kbar4"), "k4")
-    names = [
-        f"K({r},{s})"
-        for r in range(p)
-        for s in range(p)
-        if (r + s) in (h, h + p)
-    ]
-    names += ["K1", "K2", "K5", "K6"]
-    names += [f"K3({r})" for r in range(p)]
-    names += [f"K4({r})" for r in range(p)]
-    return PredictedFamily(case, params, tuple(names), "k4")
+        return [("Kbar1",), ("Kbar2",), ("Kbar3",), ("Kbar4",)]
+    members = [("K", r, (h - r) % p) for r in range(p)]  # 2(r+s) + 1 = 0
+    members += [("K1",), ("K2",), ("K5",), ("K6",)]
+    members += [("K3", r) for r in range(p)]
+    members += [("K4", r) for r in range(p)]
+    return members
 
 
 def predicted_invariant_set(case: str, p: int) -> list[SubgroupKey]:
     """The invariant subgroups of a case at prime p, as sorted keys."""
-    return predicted_family(case, p).keys()
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    n, _ = _CASE_GENERATORS[case]
+    params = ActionParams(p, n, 2)
+    family = {"N5_D3": "d3", "N5_K4": "k4"}.get(case, "n3")
+    return sorted(named_key(params, family, *member) for member in _members(case, p))
 
 
 def predicted_triple_count(case: str, p: int) -> int:
@@ -168,12 +147,7 @@ def predicted_triple_count(case: str, p: int) -> int:
     if case == "N5_D3":
         alpha = 0 if p % 3 == 2 else 1
         beta = 1 if p == 2 else 2
-        gamma = sum(
-            1
-            for r in range(2, p - 1)
-            for s in range(2, r)
-            if (r * r + s * s - r * s - 1) % p == 0
-        )
+        gamma = sum(1 for r, s in _conic_points(p) if 2 <= s < r <= p - 2)
         if gamma % 3 != 0:
             raise VerificationError(f"conic pair count {gamma} is not divisible by 3")
         return alpha + beta + gamma // 3

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, mat_inverse
+from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, kernel_basis, mat_inverse, rref
 from zpaction.enumeration import (
+    NAMED_FORMS,
     ActionParams,
     AdmissibilityError,
     GeneralPresentation,
@@ -17,14 +19,13 @@ from zpaction.enumeration import (
     enumerate_actions,
     general_presentation,
     key_from_digit_string,
-    key_from_generators,
     key_from_named,
     key_from_presentation,
     key_from_theta,
     name_of_key,
     theta_table,
 )
-from zpaction.enumeration import _row_codes, _word
+from zpaction.enumeration import _row_codes
 from zpaction.classify import act
 
 
@@ -168,6 +169,97 @@ def test_digit_string_rejects_digits_outside_the_field():
     assert key_from_digit_string(params, "1,0,2;0,1,4").digit_string() == "1,0,2;0,1,4"
 
 
+def key_from_generators(params: ActionParams, words) -> SubgroupKey:
+    """Key of the subgroup generated by exponent words over a_1..a_{n+1}: the paper's notation.
+
+    Each word is a length-(n+1) exponent sequence w; since a_{n+1} is
+    -(e_1 + ... + e_n), its vector is (w_j - w_{n+1}) for j = 1..n.  The
+    words must span a subgroup of rank exactly n - m.
+    """
+    n, m, p = params.n, params.m, params.p
+    vectors = []
+    for word in words:
+        exps = tuple(word)
+        if len(exps) != n + 1:
+            raise ValueError(f"generator word must have {n + 1} exponents, got {len(exps)}")
+        vectors.append(tuple((e - exps[n]) % p for e in exps[:n]))
+    span = FpMatrix(params.modulus, tuple(vectors), n)
+    _, rank = rref(span)
+    if rank != n - m:
+        raise AdmissibilityError(
+            f"generators span a subgroup of rank {rank}, expected n - m = {n - m}"
+        )
+    return SubgroupKey(params, kernel_basis(span))
+
+
+def _word(n: int, entries) -> tuple[int, ...]:
+    w = [0] * (n + 1)
+    for idx, e in entries:
+        w[idx - 1] = e
+    return tuple(w)
+
+
+# The paper's generator words of every named form, as (generator, exponent) entries.
+_PAPER_WORDS = {
+    ("n3", "K", 2): lambda r, s: [[(1, r), (2, s), (3, -1)]],
+    ("n3", "K", 1): lambda l: [[(1, l), (2, -1)]],
+    ("d3", "K", 2): lambda r, s: [
+        [(1, 1), (2, 1), (3, 1)], [(1, r), (2, s), (4, -1)], [(1, -s), (2, r - s), (5, -1)]
+    ],
+    ("d3", "K", 1): lambda l: [[(1, 1), (2, 1), (3, 1)], [(1, l), (2, -1)], [(4, l), (6, -1)]],
+    ("k4", "K", 2): lambda r, s: [[(1, r), (2, s), (3, -1)], [(3, 1), (5, -1)], [(4, 1), (6, -1)]],
+    ("k4", "K1", 0): lambda: [[(1, 1), (2, -1)], [(3, 1), (4, -1)], [(5, 1), (6, -1)]],
+    ("k4", "K2", 0): lambda: [[(1, 1), (2, -1)], [(3, 1), (6, -1)], [(4, 1), (5, -1)]],
+    ("k4", "K5", 0): lambda: [[(1, 1), (2, -1)], [(3, 1), (5, -1)], [(4, 1), (6, -1)]],
+    ("k4", "K6", 0): lambda: [[(1, 1), (2, 1)], [(3, 1), (5, -1)], [(4, 1), (6, -1)]],
+    ("k4", "K3", 1): lambda r: [[(1, r), (3, -1), (4, 1)], [(1, 1), (2, 1)], [(3, 1), (6, 1)]],
+    ("k4", "K4", 1): lambda r: [[(1, r), (3, -1), (6, 1)], [(1, 1), (2, 1)], [(3, 1), (4, 1)]],
+    ("k4", "Kbar1", 0): lambda: [[(1, 1), (2, 1)], [(3, 1), (4, 1)], [(3, 1), (5, 1)]],
+    ("k4", "Kbar2", 0): lambda: [[(1, 1), (2, 1)], [(3, 1), (4, 1)], [(1, 1), (3, 1), (5, 1)]],
+    ("k4", "Kbar3", 0): lambda: [[(1, 1), (2, 1)], [(3, 1), (5, 1)], [(1, 1), (3, 1), (4, 1)]],
+    ("k4", "Kbar4", 0): lambda: [[(1, 1), (2, 1)], [(4, 1), (5, 1)], [(1, 1), (3, 1), (4, 1)]],
+}
+
+
+def _key_from_paper_words(params: ActionParams, family: str, form: str, args) -> SubgroupKey:
+    """A named subgroup from its generator words, with the k4 family's own conditions on p."""
+    p = params.p
+    if family == "k4" and form.startswith("Kbar") and p != 2:
+        raise ValueError(f"{form} only exists at p=2")
+    if family == "k4" and form == "K" and (2 * sum(args) + 1) % p:
+        raise AdmissibilityError(f"K{args} is not in the k4 family at p={p}")
+    words = _PAPER_WORDS[family, form, len(args)](*args)
+    return key_from_generators(params, [_word(params.n, entries) for entries in words])
+
+
+def _outcome(resolve):
+    """The key ``resolve()`` returns, or the type of the ValueError it raises."""
+    try:
+        return resolve()
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_named_forms_match_the_paper_words(p):
+    # every name with parameters in 0..p-1: the same key, or the same rejection
+    assert {(family, *form) for family, forms in NAMED_FORMS.items() for form in forms} == set(
+        _PAPER_WORDS
+    )
+    resolved = 0
+    for family, form, arity in _PAPER_WORDS:
+        n = 3 if family == "n3" else 5
+        if (n - 1) * (p - 1) <= 2:  # n = 3, p = 2 is not hyperbolic
+            continue
+        params = ActionParams(p, n, 2)
+        for args in itertools.product(range(p), repeat=arity):
+            name = form + (f"({','.join(map(str, args))})" if args else "")
+            got = _outcome(lambda: key_from_named(params, name, family))
+            assert got == _outcome(lambda: _key_from_paper_words(params, family, form, args)), name
+            resolved += isinstance(got, SubgroupKey)
+    assert resolved
+
+
 def test_key_from_named_n3():
     params = ActionParams(5, 3, 2)
     key = key_from_named(params, "K(0,4)")
@@ -187,9 +279,13 @@ def test_key_from_named_rejects_inadmissible():
     with pytest.raises(AdmissibilityError):
         key_from_named(params, "K(0,0)")
     with pytest.raises(AdmissibilityError):
-        key_from_named(params, "K(5)")
+        key_from_named(params, "K(0)")
     with pytest.raises(ValueError):
         key_from_named(params, "Q(1)")
+    # parameters are residues 0..p-1, as key digits are: 5 and 7 are not read as 0 and 2
+    for name in ("K(5)", "K(7,2)"):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            key_from_named(params, name)
 
 
 def test_key_from_named_d3():

@@ -5,9 +5,9 @@ from zpaction.fpalgebra import NotPrimeError
 from zpaction.classify import act, classify_triples, invariant_set
 from zpaction.predictions import (
     CASES,
+    _conic_points,
     case_group,
     family_for_group,
-    predicted_family,
     predicted_invariant_set,
     predicted_triple_count,
 )
@@ -63,6 +63,26 @@ def test_predicted_counts():
     for p in (4, 1, -7, 65537):
         with pytest.raises(NotPrimeError):
             predicted_triple_count("N5_D3", p)
+
+
+def _primes_up_to(limit):
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@pytest.mark.parametrize("p", _primes_up_to(200))
+def test_conic_points_match_the_residue_scan(p):
+    scan = [(r, s) for r in range(p) for s in range(p) if (r * r + s * s - r * s - 1) % p == 0]
+    assert _conic_points(p) == scan
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+def test_conic_at_large_primes(p):
+    # r^2 - rs + s^2 is the norm form of F_p[(1 + sqrt(-3)) / 2], so the conic has
+    # p - (-3/p) points, with (-3/p) = 1 exactly when p = 1 mod 3.  Six of them have
+    # r or s in {0, 1, -1} and none other has r = s, so gamma = (p - (-3/p) - 6) / 2.
+    chi = 1 if p % 3 == 1 else -1
+    assert len(_conic_points(p)) == p - chi
+    assert predicted_triple_count("N5_D3", p) == (1 if chi == 1 else 0) + 2 + (p - chi - 6) // 6
 
 
 def test_d3_count_table():
@@ -132,6 +152,5 @@ def test_family_for_group_matches_verbatim_only():
 def test_family_members_all_admissible():
     for case in CASES:
         p = 7 if case != "N3_Q4" else 13
-        fam = predicted_family(case, p)
-        keys = fam.keys()
+        keys = predicted_invariant_set(case, p)
         assert len(set(keys)) == len(keys)
