@@ -40,6 +40,7 @@ from .enumeration import (
     KeySet,
     SubgroupKey,
     VerificationError,
+    check_candidate_cap,
     key_from_theta,
 )
 from .hgroup import PermGroup, Permutation, normalizer_in_symmetric
@@ -301,10 +302,13 @@ def classify_triples(
     closed-form family (and re-verifies every member's invariance).  The
     classes are the orbits of the invariant set under the normalizer of
     ``group`` inside S_{n+1}; their Burnside count must agree with the
-    partition, else VerificationError.
+    partition, else VerificationError.  An exhaustive run checks the scale
+    cap before the normalizer scan.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
+    if mode == "exhaustive":
+        check_candidate_cap(params, max_candidates)
     normalizer = normalizer_in_symmetric(group)
     if mode == "exhaustive":
         invariant = invariant_keys_full(params, group, max_candidates)

@@ -28,6 +28,7 @@ from . import __version__
 from .fpalgebra import NotPrimeError
 from .hgroup import PermGroup, close_group, parse_cycles, symmetric_group
 from .enumeration import (
+    DEFAULT_CANDIDATE_CAP,
     ActionParams,
     AdmissibilityError,
     KeySet,
@@ -244,7 +245,17 @@ def _cap(args) -> dict:
     return {"max_candidates": args.max_candidates} if args.max_candidates else {}
 
 
+def _check_cap(args, default: int) -> None:
+    """Raise ScaleCapError before any group is built; ``default`` is the route's own cap.
+
+    At n = 9, S_10, its closure and the normalizer take seconds and
+    hundreds of MB, so a run over the cap fails before it builds them.
+    """
+    check_candidate_cap(_params(args), args.max_candidates or default)
+
+
 def _orbits_doc(args) -> dict:
+    _check_cap(args, DEFAULT_CANDIDATE_CAP)
     params, group = _params(args), _group(args)
     report = orbit_partition(KeySet.full(params, **_cap(args)), group)
     burnside = burnside_count_full(params, group, **_cap(args))
@@ -259,6 +270,7 @@ def _enumerate_doc(args) -> dict:
 
 
 def _invariants_doc(args) -> dict:
+    _check_cap(args, TRIPLES_CANDIDATE_CAP)
     params, group = _params(args), _group(args)
     inv = invariant_keys_full(params, group, **_cap(args))
     return {**_group_head(args), "count": len(inv), "keys": inv.digit_strings()}
@@ -268,6 +280,8 @@ def _triples_doc(args) -> dict:
     params = _params(args)
     if not args.groups:
         raise UsageError("triples requires at least one --group generator")
+    if args.mode == "exhaustive":
+        _check_cap(args, TRIPLES_CANDIDATE_CAP)
     result = classify_triples(params, _group(args), mode=args.mode, **_cap(args))
     return {
         **_group_head(args),

@@ -21,14 +21,17 @@ At run time a key set is a ``KeySet``, one sorted (N, m, n) digit array;
 ``SubgroupKey`` objects are built only on request.  Only this module
 knows the row format: digit dtype, sort order and row codes.
 
-A presentation is the canonical form of one key: the coordinates of its
-n+1 generator images in a basis drawn from them.  At m = 2 that is
-``PlanePresentation`` (basis theta(a_1), theta(a_{t+1})), at any m
-``GeneralPresentation`` (a relabeling plus the coordinate table).
-``classify_type`` reads one off a key; ``key_from_presentation`` rebuilds
-the key from the images.  The named subgroups (the n = 3 family and the
-n = 5 d3 and k4 families) are plane presentations too: ``NAMED_FORMS``
-gives each form's (t, l, r, s) and ``named_key`` resolves it the same way.
+A presentation is the canonical form of one key: theta read in its pivot
+basis.  The pivot columns of the rref theta are the unit vectors, and
+they are the first m linearly independent generator images, so the
+coordinates of every image theta(a_j) are column j of [theta | -sum theta]
+as it stands.  At m = 2 that is ``PlanePresentation`` (basis theta(a_1),
+theta(a_{t+1})), at any m ``GeneralPresentation`` (a relabeling that puts
+the pivots first, plus the coordinate table).  ``classify_type`` reads
+one off a key; ``key_from_presentation`` rebuilds the key from the
+images.  The named subgroups (the n = 3 family and the n = 5 d3 and k4
+families) are plane presentations too: ``NAMED_FORMS`` gives each form's
+(t, l, r, s) and ``named_key`` resolves it the same way.
 """
 
 from __future__ import annotations
@@ -45,10 +48,8 @@ import numpy as np
 from .fpalgebra import (
     FpMatrix,
     PrimeModulus,
-    SingularMatrixError,
     is_rref,
     kernel_basis,
-    mat_inverse,
     pivot_columns,
     rref,
 )
@@ -506,8 +507,9 @@ class GeneralPresentation:
     a_{n+1} of the relabeled subgroup, in the basis given by the images of
     a_1, ..., a_m.  Row constraints: no row vanishes, and each column sums
     with 1 to zero mod p (the product of all generators is trivial).
-    The choice of sigma (lexicographically least that makes the first m
-    images a generating set) is this package's convention.
+    The canonical sigma moves theta's pivot columns to the front, in order,
+    and keeps the other images in order after them; that is the
+    lexicographically least sigma whose first m images form a basis.
     """
 
     params: ActionParams
@@ -537,64 +539,32 @@ class GeneralPresentation:
 Presentation = PlanePresentation | GeneralPresentation
 
 
-def plane_coordinates(key: SubgroupKey) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The m = 2 basis rule: t, and (r_j, s_j) for every image theta(a_j), j = 1..n+1.
+def classify_type(key: SubgroupKey) -> Presentation:
+    """Canonical presentation of a key: the plane form at m = 2, else the general form.
 
-    t + 1 is the first index whose image is not proportional to theta(a_1),
-    and theta(a_j) = r_j theta(a_1) + s_j theta(a_{t+1}).  With D = det(theta(a_1),
-    theta(a_{t+1})), the coordinates are the functionals s(v) = det(theta(a_1), v) / D
-    and r(v) = det(v, theta(a_{t+1})) / D (Cramer's rule).
+    At m = 2, theta(a_1) = e_1 and theta(a_{t+1}) = e_2 is the second pivot
+    column, so each image is its own coordinate pair.
     """
     params = key.params
     if params.m != 2:
-        raise ValueError("plane coordinates are defined for m = 2")
-    p = params.p
-    images = key.images
-    a, b = images[0]
-    # theta has rank 2, so some column theta(a_j), j <= n, is independent of theta(a_1)
-    t = next(j for j in range(1, params.n) if (a * images[j][1] - b * images[j][0]) % p)
-    c, d = images[t]
-    scale = params.modulus.inv(a * d - b * c)
-    return t, tuple(
-        ((x * d - y * c) * scale % p, (a * y - b * x) * scale % p) for x, y in images
-    )
-
-
-def classify_type(key: SubgroupKey) -> Presentation:
-    """Canonical presentation of a key: the plane form at m = 2, else the general form."""
-    params = key.params
-    if params.m != 2:
         return general_presentation(key)
-    t, coords = plane_coordinates(key)
-    rs = coords[t + 1 : params.n]  # theta(a_j) for j = t+2..n
-    ls = tuple(lj for lj, _ in coords[1:t])  # theta(a_j) = l_j theta(a_1) for j = 2..t
+    images, t = key.images, pivot_columns(key.theta)[1]
+    rs = images[t + 1 : params.n]  # theta(a_j) for j = t+2..n
+    ls = tuple(lj for lj, _ in images[1:t])  # theta(a_j) = l_j theta(a_1) for j = 2..t
     return PlanePresentation(params, t, ls, tuple(r for r, _ in rs), tuple(s for _, s in rs))
 
 
 def general_presentation(key: SubgroupKey) -> GeneralPresentation:
-    """Any-m canonical form, relabeling by the least permutation that works.
+    """Any-m canonical form: theta read in its pivot basis e_1, ..., e_m.
 
-    The relabeled images theta(a_{sigma^-1(j)}) are read straight off
-    ``key.images``; coordinates in the basis of the first m of them do not
-    change under the GL_m rescaling that re-echelonizing would apply.
+    sigma moves the pivot columns to the front and keeps the other images
+    in order after them; the table is those other images as they stand.
     """
     params = key.params
-    p, n, m = params.p, params.n, params.m
-    images = key.images
-    for candidate in itertools.permutations(range(1, n + 2)):
-        sigma = Permutation(candidate)
-        inverse = sigma.inverse()
-        moved = [images[inverse(j) - 1] for j in range(1, n + 2)]
-        try:
-            binv = mat_inverse(FpMatrix(params.modulus, tuple(moved[:m]))).entries
-        except SingularMatrixError:
-            continue
-        table = tuple(
-            tuple(sum(vec[i] * binv[i][k] for i in range(m)) % p for k in range(m))
-            for vec in moved[m:]
-        )
-        return GeneralPresentation(params, sigma, table)
-    raise AssertionError("the images span Z_p^m, so some relabeling works")
+    pivots = pivot_columns(key.theta)
+    order = [*pivots, *(j for j in range(params.n + 1) if j not in pivots)]
+    sigma = Permutation(tuple(j + 1 for j in order)).inverse()  # sigma^-1(i) = order[i - 1] + 1
+    return GeneralPresentation(params, sigma, tuple(key.images[j] for j in order[params.m :]))
 
 
 def key_from_presentation(pres: Presentation) -> SubgroupKey:

@@ -12,9 +12,10 @@ theta(a_1), ..., theta(a_{n+1}).  L is the common kernel of its
 annihilator, and S/L is branched over a marked point exactly when some
 annihilator functional is nonzero on its image.  For an index-p quotient
 that is one functional, whose values are also the exponents of the
-p-gonal model.  The fiber product is the pair of coordinate functionals of
-the basis (theta(a_1), theta(a_{t+1})): y1 takes the second coordinates
-and y2 the first.
+p-gonal model.  The fiber product's exponents are the two rows of
+[theta | -sum theta]: in rref the pivot basis (theta(a_1), theta(a_{t+1}))
+is (e_1, e_2), so those rows are the coordinates of the images.  y1 takes
+the second row and y2 the first.
 
 Marked points: the branch point at infinity is carried as point index 1
 with an exponent slot like any other; rendering omits its factor, and the
@@ -28,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import SubgroupKey, VerificationError, plane_coordinates
+from .enumeration import SubgroupKey, VerificationError
 from .fpalgebra import FpMatrix, PrimeModulus, kernel_basis
 
 
@@ -248,23 +249,23 @@ def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = 
 
 
 def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) -> FiberProductModel:
-    """The two-equation algebraic model of S, from the coordinates of the images.
+    """The two-equation algebraic model of S at m = 2: the rows of [theta | -sum theta].
 
-    With theta(a_j) = r_j theta(a_1) + s_j theta(a_{t+1}) as in
-    ``plane_coordinates``, y1 takes the exponents s_j and y2 the r_j.  In
-    the plane presentation with t = 1 this reads y1^p = x prod (x-q_j)^{s_j},
-    y2^p = prod (x-q_j)^{r_j} over j = 3..n+1, with the last exponents
-    forced by s_{n+1} = -(1 + s_3 + ... + s_n) and r_{n+1} = -(1 + r_3 +
-    ... + r_n) mod p.  With t >= 2 the leading factor of y1 moves to
-    q_{t+1} and y2 gains the l_j exponents over q_2..q_t.
+    Column j of that matrix is theta(a_j) = r_j theta(a_1) + s_j
+    theta(a_{t+1}), read in the pivot basis (e_1, e_2); y1 takes the second
+    row, the s_j, and y2 the first, the r_j.  In the plane presentation
+    with t = 1 this reads y1^p = x prod (x-q_j)^{s_j}, y2^p = prod
+    (x-q_j)^{r_j} over j = 3..n+1, with the last exponents forced by
+    s_{n+1} = -(1 + s_3 + ... + s_n) and r_{n+1} = -(1 + r_3 + ... + r_n)
+    mod p.  With t >= 2 the leading factor of y1 moves to q_{t+1} and y2
+    gains the l_j exponents over q_2..q_t.
     """
     params = key.params
-    _, coords = plane_coordinates(key)  # raises ValueError unless m = 2
+    if params.m != 2:
+        raise ValueError("the fiber-product model is defined for m = 2")
+    r, s = zip(*key.images)  # the rows of [theta | -sum theta]
     pts = points if points is not None else MarkedPoints.standard(params.n)
-    return FiberProductModel(
-        CurveModel(params.modulus, pts, tuple(s for _, s in coords)),
-        CurveModel(params.modulus, pts, tuple(r for r, _ in coords)),
-    )
+    return FiberProductModel(CurveModel(params.modulus, pts, s), CurveModel(params.modulus, pts, r))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from zpaction.enumeration import (
     ActionParams,
     AdmissibilityError,
     KeySet,
+    ScaleCapError,
     SubgroupKey,
     enumerate_actions,
     key_from_named,
@@ -237,6 +238,18 @@ def test_triples_predicted_rejects_unknown_group():
     mystery = close_group([parse_cycles("(1 2)", 6)])
     with pytest.raises(ValueError, match="no predicted family"):
         classify_triples(ActionParams(5, 5, 2), mystery, mode="predicted")
+
+
+def test_triples_checks_the_cap_before_the_normalizer(monkeypatch):
+    import zpaction.classify
+
+    def never(group):
+        raise AssertionError("the normalizer was built before the cap check")
+
+    monkeypatch.setattr(zpaction.classify, "normalizer_in_symmetric", never)
+    involution = close_group([parse_cycles("(1 2)(3 4)(5 6)", 6)])
+    with pytest.raises(ScaleCapError, match=r"\(estimated candidates: 470458810\)"):
+        classify_triples(ActionParams(19, 5, 2), involution, mode="exhaustive")
 
 
 def test_triples_exhaustive_agrees_with_predicted_small():

@@ -269,6 +269,47 @@ def test_invariants_uses_the_triples_cap(monkeypatch, capsys):
     assert err.startswith("scale cap exceeded:") and "(estimated candidates: 470458810)" in err
 
 
+@pytest.mark.parametrize(
+    "args,estimate",
+    [
+        (["orbits", "--p", "113", "--n", "9"], 36 * 113**14),
+        (["invariants", "--p", "19", "--n", "5", "--group", "(1 2)(3 4)(5 6)"], 470458810),
+        (["triples", "--p", "19", "--n", "5", "--group", "(1 2)(3 4)(5 6)"], 470458810),
+        (["triples", "--p", "113", "--n", "9", "--group", "(1 2)"], 36 * 113**14),
+    ],
+)
+def test_scale_cap_is_checked_before_any_group_is_built(args, estimate, monkeypatch, capsys):
+    # S_10, a closure or a normalizer at n = 9 takes seconds before the cap would fail the run
+    import zpaction.classify
+    import zpaction.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a permutation group was built before the cap check")
+
+    monkeypatch.setattr(zpaction.cli, "symmetric_group", never)
+    monkeypatch.setattr(zpaction.cli, "close_group", never)
+    monkeypatch.setattr(zpaction.classify, "normalizer_in_symmetric", never)
+    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("scale cap exceeded:") and f"(estimated candidates: {estimate})" in err
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("models", "the fiber-product model is defined for m = 2"),
+        ("jacobian", "the line decomposition is defined for m = 2"),
+    ],
+)
+def test_one_subgroup_commands_need_m2(command, message, capsys):
+    code, out, err = run_cli(
+        [command, "--p", "3", "--n", "4", "--m", "3", "--key", "1,0,0,1;0,1,0,1;0,0,1,1",
+         "--no-cache"],
+        capsys,
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_predicted_member_check_exit_code(monkeypatch, capsys):
     import zpaction.predictions
     from zpaction.enumeration import ActionParams, key_from_digit_string

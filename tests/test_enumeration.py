@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, kernel_basis, mat_inverse, rref
+from zpaction.fpalgebra import (
+    FpMatrix,
+    NotPrimeError,
+    SingularMatrixError,
+    kernel_basis,
+    mat_inverse,
+    rref,
+)
 from zpaction.enumeration import (
     NAMED_FORMS,
     ActionParams,
@@ -27,6 +34,8 @@ from zpaction.enumeration import (
 )
 from zpaction.enumeration import _row_codes
 from zpaction.classify import act
+from zpaction.geometry import fiber_product_model
+from zpaction.hgroup import Permutation
 
 
 def test_params_validation():
@@ -422,6 +431,67 @@ def test_general_presentation_congruences():
         for i in range(m):
             assert (1 + sum(row[i] for row in pres.table)) % p == 0
         assert all(any(e % p for e in row) for row in pres.table)
+
+
+def _cramer_coordinates(key):
+    """The m = 2 basis rule by Cramer's rule: t, and (r_j, s_j) for every image, j = 1..n+1.
+
+    t + 1 is the first index whose image is not proportional to theta(a_1).
+    With D = det(theta(a_1), theta(a_{t+1})), the coordinates of v are
+    r(v) = det(v, theta(a_{t+1})) / D and s(v) = det(theta(a_1), v) / D.
+    """
+    params, images = key.params, key.images
+    p = params.p
+    a, b = images[0]
+    t = next(j for j in range(1, params.n) if (a * images[j][1] - b * images[j][0]) % p)
+    c, d = images[t]
+    scale = params.modulus.inv(a * d - b * c)
+    return t, tuple(((x * d - y * c) * scale % p, (a * y - b * x) * scale % p) for x, y in images)
+
+
+def _cramer_presentation(key):
+    t, coords = _cramer_coordinates(key)
+    rs = coords[t + 1 : key.params.n]
+    ls = tuple(lj for lj, _ in coords[1:t])
+    return PlanePresentation(key.params, t, ls, tuple(r for r, _ in rs), tuple(s for _, s in rs))
+
+
+def _least_relabeling_presentation(key):
+    """The lexicographically least sigma whose first m relabeled images are a basis, by search."""
+    params = key.params
+    p, n, m = params.p, params.n, params.m
+    for candidate in itertools.permutations(range(1, n + 2)):
+        sigma = Permutation(candidate)
+        inverse = sigma.inverse()
+        moved = [key.images[inverse(j) - 1] for j in range(1, n + 2)]
+        try:
+            basis_inv = mat_inverse(FpMatrix(params.modulus, tuple(moved[:m]))).entries
+        except SingularMatrixError:
+            continue
+        table = tuple(
+            tuple(sum(v[i] * basis_inv[i][k] for i in range(m)) % p for k in range(m))
+            for v in moved[m:]
+        )
+        return GeneralPresentation(params, sigma, table)
+    raise AssertionError("the images span Z_p^m, so some relabeling works")
+
+
+@pytest.mark.parametrize(
+    "p,n,m",
+    [(5, 3, 2), (7, 3, 2), (3, 4, 2), (7, 4, 2), (3, 5, 2), (2, 5, 2),
+     (3, 4, 3), (3, 5, 1), (2, 5, 3), (5, 4, 3), (3, 5, 4), (7, 3, 1)],
+)
+def test_presentations_match_the_solved_coordinates(p, n, m):
+    # theta read in its pivot basis equals the coordinates solved for by Cramer's rule
+    # and by the least-relabeling search
+    for key in enumerate_actions(ActionParams(p, n, m)):
+        assert general_presentation(key) == _least_relabeling_presentation(key), key
+        if m == 2:
+            assert classify_type(key) == _cramer_presentation(key), key
+            coords = _cramer_coordinates(key)[1]
+            model = fiber_product_model(key)
+            assert model.first.exponents == tuple(s for _, s in coords), key
+            assert model.second.exponents == tuple(r for r, _ in coords), key
 
 
 def test_key_from_theta_canonicalizes():

@@ -298,6 +298,13 @@ def test_jacobian_lines_match_element_listing(p, n):
             assert entry.model.exponents == exponents == pgonal_model(key, ln).exponents
 
 
+@pytest.mark.parametrize("p,n,m", [(3, 4, 1), (3, 4, 3)])
+def test_fiber_product_model_needs_m2(p, n, m):
+    key = enumerate_actions(ActionParams(p, n, m))[0]
+    with pytest.raises(ValueError, match="the fiber-product model is defined for m = 2"):
+        fiber_product_model(key)
+
+
 def _presentation_model(key):
     """y1 and y2 exponents from the plane presentation's t, l, r, s and forced fields."""
     n, p = key.params.n, key.params.p
