@@ -25,6 +25,16 @@ generator at a time, re-echelonizes it in a narrow unsigned dtype, finds
 each image's row by binary search, and merges orbits by minimum-label
 propagation.  ``act`` is the per-key pure-Python action the tests check
 these against.
+
+The invariant keys of the whole space at m <= 2 come from a scan of the
+projective vectors of F_p^n, not from the table: each vector is stacked
+over its generator images and the stacks are echelonized in blocks.
+Rank-2 stacks are candidate planes; rank-1 stacks are common
+eigenvectors, which give the candidate lines and a basis of each common
+eigenspace E_chi, whose planes come from the same rref walk that builds
+the table.  The ``invariant_set`` mask then certifies the candidates.
+At m >= 3 a stable subspace need not have that form, so those keys are
+the mask over the table.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ from .enumeration import (
     KeySet,
     SubgroupKey,
     VerificationError,
+    _admissible,
+    _rref_walk,
     check_candidate_cap,
     key_from_theta,
 )
@@ -48,6 +60,9 @@ from .hgroup import PermGroup, Permutation, normalizer_in_symmetric
 # Exhaustive triples runs are capped near the p = 17, n = 5 scale; beyond
 # that the predicted families are the intended route.
 TRIPLES_CANDIDATE_CAP = 250_000_000
+
+# Projective vectors per block of the invariant-key scan; bounds its working memory.
+_SCAN_CHUNK = 1 << 16
 
 
 class ActionOutsideSetError(ValueError):
@@ -205,9 +220,10 @@ def _fixed_mask(keys: KeySet, sigma: Permutation) -> np.ndarray:
     return mask
 
 
-def _rref_rows(block: np.ndarray, params: ActionParams) -> None:
-    """Reduce every (m, n) matrix in ``block`` to rref in place; each has rank m.
+def _rref_rows(block: np.ndarray, params: ActionParams) -> np.ndarray:
+    """Reduce every (m, n) matrix in ``block`` to rref in place; returns each one's rank.
 
+    A matrix of rank r ends with its rref in rows 0..r-1 and zeros below.
     Entries stay below p between steps, so the products stay below p^2
     and fit the product dtype.
     """
@@ -228,6 +244,7 @@ def _rref_rows(block: np.ndarray, params: ActionParams) -> None:
         reduced[np.arange(len(k)), r] = pivot_rows
         block[k] = reduced
         rank[k] += 1
+    return rank
 
 
 def _image_rows(keys: KeySet, sigma: Permutation) -> np.ndarray:
@@ -265,8 +282,67 @@ def _orbit_labels(images: list[np.ndarray], size: int) -> np.ndarray:
 def invariant_keys_full(
     params: ActionParams, group: PermGroup, max_candidates: int = TRIPLES_CANDIDATE_CAP
 ) -> KeySet:
-    """All keys in the parameter space fixed by ``group``."""
-    return invariant_set(KeySet.full(params, max_candidates), group)
+    """All keys in the parameter space fixed by ``group``.
+
+    At m <= 2 the candidates come from ``_stable_candidates``, a scan of
+    the projective vectors that builds no table; at m >= 3 they are the
+    whole table.  Either way ``invariant_set`` certifies them, so it stays
+    the one invariance test and the scan only has to miss no invariant
+    key.  The scale cap is checked first at every m.
+    """
+    if group.degree != params.n + 1:
+        raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
+    check_candidate_cap(params, max_candidates)
+    if params.m > 2:
+        return invariant_set(KeySet.full(params, max_candidates), group)
+    return invariant_set(KeySet.from_rows(params, _stable_candidates(params, group)), group)
+
+
+def _stable_candidates(params: ActionParams, group: PermGroup) -> np.ndarray:
+    """Admissible rref (m, n) rows that include every Q-stable row space, m <= 2.
+
+    A relabeling moves a key's rows by one linear map of F_p^n, so a key
+    is fixed by Q iff its row space W is stable under every generator.
+    A stable line is spanned by a common eigenvector v of the generators.
+    A stable plane W either is span(v, g_1 v, ..., g_r v) of rank 2 for
+    some v in W, or else every v in W is a common eigenvector, so each
+    generator acts on W as a scalar and W is a plane of one common
+    eigenspace E_chi, chi the tuple of those scalars.
+
+    One walk over the projective vectors v, ``_SCAN_CHUNK`` at a time,
+    stacks v over its generator images and echelonizes the stacks.  Rank 1
+    marks a common eigenvector: a candidate line, and a vector of E_chi
+    for chi read off v's pivot entry.  Rank 2 gives a candidate plane.
+    At m = 2 the planes of each E_chi come from the rref walk over
+    G(2, dim E_chi) times a basis of E_chi.  Rows may repeat.
+    """
+    p, n, m = params.p, params.n, params.m
+    dtype = _product_dtype(params)
+    found, eigenspaces = [], {}
+    for vectors in _rref_walk(p, 1, n, _SCAN_CHUNK):
+        vectors = vectors.astype(dtype)
+        images = [_moved_rows(vectors, g, params) for g in group.generators]
+        stack = np.concatenate([vectors, *images], axis=1)
+        pivots = (vectors[:, 0] != 0).argmax(axis=1)
+        characters = stack[np.arange(len(stack)), :, pivots]  # g v = chi_g v: read at v's 1
+        ranks = _rref_rows(stack, params)
+        eigen = vectors[ranks == 1]
+        if m == 1:
+            found.append(eigen[_admissible(eigen, p)])
+            continue
+        if images:  # with no generator, every stack is v alone
+            planes = stack[ranks == 2, :2]
+            found.append(planes[_admissible(planes, p)])
+        labels, inverse = np.unique(characters[ranks == 1], axis=0, return_inverse=True)
+        for label, chi in enumerate(map(tuple, labels.tolist())):
+            basis = np.concatenate([eigenspaces.get(chi, eigen[:0, 0]), eigen[inverse == label, 0]])
+            eigenspaces[chi] = basis[: _rref_rows(basis[None], params)[0]]
+    for basis in eigenspaces.values():
+        for coefficients in _rref_walk(p, 2, len(basis), _SCAN_CHUNK):  # none if dim < 2
+            planes = coefficients.astype(dtype) @ basis  # a product of rref matrices is rref
+            planes %= p
+            found.append(planes[_admissible(planes, p)])
+    return np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +373,11 @@ def classify_triples(
 ) -> TriplesReport:
     """Count topological classes of actions admitting the symmetry ``group``.
 
-    ``exhaustive`` enumerates the whole parameter space and filters the
-    invariant subgroups; ``predicted`` instantiates the matching
-    closed-form family (and re-verifies every member's invariance).  The
+    ``exhaustive`` finds every invariant subgroup of the parameter space
+    with ``invariant_keys_full`` (at m <= 2 a projective-vector scan, at
+    m >= 3 the table, each certified by the invariance mask); ``predicted``
+    instantiates the matching closed-form family (and re-verifies every
+    member's invariance).  The
     classes are the orbits of the invariant set under the normalizer of
     ``group`` inside S_{n+1}; their Burnside count must agree with the
     partition, else VerificationError.  An exhaustive run checks the scale

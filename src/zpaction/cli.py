@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -58,6 +59,8 @@ from .predictions import case_group, predicted_triple_count
 
 CACHE_ENV = "ZPACTION_CACHE_DIR"
 CACHEABLE = {"enumerate", "orbits", "invariants", "triples", "table"}
+# S_9 is the largest default group: materializing S_10 takes minutes and gigabytes.
+SYMMETRIC_ORDER_CAP = math.factorial(9)
 
 DEFAULT_TABLE_PRIMES = {
     "n3-orbits": (3, 5, 7, 11, 13, 17, 19, 23, 29, 113),
@@ -250,8 +253,17 @@ def _check_cap(args, default: int) -> None:
 
     At n = 9, S_10, its closure and the normalizer take seconds and
     hundreds of MB, so a run over the cap fails before it builds them.
+    Without ``--group`` the group is S_{n+1}, built element by element,
+    so its order is capped too, whatever the candidate count.
     """
     check_candidate_cap(_params(args), args.max_candidates or default)
+    order = math.factorial(args.n + 1)
+    if not args.groups and order > SYMMETRIC_ORDER_CAP:
+        raise ScaleCapError(
+            f"the default group S_{args.n + 1} exceeds the order cap {SYMMETRIC_ORDER_CAP}",
+            order,
+            "group order",
+        )
 
 
 def _orbits_doc(args) -> dict:

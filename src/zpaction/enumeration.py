@@ -63,8 +63,8 @@ _CHUNK = 1 << 20
 class ScaleCapError(RuntimeError):
     """Estimated work exceeds the configured cap."""
 
-    def __init__(self, message: str, estimate: int):
-        super().__init__(f"{message} (estimated candidates: {estimate})")
+    def __init__(self, message: str, estimate: int, unit: str = "candidates"):
+        super().__init__(f"{message} (estimated {unit}: {estimate})")
         self.estimate = estimate
 
 
@@ -296,45 +296,45 @@ def _row_codes(table: np.ndarray) -> np.ndarray:
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
-@lru_cache(maxsize=6)
-def _theta_table_cached(params: ActionParams) -> np.ndarray:
-    """All admissible rref quotient matrices as an (N, m, n) array, sorted.
+def _rref_walk(p: int, m: int, n: int, chunk: int = _CHUNK):
+    """Every rank-m rref m x n matrix over F_p, in (count, m, n) blocks of at most ``chunk``.
 
     Walks pivot-column combinations in lexicographic order and free
-    entries in odometer order; each emitted matrix is already canonical,
-    so no deduplication is needed.  The walk is not in digit order from
-    n = 4 on, so a final sort gives the order ``KeySet`` relies on.
+    entries in odometer order; each matrix is emitted once and is already
+    canonical, so no deduplication is needed.  At m = 1 the matrices are
+    the projective points of F_p^n, each scaled to a leading 1.
     """
-    p, n, m = params.p, params.n, params.m
     dtype = _dtype_for(p)
-    blocks = []
     for pivots in itertools.combinations(range(n), m):
-        free = [
-            (i, j)
-            for i in range(m)
-            for j in range(n)
-            if j not in pivots and j > pivots[i]
-        ]
+        free = [(i, j) for i in range(m) for j in range(n) if j not in pivots and j > pivots[i]]
         total = p ** len(free)
-        for start in range(0, total, _CHUNK):
-            count = min(_CHUNK, total - start)
-            codes = np.arange(start, start + count, dtype=np.int64)
-            mats = np.zeros((count, m, n), dtype=dtype)
+        for start in range(0, total, chunk):
+            codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            mats = np.zeros((len(codes), m, n), dtype=dtype)
             for i in range(m):
                 mats[:, i, pivots[i]] = 1
             for i, j in reversed(free):
                 codes, digit = np.divmod(codes, p)
                 mats[:, i, j] = digit.astype(dtype)
-            columns_ok = (mats != 0).any(axis=1).all(axis=1)
-            implied = (-mats.sum(axis=2, dtype=np.int64)) % p
-            implied_ok = (implied != 0).any(axis=1)
-            keep = mats[columns_ok & implied_ok]
-            if len(keep):
-                blocks.append(keep)
-    if blocks:
-        table = np.concatenate(blocks)
-    else:
-        table = np.zeros((0, m, n), dtype=dtype)
+            yield mats
+
+
+def _admissible(mats: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the (m, n) matrices whose n columns and implied image of a_{n+1} are all nonzero."""
+    columns_ok = (mats != 0).any(axis=1).all(axis=1)
+    implied = (-mats.sum(axis=2, dtype=np.int64)) % p
+    return columns_ok & (implied != 0).any(axis=1)
+
+
+@lru_cache(maxsize=6)
+def _theta_table_cached(params: ActionParams) -> np.ndarray:
+    """All admissible rref quotient matrices as an (N, m, n) array, sorted.
+
+    The admissible matrices of ``_rref_walk``.  The walk is not in digit
+    order from n = 4 on, so a final sort gives the order ``KeySet`` relies on.
+    """
+    p, n, m = params.p, params.n, params.m
+    table = np.concatenate([mats[_admissible(mats, p)] for mats in _rref_walk(p, m, n)])
     flat = table.reshape(len(table), m * n)
     order = np.lexsort(flat[:, ::-1].T)
     table = np.ascontiguousarray(table[order])
@@ -372,7 +372,12 @@ class KeySet:
         if any(key.params != params for key in keys):
             raise ValueError("keys must share the key set's parameters")
         rows = np.array([key.digits for key in keys], dtype=_dtype_for(params.p))
-        rows = rows.reshape(-1, params.m, params.n)
+        return cls.from_rows(params, rows.reshape(-1, params.m, params.n))
+
+    @classmethod
+    def from_rows(cls, params: ActionParams, rows: np.ndarray) -> "KeySet":
+        """The distinct rows of an (N, m, n) array of admissible rref matrices at ``params``."""
+        rows = rows.astype(_dtype_for(params.p), copy=False)
         _, first = np.unique(_row_codes(rows), return_index=True)
         return cls(params, rows[first])
 

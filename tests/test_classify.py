@@ -1,6 +1,7 @@
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,9 @@ from zpaction.classify import (
     orbit_partition,
     _fixed_mask,
     _image_rows,
+    _rref_rows,
 )
+from zpaction.fpalgebra import FpMatrix, rref
 from zpaction.hgroup import (
     Permutation,
     close_group,
@@ -35,7 +38,7 @@ from zpaction.hgroup import (
     parse_cycles,
     symmetric_group,
 )
-from zpaction.predictions import predicted_invariant_set
+from zpaction.predictions import case_group, predicted_invariant_set
 
 P5 = ActionParams(5, 3, 2)
 S4 = symmetric_group(4)
@@ -464,3 +467,90 @@ def test_triples_with_no_invariant_keys(mode):
     res = classify_triples(P5, q8, mode=mode)
     assert len(res.invariant) == 0 and res.count == 0
     assert res.normalizer.order == 24
+
+
+# ---------------------------------------------------------------------------
+# the projective-vector scan behind invariant_keys_full, against the table mask
+
+
+def _scan_oracle_cases():
+    """(n, m, p, group name) for every oracle case, grouped so each table is built once."""
+    cases = []
+    for n in (3, 4, 5):
+        names = ["(1 2)", "(1 2 3)", f"{n + 1}-cycle", f"S{n + 1}"]
+        names += ["D3", "K4", "(1 2)(3 4)(5 6)"] if n == 5 else []
+        for m in (1, 2):
+            for p in (2, 3, 5, 7, 11, 13):
+                if (n - 1) * (p - 1) <= 2:
+                    continue  # not hyperbolic
+                for name in names:
+                    if p < 13 or name in ("D3", "K4", "(1 2)(3 4)(5 6)"):
+                        cases.append(pytest.param(n, m, p, name, id=f"n{n}-m{m}-p{p}-{name}"))
+    return cases
+
+
+def _scan_group(n, name):
+    degree = n + 1
+    if name == f"S{degree}":
+        return symmetric_group(degree)
+    if name in ("D3", "K4"):
+        return case_group(f"N5_{name}")
+    if name == f"{degree}-cycle":
+        name = "(" + " ".join(str(j) for j in range(1, degree + 1)) + ")"
+    return close_group([parse_cycles(name, degree)])
+
+
+@pytest.mark.parametrize("n, m, p, name", _scan_oracle_cases())
+def test_invariant_keys_full_matches_the_table_mask(n, m, p, name):
+    params, group = ActionParams(p, n, m), _scan_group(n, name)
+    assert invariant_keys_full(params, group) == invariant_set(KeySet.full(params), group)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_invariant_keys_full_of_the_trivial_group_is_everything(m):
+    params = ActionParams(5, 4, m)  # one common eigenspace, all of F_p^n
+    assert invariant_keys_full(params, close_group([], degree=5)) == KeySet.full(params)
+
+
+def test_invariant_keys_full_does_not_depend_on_the_scan_chunk(monkeypatch):
+    import zpaction.classify
+
+    cases = [
+        (ActionParams(5, 5, 2), D3),
+        (ActionParams(5, 5, 2), close_group([parse_cycles("(1 2)", 6)])),
+        (ActionParams(7, 4, 2), close_group([parse_cycles("(1 2)(3 4)", 5)])),
+        (ActionParams(7, 5, 1), D3),
+    ]
+    expected = [invariant_keys_full(params, group) for params, group in cases]
+    assert all(len(keys) for keys in expected)
+    for chunk in (1, 3, 7):  # block ends fall inside pivot patterns and inside eigenspace walks
+        monkeypatch.setattr(zpaction.classify, "_SCAN_CHUNK", chunk)
+        assert [invariant_keys_full(params, group) for params, group in cases] == expected
+
+
+@pytest.mark.parametrize("p", [17, 19])
+@pytest.mark.parametrize("case", ["N5_D3", "N5_K4"])
+def test_exhaustive_matches_predicted_past_p13(case, p):
+    params, group = ActionParams(p, 5, 2), case_group(case)
+    exhaustive = classify_triples(params, group, mode="exhaustive", max_candidates=10**9)
+    predicted = classify_triples(params, group, mode="predicted")
+    assert exhaustive.invariant == predicted.invariant and len(exhaustive.invariant) > 0
+    assert exhaustive.count == predicted.count
+
+
+@pytest.mark.parametrize("p, m, n", [(5, 3, 5), (7, 4, 4), (2, 3, 6), (13, 2, 3)])
+def test_rref_rows_report_each_rank(p, m, n):
+    params = ActionParams(p, n, 1)  # _rref_rows reads only p from it
+    rng = random.Random(p * 100 + m * 10 + n)
+    matrices = []
+    for rank in range(min(m, n) + 1):  # every rank, built as products of random factors
+        for _ in range(20):
+            left = [[rng.randrange(p) for _ in range(rank)] for _ in range(m)]
+            right = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+            matrices.append([[sum(left[i][k] * right[k][j] for k in range(rank)) % p
+                              for j in range(n)] for i in range(m)])
+    block = np.array(matrices, dtype=np.uint16).reshape(-1, m, n)
+    ranks = _rref_rows(block, params)
+    for matrix, reduced, rank in zip(matrices, block.tolist(), ranks.tolist()):
+        expected, expected_rank = rref(FpMatrix(params.modulus, tuple(map(tuple, matrix)), n))
+        assert (reduced, rank) == ([list(row) for row in expected.entries], expected_rank)

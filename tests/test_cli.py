@@ -295,6 +295,41 @@ def test_scale_cap_is_checked_before_any_group_is_built(args, estimate, monkeypa
 
 
 @pytest.mark.parametrize(
+    "args,order",
+    [
+        (["orbits", "--p", "2", "--n", "9"], 3628800),
+        (["invariants", "--p", "2", "--n", "9"], 3628800),
+        (["orbits", "--p", "2", "--n", "10"], 39916800),
+    ],
+)
+def test_default_group_order_is_capped_before_it_is_built(args, order, monkeypatch, capsys):
+    # these pass the candidate cap, but S_10 alone took minutes and gigabytes to build
+    import zpaction.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the symmetric group was built before the order cap")
+
+    monkeypatch.setattr(zpaction.cli, "symmetric_group", never)
+    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("scale cap exceeded:") and f"(estimated group order: {order})" in err
+
+
+def test_default_group_order_cap_admits_s9(monkeypatch):
+    import zpaction.cli
+
+    class Built(Exception):
+        pass
+
+    def stop(degree):
+        raise Built(degree)
+
+    monkeypatch.setattr(zpaction.cli, "symmetric_group", stop)
+    with pytest.raises(Built, match="^9$"):  # the run gets as far as building S_9
+        main(["orbits", "--p", "2", "--n", "8", "--no-cache"])
+
+
+@pytest.mark.parametrize(
     "command,message",
     [
         ("models", "the fiber-product model is defined for m = 2"),
