@@ -32,9 +32,9 @@ over its generator images and the stacks are echelonized in blocks.
 Rank-2 stacks are candidate planes; rank-1 stacks are common
 eigenvectors, which give the candidate lines and a basis of each common
 eigenspace E_chi, whose planes come from the same rref walk that builds
-the table.  The ``invariant_set`` mask then certifies the candidates.
-At m >= 3 a stable subspace need not have that form, so those keys are
-the mask over the table.
+the table.  The ``invariant_set`` mask certifies each block of
+candidates and keeps only the fixed keys.  At m >= 3 a stable subspace
+need not have that form, so those keys are the mask over the table.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .enumeration import (
     DEFAULT_CANDIDATE_CAP,
     ActionParams,
     KeySet,
+    ScaleCapError,
     SubgroupKey,
     VerificationError,
     _admissible,
@@ -57,9 +58,9 @@ from .enumeration import (
 )
 from .hgroup import PermGroup, Permutation, normalizer_in_symmetric
 
-# Exhaustive triples runs are capped near the p = 17, n = 5 scale; beyond
-# that the predicted families are the intended route.
-TRIPLES_CANDIDATE_CAP = 250_000_000
+# The m <= 2 scan's cap in projective vectors (or eigenspace planes).  At n = 5 it admits
+# p <= 53, whose runs take no longer than the p = 17 table did, and refuses p = 59.
+TRIPLES_CANDIDATE_CAP = 10_000_000
 
 # Projective vectors per block of the invariant-key scan; bounds its working memory.
 _SCAN_CHUNK = 1 << 16
@@ -279,27 +280,53 @@ def _orbit_labels(images: list[np.ndarray], size: int) -> np.ndarray:
         labels = updated
 
 
-def invariant_keys_full(
-    params: ActionParams, group: PermGroup, max_candidates: int = TRIPLES_CANDIDATE_CAP
-) -> KeySet:
-    """All keys in the parameter space fixed by ``group``.
+def _projective_count(p: int, dim: int) -> int:
+    return (p**dim - 1) // (p - 1)
 
-    At m <= 2 the candidates come from ``_stable_candidates``, a scan of
-    the projective vectors that builds no table; at m >= 3 they are the
-    whole table.  Either way ``invariant_set`` certifies them, so it stays
-    the one invariance test and the scan only has to miss no invariant
-    key.  The scale cap is checked first at every m.
+
+def check_invariant_cap(
+    params: ActionParams, max_candidates: int | None = None, planes: int | None = None
+) -> None:
+    """Raise ScaleCapError when ``invariant_keys_full`` at ``params`` exceeds its route's cap.
+
+    At m >= 3 that is ``theta_table``'s cap on table rows.  At m <= 2 it
+    is ``TRIPLES_CANDIDATE_CAP`` on the scan's projective vectors of F_p^n
+    or, once the scan has counted them, its eigenspace ``planes``.
+    ``max_candidates`` (None or 0: the route's cap) overrides either cap.
+    """
+    if params.m > 2:
+        return check_candidate_cap(params, max_candidates or DEFAULT_CANDIDATE_CAP)
+    estimate, unit = ((planes, "eigenspace planes") if planes is not None
+                      else (_projective_count(params.p, params.n), "projective vectors"))
+    if estimate > (max_candidates or TRIPLES_CANDIDATE_CAP):
+        message = f"the invariant scan at (p={params.p}, n={params.n}, m={params.m}) exceeds the cap"
+        raise ScaleCapError(message, estimate, unit)
+
+
+def invariant_keys_full(
+    params: ActionParams, group: PermGroup, max_candidates: int | None = None
+) -> KeySet:
+    """All keys in the parameter space fixed by ``group``, after ``check_invariant_cap``.
+
+    At m <= 2 the candidates come in blocks from ``_stable_candidates``, a
+    scan of the projective vectors that builds no table, and only the keys
+    of each block that ``invariant_set`` certifies are kept, so memory
+    follows the invariant set, not the candidates; at m >= 3 the
+    candidates are the whole table.  Either way ``invariant_set`` stays
+    the one invariance test.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
-    check_candidate_cap(params, max_candidates)
+    check_invariant_cap(params, max_candidates)
     if params.m > 2:
-        return invariant_set(KeySet.full(params, max_candidates), group)
-    return invariant_set(KeySet.from_rows(params, _stable_candidates(params, group)), group)
+        return invariant_set(KeySet.full(params, max_candidates or DEFAULT_CANDIDATE_CAP), group)
+    fixed = [invariant_set(KeySet.from_rows(params, block), group).rows
+             for block in _stable_candidates(params, group, max_candidates)]
+    return KeySet.from_rows(params, np.concatenate(fixed))  # each key comes at most three times
 
 
-def _stable_candidates(params: ActionParams, group: PermGroup) -> np.ndarray:
-    """Admissible rref (m, n) rows that include every Q-stable row space, m <= 2.
+def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: int | None):
+    """Blocks of admissible rref (m, n) rows that include every Q-stable row space, m <= 2.
 
     A relabeling moves a key's rows by one linear map of F_p^n, so a key
     is fixed by Q iff its row space W is stable under every generator.
@@ -312,13 +339,18 @@ def _stable_candidates(params: ActionParams, group: PermGroup) -> np.ndarray:
     One walk over the projective vectors v, ``_SCAN_CHUNK`` at a time,
     stacks v over its generator images and echelonizes the stacks.  Rank 1
     marks a common eigenvector: a candidate line, and a vector of E_chi
-    for chi read off v's pivot entry.  Rank 2 gives a candidate plane.
+    for chi read off v's pivot entry.  Rank 2 gives a candidate plane W
+    with rref rows (r_1, r_2), kept only from v = r_1, r_1 + r_2 or r_2
+    (v's entry at r_2's pivot is at most 1): unless W is of scalar type,
+    at most two points of W are common eigenvectors, so one of the three
+    spans W.
     At m = 2 the planes of each E_chi come from the rref walk over
-    G(2, dim E_chi) times a basis of E_chi.  Rows may repeat.
+    G(2, dim E_chi) times a basis of E_chi, once their count passes the
+    scan cap.  Rows may repeat.
     """
     p, n, m = params.p, params.n, params.m
     dtype = _product_dtype(params)
-    found, eigenspaces = [], {}
+    eigenspaces = {}
     for vectors in _rref_walk(p, 1, n, _SCAN_CHUNK):
         vectors = vectors.astype(dtype)
         images = [_moved_rows(vectors, g, params) for g in group.generators]
@@ -328,21 +360,25 @@ def _stable_candidates(params: ActionParams, group: PermGroup) -> np.ndarray:
         ranks = _rref_rows(stack, params)
         eigen = vectors[ranks == 1]
         if m == 1:
-            found.append(eigen[_admissible(eigen, p)])
+            yield eigen[_admissible(eigen, p)]
             continue
         if images:  # with no generator, every stack is v alone
-            planes = stack[ranks == 2, :2]
-            found.append(planes[_admissible(planes, p)])
+            planes, spanning = stack[ranks == 2, :2], vectors[ranks == 2, 0]
+            second_pivots = (planes[:, 1] != 0).argmax(axis=1)
+            planes = planes[spanning[np.arange(len(planes)), second_pivots] <= 1]
+            yield planes[_admissible(planes, p)]
         labels, inverse = np.unique(characters[ranks == 1], axis=0, return_inverse=True)
         for label, chi in enumerate(map(tuple, labels.tolist())):
             basis = np.concatenate([eigenspaces.get(chi, eigen[:0, 0]), eigen[inverse == label, 0]])
             eigenspaces[chi] = basis[: _rref_rows(basis[None], params)[0]]
+    plane_count = sum(_projective_count(p, len(b)) * _projective_count(p, len(b) - 1) // (p + 1)
+                      for b in eigenspaces.values())  # [dim E_chi choose 2]_p each
+    check_invariant_cap(params, max_candidates, plane_count)
     for basis in eigenspaces.values():
         for coefficients in _rref_walk(p, 2, len(basis), _SCAN_CHUNK):  # none if dim < 2
             planes = coefficients.astype(dtype) @ basis  # a product of rref matrices is rref
             planes %= p
-            found.append(planes[_admissible(planes, p)])
-    return np.concatenate(found)
+            yield planes[_admissible(planes, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +405,7 @@ def classify_triples(
     params: ActionParams,
     group: PermGroup,
     mode: str = "exhaustive",
-    max_candidates: int = TRIPLES_CANDIDATE_CAP,
+    max_candidates: int | None = None,
 ) -> TriplesReport:
     """Count topological classes of actions admitting the symmetry ``group``.
 
@@ -377,17 +413,13 @@ def classify_triples(
     with ``invariant_keys_full`` (at m <= 2 a projective-vector scan, at
     m >= 3 the table, each certified by the invariance mask); ``predicted``
     instantiates the matching closed-form family (and re-verifies every
-    member's invariance).  The
-    classes are the orbits of the invariant set under the normalizer of
-    ``group`` inside S_{n+1}; their Burnside count must agree with the
-    partition, else VerificationError.  An exhaustive run checks the scale
-    cap before the normalizer scan.
+    member's invariance).  The classes are the orbits of the invariant set
+    under the normalizer of ``group`` inside S_{n+1}; their Burnside count
+    must agree with the partition, else VerificationError.  The exhaustive
+    route checks its cap before the normalizer is built.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
-    if mode == "exhaustive":
-        check_candidate_cap(params, max_candidates)
-    normalizer = normalizer_in_symmetric(group)
     if mode == "exhaustive":
         invariant = invariant_keys_full(params, group, max_candidates)
     elif mode == "predicted":
@@ -401,6 +433,7 @@ def classify_triples(
             raise VerificationError(f"predicted member {bad} is not invariant")
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    normalizer = normalizer_in_symmetric(group)
     report = orbit_partition(invariant, normalizer)
     burnside = count_orbits_burnside(invariant, normalizer)  # the invariant set is normalizer-stable
     if burnside != report.count:

@@ -29,22 +29,21 @@ from . import __version__
 from .fpalgebra import NotPrimeError
 from .hgroup import PermGroup, close_group, parse_cycles, symmetric_group
 from .enumeration import (
-    DEFAULT_CANDIDATE_CAP,
     ActionParams,
     AdmissibilityError,
     KeySet,
     ScaleCapError,
     SubgroupKey,
     VerificationError,
-    candidate_estimate,
     check_candidate_cap,
     key_from_digit_string,
     key_from_named,
 )
 from .classify import (
-    TRIPLES_CANDIDATE_CAP,
     burnside_count_full,
+    check_invariant_cap,
     classify_triples,
+    count_orbits_burnside,
     invariant_keys_full,
     orbit_partition,
 )
@@ -248,15 +247,15 @@ def _cap(args) -> dict:
     return {"max_candidates": args.max_candidates} if args.max_candidates else {}
 
 
-def _check_cap(args, default: int) -> None:
-    """Raise ScaleCapError before any group is built; ``default`` is the route's own cap.
+def _check_cap(args, check) -> None:
+    """Raise ScaleCapError before any group is built; ``check`` is the route's own cap check.
 
     At n = 9, S_10, its closure and the normalizer take seconds and
     hundreds of MB, so a run over the cap fails before it builds them.
     Without ``--group`` the group is S_{n+1}, built element by element,
     so its order is capped too, whatever the candidate count.
     """
-    check_candidate_cap(_params(args), args.max_candidates or default)
+    check(_params(args), **_cap(args))
     order = math.factorial(args.n + 1)
     if not args.groups and order > SYMMETRIC_ORDER_CAP:
         raise ScaleCapError(
@@ -267,10 +266,10 @@ def _check_cap(args, default: int) -> None:
 
 
 def _orbits_doc(args) -> dict:
-    _check_cap(args, DEFAULT_CANDIDATE_CAP)
-    params, group = _params(args), _group(args)
-    report = orbit_partition(KeySet.full(params, **_cap(args)), group)
-    burnside = burnside_count_full(params, group, **_cap(args))
+    _check_cap(args, check_candidate_cap)
+    group, keys = _group(args), KeySet.full(_params(args), **_cap(args))
+    report = orbit_partition(keys, group)
+    burnside = count_orbits_burnside(keys, group)
     if burnside != report.count:
         raise VerificationError(f"Burnside {burnside} != partition {report.count}")
     return {**_group_head(args), "count": report.count, "orbits": _orbit_entries(report)}
@@ -282,7 +281,7 @@ def _enumerate_doc(args) -> dict:
 
 
 def _invariants_doc(args) -> dict:
-    _check_cap(args, TRIPLES_CANDIDATE_CAP)
+    _check_cap(args, check_invariant_cap)
     params, group = _params(args), _group(args)
     inv = invariant_keys_full(params, group, **_cap(args))
     return {**_group_head(args), "count": len(inv), "keys": inv.digit_strings()}
@@ -293,7 +292,7 @@ def _triples_doc(args) -> dict:
     if not args.groups:
         raise UsageError("triples requires at least one --group generator")
     if args.mode == "exhaustive":
-        _check_cap(args, TRIPLES_CANDIDATE_CAP)
+        _check_cap(args, check_invariant_cap)
     result = classify_triples(params, _group(args), mode=args.mode, **_cap(args))
     return {
         **_group_head(args),
@@ -360,12 +359,8 @@ def _table_doc(args) -> dict:
     elif args.mode == "predicted":
         count = lambda p: predicted_triple_count(case, p)
     else:
-        if args.primes:  # fail on the first prime over the cap before any row runs
-            for p in primes:
-                check_candidate_cap(ActionParams(p, 5, 2), TRIPLES_CANDIDATE_CAP)
-        else:  # the default primes are those the cap admits
-            primes = [p for p in primes
-                      if candidate_estimate(ActionParams(p, 5, 2)) <= TRIPLES_CANDIDATE_CAP]
+        for p in primes:  # fail on the first prime over the cap before any row runs
+            check_invariant_cap(ActionParams(p, 5, 2))
         group = case_group(case)
         count = lambda p: classify_triples(ActionParams(p, 5, 2), group, mode="exhaustive").count
     rows = [{"p": p, "N": count(p)} for p in primes]

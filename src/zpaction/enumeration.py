@@ -41,7 +41,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -278,10 +278,6 @@ def name_of_key(key: SubgroupKey) -> str | None:
 # enumeration
 
 
-def candidate_estimate(params: ActionParams) -> int:
-    return math.comb(params.n, params.m) * params.p ** (params.m * (params.n - params.m))
-
-
 def _dtype_for(p: int):
     return np.uint8 if p < 256 else np.uint16
 
@@ -326,25 +322,9 @@ def _admissible(mats: np.ndarray, p: int) -> np.ndarray:
     return columns_ok & (implied != 0).any(axis=1)
 
 
-@lru_cache(maxsize=6)
-def _theta_table_cached(params: ActionParams) -> np.ndarray:
-    """All admissible rref quotient matrices as an (N, m, n) array, sorted.
-
-    The admissible matrices of ``_rref_walk``.  The walk is not in digit
-    order from n = 4 on, so a final sort gives the order ``KeySet`` relies on.
-    """
-    p, n, m = params.p, params.n, params.m
-    table = np.concatenate([mats[_admissible(mats, p)] for mats in _rref_walk(p, m, n)])
-    flat = table.reshape(len(table), m * n)
-    order = np.lexsort(flat[:, ::-1].T)
-    table = np.ascontiguousarray(table[order])
-    table.setflags(write=False)
-    return table
-
-
 def check_candidate_cap(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> None:
     """Raise ScaleCapError when enumerating (p, n, m) would exceed ``max_candidates``."""
-    estimate = candidate_estimate(params)
+    estimate = math.comb(params.n, params.m) * params.p ** (params.m * (params.n - params.m))
     if estimate > max_candidates:
         raise ScaleCapError(
             f"enumeration at (p={params.p}, n={params.n}, m={params.m}) exceeds the cap",
@@ -353,9 +333,17 @@ def check_candidate_cap(params: ActionParams, max_candidates: int = DEFAULT_CAND
 
 
 def theta_table(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
-    """Array-level enumeration of the parameter space (internal fast path)."""
+    """All admissible rref quotient matrices as an (N, m, n) array, in digit order.
+
+    The admissible matrices of ``_rref_walk``, sorted at the end: the walk
+    is not in digit order from n = 4 on.
+    """
     check_candidate_cap(params, max_candidates)
-    return _theta_table_cached(params)
+    p, n, m = params.p, params.n, params.m
+    table = np.concatenate([mats[_admissible(mats, p)] for mats in _rref_walk(p, m, n)])
+    flat = table.reshape(len(table), m * n)
+    order = np.lexsort(flat[:, ::-1].T)
+    return np.ascontiguousarray(table[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,7 +371,7 @@ class KeySet:
 
     @classmethod
     def full(cls, params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> "KeySet":
-        """Every admissible key at ``params``: the cached ``theta_table``."""
+        """Every admissible key at ``params``: the ``theta_table``."""
         return cls(params, theta_table(params, max_candidates))
 
     def __len__(self) -> int:

@@ -25,10 +25,6 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
 
 
-class SingularMatrixError(ValueError):
-    """Square matrix with no inverse mod p."""
-
-
 @dataclass(frozen=True, order=True)
 class PrimeModulus:
     """A prime p checked by trial division, with a precomputed inverse table."""
@@ -98,9 +94,6 @@ class FpMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
@@ -109,14 +102,6 @@ class FpMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(e) for e in row) for row in self.entries) + "]"
-
-
-def identity_matrix(modulus: PrimeModulus, n: int) -> FpMatrix:
-    return FpMatrix(modulus, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-def zero_matrix(modulus: PrimeModulus, rows: int, cols: int) -> FpMatrix:
-    return FpMatrix(modulus, tuple((0,) * cols for _ in range(rows)), cols)
 
 
 def _rref_in_place(rows: list[list[int]], cols: int, p: int, inv: tuple[int, ...]) -> int:
@@ -209,14 +194,3 @@ def kernel_basis(matrix: FpMatrix) -> FpMatrix:
     _rref_in_place(rows, n, p, matrix.modulus.inverse_table)
     return FpMatrix(matrix.modulus, tuple(tuple(row) for row in rows), n)
 
-
-def mat_inverse(a: FpMatrix) -> FpMatrix:
-    if a.rows != a.cols:
-        raise DimensionMismatchError("inverse of a non-square matrix")
-    n = a.rows
-    p = a.p
-    rows = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a.entries)]
-    _rref_in_place(rows, 2 * n, p, a.modulus.inverse_table)
-    if any(rows[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
-        raise SingularMatrixError("matrix is singular mod p")
-    return FpMatrix(a.modulus, tuple(tuple(row[n:]) for row in rows), n)

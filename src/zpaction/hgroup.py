@@ -216,17 +216,17 @@ def symmetric_group(degree: int) -> PermGroup:
 def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
     """{tau in S_degree : tau G tau^-1 = G}, by exhaustive scan over S_degree.
 
-    The scan is exact and cheap for degree <= 9, which covers every
-    supported configuration (degree = n+1).
+    Generated by each normalizing tau the scan meets outside the closure of
+    those before, so by at most log2 |N| of them.  The scan is exact and
+    cheap for degree <= 9, which covers every supported degree n+1.
     """
     if group.degree > MAX_NORMALIZER_DEGREE:
         raise ValueError(f"degree {group.degree} too large for exhaustive normalizer scan")
     members = group.element_set
-    gens = group.generators if group.generators else group.elements
-    found = []
+    normalizer = close_group([], group.degree)
     for images in itertools.permutations(range(1, group.degree + 1)):
         tau = Permutation(images)
         tau_inv = tau.inverse()
-        if all((tau * g) * tau_inv in members for g in gens):
-            found.append(tau)
-    return PermGroup(group.degree, tuple(found), tuple(sorted(found)))
+        if tau not in normalizer and all((tau * g) * tau_inv in members for g in group.generators):
+            normalizer = close_group(normalizer.generators + (tau,), group.degree)
+    return normalizer

@@ -251,8 +251,8 @@ def test_triples_checks_the_cap_before_the_normalizer(monkeypatch):
 
     monkeypatch.setattr(zpaction.classify, "normalizer_in_symmetric", never)
     involution = close_group([parse_cycles("(1 2)(3 4)(5 6)", 6)])
-    with pytest.raises(ScaleCapError, match=r"\(estimated candidates: 470458810\)"):
-        classify_triples(ActionParams(19, 5, 2), involution, mode="exhaustive")
+    with pytest.raises(ScaleCapError, match=r"\(estimated projective vectors: 12326281\)"):
+        classify_triples(ActionParams(59, 5, 2), involution, mode="exhaustive")
 
 
 def test_triples_exhaustive_agrees_with_predicted_small():
@@ -500,10 +500,16 @@ def _scan_group(n, name):
     return close_group([parse_cycles(name, degree)])
 
 
+@lru_cache(maxsize=1)
+def _oracle_table(params):
+    """The whole table, built once for the consecutive oracle cases that share it."""
+    return KeySet.full(params)
+
+
 @pytest.mark.parametrize("n, m, p, name", _scan_oracle_cases())
 def test_invariant_keys_full_matches_the_table_mask(n, m, p, name):
     params, group = ActionParams(p, n, m), _scan_group(n, name)
-    assert invariant_keys_full(params, group) == invariant_set(KeySet.full(params), group)
+    assert invariant_keys_full(params, group) == invariant_set(_oracle_table(params), group)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -526,6 +532,26 @@ def test_invariant_keys_full_does_not_depend_on_the_scan_chunk(monkeypatch):
     for chunk in (1, 3, 7):  # block ends fall inside pivot patterns and inside eigenspace walks
         monkeypatch.setattr(zpaction.classify, "_SCAN_CHUNK", chunk)
         assert [invariant_keys_full(params, group) for params, group in cases] == expected
+
+
+def test_identity_like_group_is_refused_before_the_eigenspace_walk(monkeypatch):
+    # the identity has one eigenspace, all of F_5^4: [4 choose 2]_5 = 806 planes, over 500
+    import zpaction.classify
+
+    real = zpaction.classify._rref_walk
+
+    def walk(p, rank, n, chunk):
+        if rank == 2:
+            raise AssertionError("the eigenspace walk started")
+        return real(p, rank, n, chunk)
+
+    monkeypatch.setattr(zpaction.classify, "_rref_walk", walk)
+    identity = close_group([parse_cycles("()", 5)])
+    with pytest.raises(ScaleCapError, match=r"\(estimated eigenspace planes: 806\)"):
+        invariant_keys_full(ActionParams(5, 4, 2), identity, max_candidates=500)
+    # m = 1 walks no planes, so the same cap admits its 156 projective vectors
+    lines = ActionParams(5, 4, 1)
+    assert invariant_keys_full(lines, identity, max_candidates=500) == KeySet.full(lines)
 
 
 @pytest.mark.parametrize("p", [17, 19])

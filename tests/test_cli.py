@@ -227,8 +227,8 @@ def test_invariants_scale_cap_exit_code(capsys):
 def test_route_disagreement_exit_code(monkeypatch, capsys):
     import zpaction.cli
 
-    real = zpaction.cli.burnside_count_full
-    monkeypatch.setattr(zpaction.cli, "burnside_count_full", lambda *a, **k: real(*a, **k) + 1)
+    real = zpaction.cli.count_orbits_burnside
+    monkeypatch.setattr(zpaction.cli, "count_orbits_burnside", lambda *a, **k: real(*a, **k) + 1)
     code, out, err = run_cli(["orbits", "--p", "5", "--n", "3", "--no-cache"], capsys)
     assert code == 3 and out == ""
     assert err == "verification failed: Burnside 5 != partition 4\n"
@@ -254,28 +254,31 @@ def test_triples_route_disagreement_exit_code(args, monkeypatch, capsys):
     assert err.startswith("verification failed: Burnside ") and err.count("\n") == 1
 
 
+SCAN_59 = "projective vectors: 12326281"  # (59^5 - 1) / 58: the first refused prime at n = 5
+
+
 def test_invariants_uses_the_triples_cap(monkeypatch, capsys):
     # the same scan as exhaustive triples, so the same default cap; no table build starts
     import zpaction.enumeration
 
-    def never(params):
+    def never(*args, **kwargs):
         raise AssertionError("the table build started")
 
-    monkeypatch.setattr(zpaction.enumeration, "_theta_table_cached", never)
+    monkeypatch.setattr(zpaction.enumeration, "theta_table", never)
     code, out, err = run_cli(
-        ["invariants", "--p", "19", "--n", "5", "--group", "(1 2)(3 4)(5 6)", "--no-cache"], capsys
+        ["invariants", "--p", "59", "--n", "5", "--group", "(1 2)(3 4)(5 6)", "--no-cache"], capsys
     )
     assert (code, out) == (2, "")
-    assert err.startswith("scale cap exceeded:") and "(estimated candidates: 470458810)" in err
+    assert err.startswith("scale cap exceeded:") and f"(estimated {SCAN_59})" in err
 
 
 @pytest.mark.parametrize(
     "args,estimate",
     [
-        (["orbits", "--p", "113", "--n", "9"], 36 * 113**14),
-        (["invariants", "--p", "19", "--n", "5", "--group", "(1 2)(3 4)(5 6)"], 470458810),
-        (["triples", "--p", "19", "--n", "5", "--group", "(1 2)(3 4)(5 6)"], 470458810),
-        (["triples", "--p", "113", "--n", "9", "--group", "(1 2)"], 36 * 113**14),
+        (["orbits", "--p", "113", "--n", "9"], 36 * 113**14),  # table rows
+        (["invariants", "--p", "59", "--n", "5", "--group", "(1 2)(3 4)(5 6)"], 12326281),
+        (["triples", "--p", "59", "--n", "5", "--group", "(1 2)(3 4)(5 6)"], 12326281),
+        (["triples", "--p", "113", "--n", "9", "--group", "(1 2)"], (113**9 - 1) // 112),
     ],
 )
 def test_scale_cap_is_checked_before_any_group_is_built(args, estimate, monkeypatch, capsys):
@@ -291,7 +294,8 @@ def test_scale_cap_is_checked_before_any_group_is_built(args, estimate, monkeypa
     monkeypatch.setattr(zpaction.classify, "normalizer_in_symmetric", never)
     code, out, err = run_cli(args + ["--no-cache"], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("scale cap exceeded:") and f"(estimated candidates: {estimate})" in err
+    unit = "candidates" if args[0] == "orbits" else "projective vectors"
+    assert err.startswith("scale cap exceeded:") and f"(estimated {unit}: {estimate})" in err
 
 
 @pytest.mark.parametrize(
@@ -484,34 +488,22 @@ def test_exhaustive_table_checks_every_cap_first(monkeypatch, capsys):
 
     monkeypatch.setattr(zpaction.cli, "classify_triples", never)
     code, out, err = run_cli(
-        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--primes", "5,7,19",
+        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--primes", "5,7,59",
          "--no-cache"],
         capsys,
     )
     assert code == 2 and out == ""
-    assert "scale cap exceeded" in err and "470458810" in err  # p = 19, n = 5
+    assert "scale cap exceeded" in err and SCAN_59 in err
 
 
-def test_exhaustive_table_defaults_to_the_primes_the_cap_admits(monkeypatch, capsys):
-    import types
-
-    import zpaction.cli
-
-    computed = []
-
-    def record(params, group, mode):
-        computed.append(params.p)
-        return types.SimpleNamespace(count=0)
-
-    monkeypatch.setattr(zpaction.cli, "classify_triples", record)
-    code, out, _ = run_cli(
-        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--format", "csv",
-         "--no-cache"],
-        capsys,
-    )
-    assert code == 0
-    assert computed == [5, 7, 11, 13, 17]
-    assert out.splitlines() == ["p,N", "5,0", "7,0", "11,0", "13,0", "17,0"]
+@pytest.mark.parametrize("which", ["d3-triples", "k4-triples"])
+def test_default_exhaustive_table_equals_the_predicted_table(which, capsys):
+    # every default prime (up to 31) is admitted, and the scan agrees with the closed forms
+    exhaustive = run_cli(["table", "--which", which, "--mode", "exhaustive", "--no-cache"], capsys)
+    predicted = run_cli(["table", "--which", which, "--mode", "predicted", "--no-cache"], capsys)
+    assert exhaustive == predicted and exhaustive[0] == 0
+    primes = [int(line.split()[0]) for line in predicted[1].splitlines()[1:]]
+    assert primes == list(zpaction.cli.DEFAULT_TABLE_PRIMES[which])
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "predicted"])

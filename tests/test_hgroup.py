@@ -1,12 +1,15 @@
+import itertools
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fp_oracle import mat_inverse
 from zpaction.classify import act
 from zpaction.enumeration import ActionParams, enumerate_actions, key_from_theta
-from zpaction.fpalgebra import FpMatrix, mat_inverse
+from zpaction.fpalgebra import FpMatrix
 from zpaction.hgroup import (
     Permutation,
     close_group,
@@ -155,6 +158,30 @@ def test_normalizer_conjugation_closure():
     for tau in n:
         for g in q:
             assert (tau * g) * tau.inverse() in members
+
+
+def _normalizer_cases():
+    d3 = ["(1 2 3)(4 5 6)", "(1 4)(2 6)(3 5)"]
+    k4 = ["(3 5)(4 6)", "(1 2)(3 4)(5 6)"]
+    c6 = ["(1 2 3)(4 5 6)", "(1 4)(2 5)(3 6)"]
+    cases = {"D3": (6, d3), "K4": (6, k4), "involution": (6, ["(1 2)(3 4)(5 6)"]), "C6": (6, c6)}
+    cases.update({f"trivial-{d}": (d, []) for d in (4, 6)})
+    return [pytest.param(degree, gens, id=name) for name, (degree, gens) in cases.items()]
+
+
+@pytest.mark.parametrize("degree, generators", _normalizer_cases())
+def test_normalizer_matches_brute_force_with_few_generators(degree, generators):
+    q = close_group([parse_cycles(g, degree) for g in generators], degree=degree)
+    members = set(q.elements)
+    brute = set()
+    for images in itertools.permutations(range(1, degree + 1)):
+        tau = Permutation(images)
+        if {(tau * g) * tau.inverse() for g in q.elements} == members:
+            brute.add(tau)
+    n = normalizer_in_symmetric(q)
+    assert set(n.elements) == brute
+    assert close_group(n.generators, degree=degree).element_set == n.element_set
+    assert len(n.generators) <= math.floor(math.log2(n.order)) + 1
 
 
 def test_normalizer_degree_cap():
