@@ -17,10 +17,15 @@ p-gonal model.  The fiber product's exponents are the two rows of
 is (e_1, e_2), so those rows are the coordinates of the images.  y1 takes
 the second row and y2 the first.
 
-Marked points: the branch point at infinity is carried as point index 1
-with an exponent slot like any other; rendering omits its factor, and the
+Marked points: the branch point at infinity is slot 0 of every
+``exponents`` tuple, the image of a_1, labelled ``"inf"``; it has an
+exponent slot like any other point.  Rendering omits its factor, and the
 sum-to-zero exponent invariant encodes its branching implicitly.  That
 keeps the arithmetic uniform with no special cases.
+
+The p+1 lines of Z_p^2 and the normalized functionals of Z_p^m are built
+once per modulus (and m) as immutable tuples, so a per-key decomposition
+does only arithmetic per line.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .enumeration import SubgroupKey, VerificationError
 from .fpalgebra import FpMatrix, PrimeModulus, kernel_basis
@@ -35,7 +42,11 @@ from .fpalgebra import FpMatrix, PrimeModulus, kernel_basis
 
 @dataclass(frozen=True)
 class MarkedPoints:
-    """Display labels for the n+1 marked points; index 1 is infinity."""
+    """Display labels for the n+1 marked points.
+
+    Slot 0 is infinity, the image of a_1, labelled ``"inf"`` in every preset;
+    slot j is the image of a_{j+1}.
+    """
 
     n: int
     labels: tuple[str, ...]
@@ -101,7 +112,7 @@ class CurveModel:
 
     def __post_init__(self) -> None:
         p = self.modulus.p
-        object.__setattr__(self, "exponents", tuple(int(e) % p for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple([int(e) % p for e in self.exponents]))
         if len(self.exponents) != self.points.n + 1:
             raise ValueError("one exponent per marked point required")
         if sum(self.exponents) % p != 0:
@@ -161,10 +172,24 @@ def line(modulus: PrimeModulus, vector) -> FpMatrix:
     return sub
 
 
+@lru_cache(maxsize=None)
+def _plane_lines(modulus: PrimeModulus) -> tuple[FpMatrix, ...]:
+    gens = [(0, 1)] + [(1, c) for c in range(modulus.p)]
+    return tuple(FpMatrix(modulus, (g,)) for g in gens)
+
+
 def lines_of_plane(modulus: PrimeModulus) -> list[FpMatrix]:
     """The p+1 one-dimensional subspaces of Z_p^2, sorted by their rref generator."""
-    gens = [(0, 1)] + [(1, c) for c in range(modulus.p)]
-    return [FpMatrix(modulus, (g,)) for g in gens]
+    return list(_plane_lines(modulus))
+
+
+@lru_cache(maxsize=None)
+def _functionals(modulus: PrimeModulus, m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        (0,) * k + (1,) + rest
+        for k in range(m)
+        for rest in itertools.product(range(modulus.p), repeat=m - 1 - k)
+    )
 
 
 def normalized_functionals(modulus: PrimeModulus, m: int) -> list[tuple[int, ...]]:
@@ -173,34 +198,33 @@ def normalized_functionals(modulus: PrimeModulus, m: int) -> list[tuple[int, ...
     No two of them are proportional, so their kernels are the
     (p^m - 1)/(p - 1) hyperplanes, each exactly once.
     """
-    return [
-        (0,) * k + (1,) + rest
-        for k in range(m)
-        for rest in itertools.product(range(modulus.p), repeat=m - 1 - k)
-    ]
+    return list(_functionals(modulus, m))
 
 
 def _values(key: SubgroupKey, functional) -> list[int]:
     """A functional on Z_p^m evaluated at theta(a_1), ..., theta(a_{n+1})."""
     p = key.params.p
-    return [sum(f * x for f, x in zip(functional, img)) % p for img in key.images]
+    return [sum(map(mul, functional, img)) % p for img in key.images]
 
 
 def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: int) -> int:
     """Riemann-Hurwitz genus of S/L from its deck order and its number of branched marked points.
 
     Over a branched marked point lie deck/p points of multiplicity p; all
-    other points are unramified.  The result must be a nonnegative
-    integer; a violation signals an internal inconsistency.
+    other points are unramified, so 2g - 2 = -2 deck + branched (deck/p)(p - 1).
+    The result must be a nonnegative integer; a violation signals an
+    internal inconsistency.
     """
     p = key.params.p
-    genus = 1 - deck + Fraction(branched * deck * (p - 1), 2 * p)
-    if genus.denominator != 1 or genus < 0:
+    ramified, rest = divmod(branched * deck * (p - 1), 2 * p)
+    genus = 1 - deck + ramified
+    if rest or genus < 0:
+        shown = Fraction(2 * p * (1 - deck) + branched * deck * (p - 1), 2 * p)
         raise VerificationError(
-            f"quotient genus came out as {genus} for key {key}, deck order {deck} "
+            f"quotient genus came out as {shown} for key {key}, deck order {deck} "
             f"and {branched} branched points"
         )
-    return int(genus)
+    return genus
 
 
 def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
@@ -221,14 +245,15 @@ def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
     return _riemann_hurwitz(key, params.p**annihilator.rows, branched)
 
 
-def _pgonal_curve(key: SubgroupKey, values: list[int], points: MarkedPoints | None) -> CurveModel:
+def _pgonal_curve(key: SubgroupKey, values: list[int], points: MarkedPoints) -> CurveModel:
     """The p-cover with exponents ``values``, scaled so the first nonzero finite one is 1."""
     params = key.params
     lead = next((e for e in values[1:] if e), None)
-    assert lead is not None  # rank 2 forces a branched finite point
+    if lead is None:  # rank 2 forces a branched finite point
+        raise VerificationError(f"no finite point is branched for key {key}: values {values}")
+    p = params.p
     scale = params.modulus.inv(lead)
-    pts = points if points is not None else MarkedPoints.standard(params.n)
-    return CurveModel(params.modulus, pts, tuple(scale * e % params.p for e in values))
+    return CurveModel(params.modulus, points, tuple([scale * e % p for e in values]))
 
 
 def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = None) -> CurveModel:
@@ -245,7 +270,8 @@ def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = 
     annihilator = kernel_basis(sub)
     if sub.cols != 2 or annihilator.rows != 1:
         raise ValueError("L must be a line in Z_p^2")
-    return _pgonal_curve(key, _values(key, annihilator.entries[0]), points)
+    pts = points if points is not None else MarkedPoints.standard(params.n)
+    return _pgonal_curve(key, _values(key, annihilator.entries[0]), pts)
 
 
 def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) -> FiberProductModel:
@@ -327,13 +353,15 @@ def jacobian_decomposition(key: SubgroupKey, points: MarkedPoints | None = None)
     if params.m != 2:
         raise ValueError("the line decomposition is defined for m = 2")
     p = params.p
+    pts = points if points is not None else MarkedPoints.standard(params.n)
+    xs, ys = zip(*key.images)
     entries = []
-    for ln in lines_of_plane(params.modulus):
+    for ln in _plane_lines(params.modulus):
         ((a, b),) = ln.entries
-        values = _values(key, (b, -a))
+        values = [(b * x - a * y) % p for x, y in zip(xs, ys)]
         zeros = values.count(0)
         genus = _riemann_hurwitz(key, p, len(values) - zeros)
-        entries.append(JacobianLine(ln, genus, p * zeros, _pgonal_curve(key, values, points)))
+        entries.append(JacobianLine(ln, genus, p * zeros, _pgonal_curve(key, values, pts)))
     total = total_genus(p, params.n, params.m)
     return JacobianReport(key, tuple(entries), total)
 
@@ -362,7 +390,7 @@ def conjecture_probe(key: SubgroupKey) -> ConjectureProbe:
     p = params.p
     total = total_genus(p, params.n, params.m)
     sum_genus = 0
-    for functional in normalized_functionals(params.modulus, params.m):
+    for functional in _functionals(params.modulus, params.m):
         values = _values(key, functional)
         sum_genus += _riemann_hurwitz(key, p, len(values) - values.count(0))
     return ConjectureProbe(sum_genus, total)

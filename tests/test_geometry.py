@@ -2,15 +2,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zpaction.fpalgebra import FpMatrix, PrimeModulus, kernel_basis
 from zpaction.enumeration import (
     ActionParams,
+    AdmissibilityError,
+    VerificationError,
     classify_type,
     enumerate_actions,
     key_from_named,
+    key_from_theta,
 )
 from zpaction.classify import act
 from zpaction.geometry import (
@@ -18,6 +21,8 @@ from zpaction.geometry import (
     CurveModel,
     FiberProductModel,
     MarkedPoints,
+    _pgonal_curve,
+    _riemann_hurwitz,
     conjecture_probe,
     fiber_product_model,
     jacobian_decomposition,
@@ -211,6 +216,55 @@ def test_hyperplane_count():
         assert len(kernels) == len(functionals)
 
 
+def test_pgonal_curve_without_branched_finite_point_is_verification_error():
+    # an all-zero finite column must not reach modulus.inv, even under python -O
+    key = key_from_named(ActionParams(5, 3, 2), "K(0,1)")
+    with pytest.raises(VerificationError, match="no finite point is branched"):
+        _pgonal_curve(key, [0, 0, 0, 0], MarkedPoints.standard(3))
+
+
+def test_riemann_hurwitz_matches_fraction_formula():
+    for p in (2, 3, 5, 7):
+        key = key_from_theta(ActionParams(p, 4, 2), [[1, 0, 1, 1], [0, 1, 1, 0]])
+        for deck in (p, p**2, p**3):
+            for branched in range(9):
+                genus = 1 - deck + Fraction(branched * deck * (p - 1), 2 * p)
+                if genus.denominator == 1 and genus >= 0:
+                    assert _riemann_hurwitz(key, deck, branched) == genus
+                else:
+                    with pytest.raises(VerificationError, match=f"came out as {genus} "):
+                        _riemann_hurwitz(key, deck, branched)
+
+
+def test_line_and_functional_tables_are_not_shared():
+    modulus = PrimeModulus(5)
+    key = key_from_named(ActionParams(5, 3, 2), "K(1,2)")
+    before = jacobian_decomposition(key)
+    lines = lines_of_plane(modulus)
+    fresh = list(lines)
+    lines.reverse()
+    lines.append(FpMatrix(modulus, ((1, 1),)))
+    functionals = normalized_functionals(modulus, 2)
+    kept = list(functionals)
+    functionals.clear()
+    assert lines_of_plane(modulus) == fresh and normalized_functionals(modulus, 2) == kept
+    assert jacobian_decomposition(key) == before
+    assert conjecture_probe(key).equal
+
+
+@pytest.mark.parametrize("preset", ["d3", "k4"])
+def test_jacobian_labels_change_only_labels(preset):
+    points = points_preset(preset, 5)
+    for key in enumerate_actions(ActionParams(3, 5, 2))[::7]:
+        standard = jacobian_decomposition(key)
+        labelled = jacobian_decomposition(key, points)
+        assert labelled.genera == standard.genera and labelled.total == standard.total
+        for ours, theirs in zip(labelled.lines, standard.lines):
+            assert ours.line == theirs.line and ours.fixed_points == theirs.fixed_points
+            assert ours.model.exponents == theirs.model.exponents
+            assert ours.model.points == points and theirs.model.points == MarkedPoints.standard(5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(enumerate_actions(ActionParams(3, 4, 2))),
@@ -274,28 +328,54 @@ def test_quotient_genus_matches_element_listing(p, n, m):
             assert quotient_genus(key, sub) == _oracle_genus(p, m, elements, key.images)
 
 
+def _check_jacobian_by_listing(key, lines):
+    """``jacobian_decomposition(key)`` against lines given as (matrix, element set)."""
+    p = key.params.p
+    images = key.images
+    report = jacobian_decomposition(key)
+    assert [entry.line for entry in report.lines] == [ln for ln, _ in lines]
+    for entry, (ln, elements) in zip(report.lines, lines):
+        genus = _oracle_genus(p, 2, elements, images)
+        assert entry.genus == genus == quotient_genus(key, ln)
+        assert entry.fixed_points == p * sum(1 for img in images if img in elements)
+        # exponent of x: the e with x - e*g in L, g the first finite image outside L
+        g = next(img for img in images[1:] if img not in elements)
+        exponents = tuple(
+            next(
+                e for e in range(p)
+                if tuple((x - e * y) % p for x, y in zip(img, g)) in elements
+            )
+            for img in images
+        )
+        assert entry.model.exponents == exponents == pgonal_model(key, ln).exponents
+
+
+def _listed_lines(modulus):
+    return [(ln, _elements(ln.entries, modulus.p, 2)) for ln in lines_of_plane(modulus)]
+
+
 @pytest.mark.parametrize("p,n", [(5, 3), (3, 5), (7, 4)])
 def test_jacobian_lines_match_element_listing(p, n):
     params = ActionParams(p, n, 2)
-    lines = [(ln, _elements(ln.entries, p, 2)) for ln in lines_of_plane(params.modulus)]
+    lines = _listed_lines(params.modulus)
     for key in enumerate_actions(params):
-        images = key.images
-        report = jacobian_decomposition(key)
-        assert [entry.line for entry in report.lines] == [ln for ln, _ in lines]
-        for entry, (ln, elements) in zip(report.lines, lines):
-            genus = _oracle_genus(p, 2, elements, images)
-            assert entry.genus == genus == quotient_genus(key, ln)
-            assert entry.fixed_points == p * sum(1 for img in images if img in elements)
-            # exponent of x: the e with x - e*g in L, g the first finite image outside L
-            g = next(img for img in images[1:] if img not in elements)
-            exponents = tuple(
-                next(
-                    e for e in range(p)
-                    if tuple((x - e * y) % p for x, y in zip(img, g)) in elements
-                )
-                for img in images
-            )
-            assert entry.model.exponents == exponents == pgonal_model(key, ln).exponents
+        _check_jacobian_by_listing(key, lines)
+
+
+# The benchmark's largest m = 2 classes, too large to enumerate here.
+_SAMPLED_CLASSES = {(p, n): _listed_lines(PrimeModulus(p)) for p, n in ((31, 4), (13, 5))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SAMPLED_CLASSES)), st.data())
+def test_jacobian_sampled_large_classes_match_element_listing(pn, data):
+    p, n = pn
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=2, max_size=2))
+    try:
+        key = key_from_theta(ActionParams(p, n, 2), rows)
+    except AdmissibilityError:
+        assume(False)
+    _check_jacobian_by_listing(key, _SAMPLED_CLASSES[pn])
 
 
 @pytest.mark.parametrize("p,n,m", [(3, 4, 1), (3, 4, 3)])
