@@ -4,7 +4,9 @@ Twelve numbered checks pin the package to its ground truth: published
 orbit and class-count tables, closed-form invariant families, genus
 identities, model emission, and randomized structural properties (1000
 seeded trials each).  Each check raises AssertionError with a diagnostic
-on failure and returns a one-line detail string on success.
+on failure, through ``_require`` rather than ``assert`` so that
+``python -O`` checks the same, and returns a one-line detail string on
+success.
 
 Run via ``zpaction verify`` or through tests/test_acceptance.py.
 """
@@ -54,6 +56,11 @@ PRIMES_TO_113 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61
 PRIMES_TO_31 = [p for p in PRIMES_TO_113 if p <= 31]
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise AssertionError(message)
+
+
 def _s4():
     return symmetric_group(4)
 
@@ -71,18 +78,18 @@ def check_1_orbit_table() -> str:
     start = time.perf_counter()
     for p, expected in N3_ORBIT_TABLE.items():
         got = orbit_partition(KeySet.full(ActionParams(p, 3, 2)), _s4()).count
-        assert got == expected, f"p={p}: {got} orbits, expected {expected}"
+        _require(got == expected, f"p={p}: {got} orbits, expected {expected}")
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"orbit table took {elapsed:.1f}s, budget 10s"
+    _require(elapsed < 10.0, f"orbit table took {elapsed:.1f}s, budget 10s")
     return f"10 primes up to 113 match; {elapsed:.2f}s"
 
 
 def check_2_space_sizes() -> str:
     """|F(5,3,2)| = 27 and |F(p,3,2)| = p^2 + p - 3 for primes up to 113."""
-    assert len(KeySet.full(ActionParams(5, 3, 2))) == 27
+    _require(len(KeySet.full(ActionParams(5, 3, 2))) == 27, "|F(5,3,2)| != 27")
     for p in PRIMES_TO_113:
         got = len(KeySet.full(ActionParams(p, 3, 2)))
-        assert got == p * p + p - 3, f"p={p}: {got} != p^2+p-3"
+        _require(got == p * p + p - 3, f"p={p}: {got} != p^2+p-3")
     return f"{len(PRIMES_TO_113)} primes (3..113; p=2 is non-hyperbolic at n=3)"
 
 
@@ -90,10 +97,10 @@ def check_3_p5_representatives() -> str:
     """The four p=5 orbits contain K(0,1), K(0,2), K(0,4), K(1,2) separately."""
     params = ActionParams(5, 3, 2)
     report = orbit_partition(KeySet.full(params), _s4())
-    assert report.count == 4, f"expected 4 orbits, got {report.count}"
+    _require(report.count == 4, f"expected 4 orbits, got {report.count}")
     named = [key_from_named(params, n) for n in ("K(0,1)", "K(0,2)", "K(0,4)", "K(1,2)")]
     indices = {report.orbit_of(k) for k in named}
-    assert len(indices) == 4, "named representatives are not in pairwise distinct orbits"
+    _require(len(indices) == 4, "named representatives are not in pairwise distinct orbits")
     return "4 orbits, named representatives pairwise inequivalent"
 
 
@@ -106,14 +113,13 @@ def check_4_invariant_sets() -> str:
             case = f"N3_Q{j}"
             generic = sorted(invariant_set(keys, case_group(case)).keys())
             predicted = predicted_invariant_set(case, p)
-            assert generic == predicted, (
-                f"{case} at p={p}: generic {len(generic)} keys != predicted {len(predicted)}"
-            )
+            _require(generic == predicted,
+                     f"{case} at p={p}: generic {len(generic)} keys != predicted {len(predicted)}")
         # three-cycle invariance is empty exactly when p = 3 or p = 2 mod 3
         empty = not predicted_invariant_set("N3_Q3", p)
-        assert empty == (p == 3 or p % 3 == 2), f"Q3 emptiness wrong at p={p}"
+        _require(empty == (p == 3 or p % 3 == 2), f"Q3 emptiness wrong at p={p}")
     elapsed = time.perf_counter() - start
-    assert elapsed < 5.0, f"invariant sets took {elapsed:.1f}s, budget 5s"
+    _require(elapsed < 5.0, f"invariant sets took {elapsed:.1f}s, budget 5s")
     return f"8 cases x 3 primes, exact set equality; {elapsed:.2f}s"
 
 
@@ -124,18 +130,18 @@ def check_5_d3_triples() -> str:
     exhaustive_13 = None
     for p, expected in D3_TRIPLE_TABLE.items():
         predicted = classify_triples(ActionParams(p, 5, 2), group, mode="predicted")
-        assert predicted.count == expected, f"p={p} predicted {predicted.count} != {expected}"
-        assert predicted.normalizer.order == 36
+        _require(predicted.count == expected, f"p={p} predicted {predicted.count} != {expected}")
+        order = predicted.normalizer.order
+        _require(order == 36, f"p={p}: normalizer order {order} != 36")
         if p <= 13:
             t0 = time.perf_counter()
             exhaustive = classify_triples(ActionParams(p, 5, 2), group, mode="exhaustive")
             if p == 13:
                 exhaustive_13 = time.perf_counter() - t0
-            assert exhaustive.count == expected, f"p={p} exhaustive {exhaustive.count}"
-            assert exhaustive.invariant == predicted.invariant, f"p={p} invariant sets differ"
-    assert exhaustive_13 is not None and exhaustive_13 < 60.0, (
-        f"exhaustive p=13 took {exhaustive_13:.1f}s, budget 60s"
-    )
+            _require(exhaustive.count == expected, f"p={p} exhaustive {exhaustive.count}")
+            _require(exhaustive.invariant == predicted.invariant, f"p={p} invariant sets differ")
+    _require(exhaustive_13 is not None, "exhaustive p=13 did not run")
+    _require(exhaustive_13 < 60.0, f"exhaustive p=13 took {exhaustive_13:.1f}s, budget 60s")
     elapsed = time.perf_counter() - start
     return f"9 primes; exhaustive p<=13 agrees; p=13 in {exhaustive_13:.1f}s; total {elapsed:.1f}s"
 
@@ -146,7 +152,7 @@ def check_6_d3_formula() -> str:
     for p in D3_TRIPLE_TABLE:
         formula = predicted_triple_count("N5_D3", p)
         direct = classify_triples(ActionParams(p, 5, 2), group, mode="predicted").count
-        assert formula == direct, f"p={p}: formula {formula} != direct {direct}"
+        _require(formula == direct, f"p={p}: formula {formula} != direct {direct}")
     return f"formula = partition count for {len(D3_TRIPLE_TABLE)} primes"
 
 
@@ -157,10 +163,11 @@ def check_7_k4_triples() -> str:
         expected = 3 if p == 2 else p + 4
         predicted = classify_triples(ActionParams(p, 5, 2), group, mode="predicted")
         exhaustive = classify_triples(ActionParams(p, 5, 2), group, mode="exhaustive")
-        assert predicted.count == expected, f"p={p} predicted {predicted.count} != {expected}"
-        assert exhaustive.count == expected, f"p={p} exhaustive {exhaustive.count} != {expected}"
-        assert exhaustive.invariant == predicted.invariant, f"p={p} invariant sets differ"
-        assert predicted.normalizer.order == 16
+        _require(predicted.count == expected, f"p={p} predicted {predicted.count} != {expected}")
+        _require(exhaustive.count == expected, f"p={p} exhaustive {exhaustive.count} != {expected}")
+        _require(exhaustive.invariant == predicted.invariant, f"p={p} invariant sets differ")
+        order = predicted.normalizer.order
+        _require(order == 16, f"p={p}: normalizer order {order} != 16")
     return "p in {2..13}: counts 3 / p+4, exhaustive = predicted"
 
 
@@ -168,11 +175,11 @@ def check_8_small_prime_examples() -> str:
     """Threefold symmetry at p=3: 7 invariant groups in 3 classes; p=2: 3 in 1."""
     group = _d3_group()
     res3 = classify_triples(ActionParams(3, 5, 2), group, mode="exhaustive")
-    assert len(res3.invariant) == 7, f"|C_3| = {len(res3.invariant)} != 7"
-    assert res3.count == 3, f"p=3 classes {res3.count} != 3"
+    _require(len(res3.invariant) == 7, f"|C_3| = {len(res3.invariant)} != 7")
+    _require(res3.count == 3, f"p=3 classes {res3.count} != 3")
     res2 = classify_triples(ActionParams(2, 5, 2), group, mode="exhaustive")
-    assert len(res2.invariant) == 3, f"|C_2| = {len(res2.invariant)} != 3"
-    assert res2.count == 1, f"p=2 classes {res2.count} != 1"
+    _require(len(res2.invariant) == 3, f"|C_2| = {len(res2.invariant)} != 3")
+    _require(res2.count == 1, f"p=2 classes {res2.count} != 1")
     return "p=3: 7 groups / 3 classes; p=2: 3 groups / 1 class"
 
 
@@ -182,10 +189,10 @@ def check_9_jacobian_sums() -> str:
     for p in (3, 5, 7):
         for key in enumerate_actions(ActionParams(p, 3, 2)):
             report = jacobian_decomposition(key)
-            assert report.genus_sum == (p - 1) ** 2, f"{key}: genus sum {report.genus_sum}"
-            assert report.fixed_sum == 4 * p, f"{key}: fixed sum {report.fixed_sum}"
+            _require(report.genus_sum == (p - 1) ** 2, f"{key}: genus sum {report.genus_sum}")
+            _require(report.fixed_sum == 4 * p, f"{key}: fixed sum {report.fixed_sum}")
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"jacobian sweep took {elapsed:.1f}s, budget 10s"
+    _require(elapsed < 10.0, f"jacobian sweep took {elapsed:.1f}s, budget 10s")
     return f"all keys at p=3,5,7: sums exact; {elapsed:.2f}s"
 
 
@@ -195,11 +202,11 @@ def check_10_model_emission() -> str:
     for p in (5, 7, 11):
         params = ActionParams(p, 3, 2)
         fm = fiber_product_model(key_from_named(params, f"K(0,{p - 1})"), pts)
-        assert fm.first.exponents == (0, 1, p - 1, 0), f"y1 exponents wrong at p={p}"
-        assert fm.second.exponents == (1, 0, 0, p - 1), f"y2 exponents wrong at p={p}"
-        assert render_model(fm) == (
-            f"y1^{p} = x*(x - 1)^{p - 1} ; y2^{p} = (x - λ)^{p - 1}"
-        )
+        _require(fm.first.exponents == (0, 1, p - 1, 0), f"y1 exponents wrong at p={p}")
+        _require(fm.second.exponents == (1, 0, 0, p - 1), f"y2 exponents wrong at p={p}")
+        got = render_model(fm)
+        expected = f"y1^{p} = x*(x - 1)^{p - 1} ; y2^{p} = (x - λ)^{p - 1}"
+        _require(got == expected, f"p={p}: {got!r}")
     table = {
         "K(0,1)": "y1^5 = x*(x - 1)*(x - λ)^3 ; y2^5 = (x - λ)^4",
         "K(0,2)": "y1^5 = x*(x - 1)^2*(x - λ)^2 ; y2^5 = (x - λ)^4",
@@ -209,7 +216,7 @@ def check_10_model_emission() -> str:
     params5 = ActionParams(5, 3, 2)
     for name, expected in table.items():
         got = render_model(fiber_product_model(key_from_named(params5, name), pts))
-        assert got == expected, f"{name}: {got!r}"
+        _require(got == expected, f"{name}: {got!r}")
     return "example family at p=5,7,11 and all four p=5 table rows exact"
 
 
@@ -226,19 +233,18 @@ def check_11_oracles_and_properties() -> str:
     """Route equivalences plus 1000 seeded trials per structural property."""
     for p, n, m in [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 4, 2)]:
         params = ActionParams(p, n, m)
-        assert enumerate_actions(params) == brute_force_oracle(params), (
-            f"enumeration routes disagree at ({p},{n},{m})"
-        )
+        _require(enumerate_actions(params) == brute_force_oracle(params),
+                 f"enumeration routes disagree at ({p},{n},{m})")
     # Burnside = partition count at every configuration exercised above
     s4 = _s4()
     for p in N3_ORBIT_TABLE:
         params = ActionParams(p, 3, 2)
-        assert burnside_count_full(params, s4) == N3_ORBIT_TABLE[p], f"Burnside differs at p={p}"
+        _require(burnside_count_full(params, s4) == N3_ORBIT_TABLE[p], f"Burnside differs at p={p}")
     for case, group in (("N5_D3", _d3_group()), ("N5_K4", _k4_group())):
         for p in (5, 7, 11, 13):
             res = classify_triples(ActionParams(p, 5, 2), group, mode="predicted")
             burnside = count_orbits_burnside(res.invariant, res.normalizer)
-            assert burnside == res.count, f"{case} p={p}: Burnside {burnside} != {res.count}"
+            _require(burnside == res.count, f"{case} p={p}: Burnside {burnside} != {res.count}")
     rng = random.Random(SEED)
     pools = _property_pools()
 
@@ -252,8 +258,9 @@ def check_11_oracles_and_properties() -> str:
         key = rng.choice(pool)
         degree = key.params.n + 1
         sigma, tau = random_perm(degree), random_perm(degree)
-        assert act(sigma * tau, key) == act(sigma, act(tau, key))
-        assert act(Permutation.identity(degree), key) == key
+        _require(act(sigma * tau, key) == act(sigma, act(tau, key)),
+                 f"{key}: act(sigma * tau) != act(sigma) act(tau)")
+        _require(act(Permutation.identity(degree), key) == key, f"{key}: the identity moves it")
 
     for _ in range(TRIALS):  # rref idempotence
         p = rng.choice([2, 3, 5, 7, 11, 13])
@@ -262,13 +269,14 @@ def check_11_oracles_and_properties() -> str:
         mat = FpMatrix(modulus, tuple(tuple(rng.randrange(p) for _ in range(c)) for _ in range(r)))
         reduced, rank = rref(mat)
         again, rank2 = rref(reduced)
-        assert again == reduced and rank == rank2
+        _require(again == reduced and rank == rank2, "rref is not idempotent")
 
     for _ in range(TRIALS):  # admissibility preserved under the action
         pool = rng.choice(pools)
         key = rng.choice(pool)
         moved = act(random_perm(key.params.n + 1), key)
-        assert isinstance(moved, SubgroupKey)  # construction re-validates
+        # construction re-validates
+        _require(isinstance(moved, SubgroupKey), f"{key}: the action leaves the admissible keys")
 
     for _ in range(TRIALS):  # quotient genus integral and nonnegative
         pool = rng.choice(pools)
@@ -279,23 +287,24 @@ def check_11_oracles_and_properties() -> str:
         sub = subspace(key.params.modulus, vectors) if vectors else subspace(
             key.params.modulus, [(0,) * m]
         )
-        assert quotient_genus(key, sub) >= 0
+        _require(quotient_genus(key, sub) >= 0, f"{key}: negative quotient genus")
 
     return f"4 oracle configs, Burnside everywhere, 4x{TRIALS} trials, zero failures"
 
 
 def check_12_genus_formulas() -> str:
     """Genus formula specializations for all primes up to 31."""
-    assert total_genus(2, 5, 2) == 3
+    _require(total_genus(2, 5, 2) == 3, "total_genus(2, 5, 2) != 3")
     for p in PRIMES_TO_31:
-        assert total_genus(p, 3, 2) == (p - 1) ** 2
-        assert total_genus(p, 5, 2) == (p - 1) * (2 * p - 1)
+        _require(total_genus(p, 3, 2) == (p - 1) ** 2, f"p={p}: total_genus(p, 3, 2) != (p-1)^2")
+        _require(total_genus(p, 5, 2) == (p - 1) * (2 * p - 1),
+                 f"p={p}: total_genus(p, 5, 2) != (p-1)(2p-1)")
         for n in (3, 4, 5):
             fermat = 1 + p ** (n - 1) * ((n - 1) * (p - 1) - 2) // 2
-            assert total_genus(p, n, n) == fermat, f"m=n genus wrong at (p,n)=({p},{n})"
+            _require(total_genus(p, n, n) == fermat, f"m=n genus wrong at (p,n)=({p},{n})")
     for n in (5, 7):  # p=2 needs n >= 4 for hyperbolicity
         fermat = 1 + 2 ** (n - 1) * ((n - 1) - 2) // 2
-        assert total_genus(2, n, n) == fermat
+        _require(total_genus(2, n, n) == fermat, f"n={n}: total_genus(2, n, n) wrong")
     return "(p-1)^2, (p-1)(2p-1), 3 at (2,5,2), and m=n cases for primes <= 31"
 
 

@@ -27,14 +27,19 @@ propagation.  ``act`` is the per-key pure-Python action the tests check
 these against.
 
 The invariant keys of the whole space at m <= 2 come from a scan of the
-projective vectors of F_p^n, not from the table: each vector is stacked
-over its generator images and the stacks are echelonized in blocks.
-Rank-2 stacks are candidate planes; rank-1 stacks are common
+projective vectors v of F_p^n, not from the table.  Each block of v is
+moved by every generator, and the rank of span(v, g_1 v, ..., g_r v) is
+read in closed form: with c the pivot of v, each image reduces against v
+to w_i = g_i v - chi_i v, chi_i = (g_i v)[c], and the rank is 1 if every
+w_i is 0 and 2 if they are all multiples of one.  No stack is
+echelonized.  Rank-2 spans are candidate planes; rank-1 spans are common
 eigenvectors, which give the candidate lines and a basis of each common
 eigenspace E_chi, whose planes come from the same rref walk that builds
 the table.  The ``invariant_set`` mask certifies each block of
 candidates and keeps only the fixed keys.  At m >= 3 a stable subspace
 need not have that form, so those keys are the mask over the table.
+``_rref_rows`` stays the one batched elimination, for the eigenspace
+bases and for orbit closure.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ def act(sigma: Permutation, key: SubgroupKey) -> SubgroupKey:
 def _product_dtype(params: ActionParams):
     """Narrowest unsigned dtype for the array products before their reduction mod p.
 
-    Those are ``coeff @ block`` in ``_fixed_mask`` and the row updates of
-    ``_rref_rows``; entries below p bound both by n(p-1)^2 + p, as m <= n.
+    Those are ``coeff @ block`` in ``_fixed_mask``, the row updates of
+    ``_rref_rows`` and the reductions of ``_orbit_spans``; entries below p
+    bound them all by n(p-1)^2 + p, as m <= n.
     """
     bound = params.n * (params.p - 1) ** 2 + params.p
     return np.uint16 if bound < 1 << 16 else np.uint32 if bound < 1 << 32 else np.uint64
@@ -248,6 +254,81 @@ def _rref_rows(block: np.ndarray, params: ActionParams) -> np.ndarray:
     return rank
 
 
+def _orbit_spans(vectors: np.ndarray, images: list[np.ndarray], params: ActionParams):
+    """Characters, rank and rref plane of each span(v, g_1 v, ..., g_r v), without elimination.
+
+    ``vectors`` holds K rref rows v, (K, 1, n), each with its leading 1
+    at a column c; ``images`` holds each generator's (K, 1, n) images
+    g_i v.  Returns the (K, r) characters chi_i = (g_i v)[c], the (K,)
+    ranks capped at 3 (3 stands for any rank above 2), and the (K_2, 2, n)
+    rref rows of the rank-2 spans, in row order.
+
+    Each image reduces against v to w_i = g_i v - chi_i v, which is 0 at
+    c.  The span has rank 1 iff every w_i is 0.  Otherwise let u be the
+    first nonzero w_i scaled to a leading 1 at its column d: the rank is
+    2 iff every w_i - w_i[d] u is 0 (always so for that first w_i and the
+    zero ones before it, so w_1 is never tested), and the plane's rref
+    rows are u and v - v[d] u, ordered by pivot.  The work runs on (n, K)
+    transposes, one contiguous row of K entries per column, since numpy
+    is slow on a short last axis.  Entries stay below p, so the products
+    stay below p^2 and fit the product dtype.
+    """
+    p = params.p
+    count = len(vectors)
+    ranks = np.ones(count, dtype=np.intp)
+    if not images:
+        return vectors[:, 0, :0], ranks, vectors[:0].repeat(2, axis=1)
+    spread = np.arange(count)
+    v = np.ascontiguousarray(vectors[:, 0].T)
+    pivots = _leading(v)
+    characters = np.empty((count, len(images)), dtype=vectors.dtype)
+    reduced, nonzero = [], []
+    for i, image in enumerate(images):
+        w = image[:, 0].T.copy()  # C order; a K = 1 transpose would be a view of the image
+        characters[:, i] = chi = w[pivots, spread]
+        w += (p - chi) * v
+        w %= p
+        reduced.append(w)
+        nonzero.append(_nonzero_columns(w))
+    u = reduced[-1]
+    for w, found in zip(reduced[-2::-1], nonzero[-2::-1]):
+        u = np.where(found, w, u)
+    d = _leading(u)
+    inverse = np.array(params.modulus.inverse_table, dtype=u.dtype)
+    u = u * inverse[u[d, spread]]
+    u %= p
+    outside = np.zeros(count, dtype=bool)
+    for w in reduced[1:]:
+        residue = w + (p - w[d, spread]) * u
+        residue %= p
+        outside |= _nonzero_columns(residue)
+    spanned = np.logical_or.reduce(nonzero)
+    ranks[spanned] = np.where(outside[spanned], 3, 2)
+    k = np.flatnonzero(ranks == 2)
+    u, d, v = np.take(u, k, axis=1), d[k], np.take(v, k, axis=1)  # take beats fancy indexing here
+    rest = v + (p - v[d, np.arange(len(k))]) * u
+    rest %= p
+    v_first = pivots[k] < d
+    planes = np.stack([np.where(v_first, rest, u), np.where(v_first, u, rest)])
+    return characters, ranks, np.ascontiguousarray(planes.transpose(2, 0, 1))
+
+
+def _leading(columns: np.ndarray) -> np.ndarray:
+    """Row of the first nonzero entry in each column of an (n, K) array; 0 for a zero column."""
+    lead = np.zeros(columns.shape[1], dtype=np.intp)
+    for j in range(len(columns) - 1, -1, -1):  # the least row is written last
+        lead[columns[j] != 0] = j
+    return lead
+
+
+def _nonzero_columns(columns: np.ndarray) -> np.ndarray:
+    """Mask of the nonzero columns of an (n, K) array, reduced one row at a time."""
+    found = columns[0] != 0
+    for row in columns[1:]:
+        found |= row != 0
+    return found
+
+
 def _image_rows(keys: KeySet, sigma: Permutation) -> np.ndarray:
     """Row of each key's image under sigma."""
     moved = _moved_rows(keys.rows, sigma, keys.params)
@@ -337,13 +418,15 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
     eigenspace E_chi, chi the tuple of those scalars.
 
     One walk over the projective vectors v, ``_SCAN_CHUNK`` at a time,
-    stacks v over its generator images and echelonizes the stacks.  Rank 1
-    marks a common eigenvector: a candidate line, and a vector of E_chi
-    for chi read off v's pivot entry.  Rank 2 gives a candidate plane W
-    with rref rows (r_1, r_2), kept only from v = r_1, r_1 + r_2 or r_2
-    (v's entry at r_2's pivot is at most 1): unless W is of scalar type,
-    at most two points of W are common eigenvectors, so one of the three
-    spans W.
+    moves v by every generator and reads the rank of span(v, g_1 v, ...,
+    g_r v) and, at rank 2, its rref rows from ``_orbit_spans``, which
+    reduces each image against v instead of echelonizing the stack.
+    Rank 1 marks a common eigenvector: a candidate line, and a vector of
+    E_chi for chi read off v's pivot entry.  Rank 2 gives a candidate
+    plane W with rref rows (r_1, r_2), kept only from v = r_1, r_1 + r_2
+    or r_2 (v's entry at r_2's pivot is at most 1): unless W is of scalar
+    type, at most two points of W are common eigenvectors, so one of the
+    three spans W.
     At m = 2 the planes of each E_chi come from the rref walk over
     G(2, dim E_chi) times a basis of E_chi, once their count passes the
     scan cap.  Rows may repeat.
@@ -354,19 +437,15 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
     for vectors in _rref_walk(p, 1, n, _SCAN_CHUNK):
         vectors = vectors.astype(dtype)
         images = [_moved_rows(vectors, g, params) for g in group.generators]
-        stack = np.concatenate([vectors, *images], axis=1)
-        pivots = (vectors[:, 0] != 0).argmax(axis=1)
-        characters = stack[np.arange(len(stack)), :, pivots]  # g v = chi_g v: read at v's 1
-        ranks = _rref_rows(stack, params)
+        characters, ranks, planes = _orbit_spans(vectors, images, params)
         eigen = vectors[ranks == 1]
         if m == 1:
             yield eigen[_admissible(eigen, p)]
             continue
-        if images:  # with no generator, every stack is v alone
-            planes, spanning = stack[ranks == 2, :2], vectors[ranks == 2, 0]
-            second_pivots = (planes[:, 1] != 0).argmax(axis=1)
-            planes = planes[spanning[np.arange(len(planes)), second_pivots] <= 1]
-            yield planes[_admissible(planes, p)]
+        spanning = vectors[ranks == 2, 0]
+        second_pivots = (planes[:, 1] != 0).argmax(axis=1)
+        planes = planes[spanning[np.arange(len(planes)), second_pivots] <= 1]
+        yield planes[_admissible(planes, p)]
         labels, inverse = np.unique(characters[ranks == 1], axis=0, return_inverse=True)
         for label, chi in enumerate(map(tuple, labels.tolist())):
             basis = np.concatenate([eigenspaces.get(chi, eigen[:0, 0]), eigen[inverse == label, 0]])

@@ -7,6 +7,13 @@ generator images (``classify.act``).  This module holds the
 permutation side: cycle notation, group closure, conjugacy classes and
 normalizers.
 
+Groups are closed and held as ``Permutation`` objects, but the
+normalizer of a group in S_{n+1} is found by one array scan: all (n+1)!
+relabelings are a single uint8 array, each generator is conjugated by
+all of them at once, and membership in the group is a test on integer
+codes of the conjugates.  Only the few normalizing relabelings picked as
+generators become ``Permutation`` objects.
+
 Composition convention, fixed once for the whole package: permutations
 compose right-to-left, ``(sigma * tau)(j) = sigma(tau(j))``, so that
 ``Phi_{sigma * tau} = Phi_sigma Phi_tau``.  Both conventions appear in the
@@ -21,6 +28,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 DEFAULT_CLOSURE_CAP = math.factorial(10)
 MAX_NORMALIZER_DEGREE = 9
@@ -213,20 +222,65 @@ def symmetric_group(degree: int) -> PermGroup:
     return PermGroup(degree, gens, elements)
 
 
-def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
-    """{tau in S_degree : tau G tau^-1 = G}, by exhaustive scan over S_degree.
+def _permutation_codes(images: np.ndarray) -> np.ndarray:
+    """One integer per row of 0-based permutation images: the row read as base-degree digits."""
+    degree = images.shape[1]
+    codes = np.zeros(len(images), dtype=np.int64)
+    for column in images.T:
+        codes *= degree
+        codes += column
+    return codes
 
-    Generated by each normalizing tau the scan meets outside the closure of
-    those before, so by at most log2 |N| of them.  The scan is exact and
-    cheap for degree <= 9, which covers every supported degree n+1.
+
+def _element_codes(perms) -> np.ndarray:
+    """``_permutation_codes`` of ``Permutation`` objects."""
+    return _permutation_codes(np.array([perm.images for perm in perms]) - 1)
+
+
+def _all_permutations(degree: int) -> np.ndarray:
+    """Every permutation of 0..degree-1 as one (degree!, degree) uint8 array, in lexicographic order.
+
+    The permutations of 0..k-1 that start with f are f followed by those
+    of 0..k-2 with every point >= f moved up by one, which keeps their
+    order.
     """
-    if group.degree > MAX_NORMALIZER_DEGREE:
-        raise ValueError(f"degree {group.degree} too large for exhaustive normalizer scan")
-    members = group.element_set
-    normalizer = close_group([], group.degree)
-    for images in itertools.permutations(range(1, group.degree + 1)):
-        tau = Permutation(images)
-        tau_inv = tau.inverse()
-        if tau not in normalizer and all((tau * g) * tau_inv in members for g in group.generators):
-            normalizer = close_group(normalizer.generators + (tau,), group.degree)
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, degree + 1):
+        firsts = np.repeat(np.arange(k, dtype=np.uint8), len(perms))
+        rest = np.tile(perms, (k, 1))
+        rest += rest >= firsts[:, None]
+        perms = np.column_stack([firsts, rest])
+    return perms
+
+
+def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
+    """{tau in S_degree : tau G tau^-1 = G}, by one array scan over S_degree.
+
+    All degree! relabelings tau are one array, in lexicographic order.
+    Each generator g of G is conjugated by all of them at once,
+    (tau g tau^-1)[j] = tau[g[tau^-1[j]]], and tau normalizes G iff every
+    conjugate's code is the code of an element of G.  The normalizer is
+    generated by each normalizing tau, in that order, that lies outside
+    the closure of those before, so by at most log2 |N| of them.  The scan
+    is exact and cheap for degree <= 9, which covers every supported
+    degree n+1.
+    """
+    degree = group.degree
+    if degree > MAX_NORMALIZER_DEGREE:
+        raise ValueError(f"degree {degree} too large for exhaustive normalizer scan")
+    taus = _all_permutations(degree)
+    inverses = np.empty_like(taus)
+    np.put_along_axis(inverses, taus, np.arange(degree, dtype=np.uint8)[None], axis=1)
+    members = _element_codes(group.elements)
+    normalizing = np.ones(len(taus), dtype=bool)
+    for g in group.generators:
+        images = np.array(g.images, dtype=np.uint8) - 1
+        conjugates = np.take_along_axis(taus, images[inverses], axis=1)
+        normalizing &= np.isin(_permutation_codes(conjugates), members)
+    taus = taus[normalizing]
+    codes = _permutation_codes(taus)
+    normalizer = close_group([], degree)
+    while (outside := ~np.isin(codes, _element_codes(normalizer.elements))).any():
+        tau = Permutation(tuple((taus[outside.argmax()] + 1).tolist()))
+        normalizer = close_group(normalizer.generators + (tau,), degree)
     return normalizer

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -12,6 +14,7 @@ from zpaction.enumeration import (
     KeySet,
     ScaleCapError,
     SubgroupKey,
+    _rref_walk,
     enumerate_actions,
     key_from_named,
     key_from_theta,
@@ -28,9 +31,12 @@ from zpaction.classify import (
     orbit_partition,
     _fixed_mask,
     _image_rows,
+    _moved_rows,
+    _orbit_spans,
+    _product_dtype,
     _rref_rows,
 )
-from zpaction.fpalgebra import FpMatrix, rref
+from zpaction.fpalgebra import FpMatrix, kernel_basis, rref
 from zpaction.hgroup import (
     Permutation,
     close_group,
@@ -580,3 +586,117 @@ def test_rref_rows_report_each_rank(p, m, n):
     for matrix, reduced, rank in zip(matrices, block.tolist(), ranks.tolist()):
         expected, expected_rank = rref(FpMatrix(params.modulus, tuple(map(tuple, matrix)), n))
         assert (reduced, rank) == ([list(row) for row in expected.entries], expected_rank)
+
+
+# ---------------------------------------------------------------------------
+# the scan's closed-form spans, against the batched elimination of the whole stacks
+
+SPAN_GROUPS = ["no generator", "(1 2)", "D3", "K4", "(1 2)(3 4)(5 6)", "6-cycle"]  # n = 5
+SPAN_GROUPS_N3 = ["no generator", "(1 2)", "(1 2)(3 4)", "4-cycle", "S4"]
+
+
+def _span_group(n, name):
+    return close_group([], degree=n + 1) if name == "no generator" else _scan_group(n, name)
+
+
+def _eliminated_spans(vectors, images, params):
+    """What ``_orbit_spans`` returns, read off ``_rref_rows`` of the whole (1 + r, n) stacks."""
+    stack = np.concatenate([vectors, *images], axis=1)
+    pivots = (vectors[:, 0] != 0).argmax(axis=1)
+    characters = stack[np.arange(len(stack)), 1:, pivots]
+    ranks = _rref_rows(stack, params)
+    planes = stack[ranks == 2, :2].reshape(-1, 2, params.n)  # (0, 2, n) also when the stack is v alone
+    return characters, np.minimum(ranks, 3), planes
+
+
+def _check_spans(vectors, group, params):
+    """Assert that both routes agree on the rref rows ``vectors``; returns the ranks."""
+    vectors = vectors.astype(_product_dtype(params))
+    images = [_moved_rows(vectors, g, params) for g in group.generators]
+    got = _orbit_spans(vectors, images, params)
+    expected = _eliminated_spans(vectors, images, params)
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+    return set(got[1].tolist())
+
+
+def _whole_walk_cases():
+    cases = [(p, 5, name) for p in (2, 3) for name in SPAN_GROUPS]
+    cases += [(p, 3, name) for p in (31, 53) for name in SPAN_GROUPS_N3]
+    return [pytest.param(p, n, name, id=f"p{p}-n{n}-{name}") for p, n, name in cases]
+
+
+@pytest.mark.parametrize("p, n, name", _whole_walk_cases())
+def test_orbit_spans_match_the_elimination_on_whole_walks(p, n, name):
+    params, group = ActionParams(p, n, 1), _span_group(n, name)
+    ranks = set()
+    for vectors in _rref_walk(p, 1, n, 1000):
+        ranks |= _check_spans(vectors, group, params)
+    assert (ranks == {1}) if name == "no generator" else (2 in ranks)
+
+
+@lru_cache(maxsize=None)
+def _common_eigenspaces(p, name):
+    """rref bases of the nonzero common eigenspaces E_chi of the generators on F_p^5, from kernels."""
+    params, group = ActionParams(p, 5, 1), _span_group(5, name)
+    units = np.eye(5, dtype=np.uint16)[:, None, :]
+    matrices = [_moved_rows(units, g, params)[:, 0].tolist() for g in group.generators]  # g v = v M
+    orders = [math.lcm(*map(len, g.cycles())) for g in group.generators]
+    roots = [[x for x in range(1, p) if pow(x, order, p) == 1] for order in orders]
+    spaces = []
+    for chi in itertools.product(*roots):
+        # v M = chi v  <=>  (M^T - chi I) v^T = 0
+        rows = tuple(tuple(matrix[j][i] - c * (i == j) for j in range(5))
+                     for matrix, c in zip(matrices, chi) for i in range(5))
+        basis = kernel_basis(FpMatrix(params.modulus, rows, 5))
+        if basis.rows:
+            spaces.append(basis.entries)
+    return tuple(spaces)
+
+
+def _combination(basis, p):
+    """A nonzero vector of the span of the independent rows ``basis``."""
+    coefficients = st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis)).filter(any)
+    return coefficients.map(lambda cs: [sum(c * row[j] for c, row in zip(cs, basis)) % p for j in range(5)])
+
+
+@st.composite
+def _span_vectors(draw, p, name):
+    """Vectors of F_p^5, scaled to a leading 1: a common eigenvector (rank 1), a sum of two
+    from distinct eigenspaces (rank 2), then any mix of eigenvectors and arbitrary vectors."""
+    spaces = _common_eigenspaces(p, name)
+    eigenvectors = st.sampled_from(spaces).flatmap(lambda basis: _combination(basis, p))
+    vectors = [draw(eigenvectors)]
+    if len(spaces) > 1:
+        pair = draw(st.lists(st.sampled_from(range(len(spaces))), min_size=2, max_size=2, unique=True))
+        summands = [draw(_combination(spaces[i], p)) for i in pair]
+        vectors.append([(a + b) % p for a, b in zip(*summands)])
+    anything = st.lists(st.integers(0, p - 1), min_size=5, max_size=5).filter(any)
+    vectors += draw(st.lists(st.one_of(eigenvectors, anything), max_size=30))
+    return [[x * pow(next(filter(None, v)), -1, p) % p for x in v] for v in vectors]
+
+
+@pytest.mark.parametrize("p", [31, 53])
+@pytest.mark.parametrize("name", SPAN_GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_orbit_spans_match_the_elimination_on_sampled_vectors(p, name, data):
+    vectors = data.draw(_span_vectors(p, name))
+    ranks = _check_spans(np.array(vectors)[:, None, :], _span_group(5, name), ActionParams(p, 5, 1))
+    assert 1 in ranks and (2 in ranks or len(_common_eigenspaces(p, name)) == 1)
+
+
+def _span_route_cases():
+    cases = [(p, 5, m, name) for p in (2, 3) for m in (1, 2) for name in SPAN_GROUPS]
+    cases += [(p, 3, m, name) for p in (31, 53) for m in (1, 2) for name in SPAN_GROUPS_N3]
+    return [pytest.param(p, n, m, name, id=f"p{p}-n{n}-m{m}-{name}") for p, n, m, name in cases]
+
+
+@pytest.mark.parametrize("p, n, m, name", _span_route_cases())
+def test_invariant_keys_full_with_the_spans_eliminated(monkeypatch, p, n, m, name):
+    import zpaction.classify
+
+    params, group = ActionParams(p, n, m), _span_group(n, name)
+    keys = invariant_keys_full(params, group)
+    monkeypatch.setattr(zpaction.classify, "_orbit_spans", _eliminated_spans)
+    assert invariant_keys_full(params, group) == keys
+    assert invariant_set(KeySet.full(params), group) == keys

@@ -12,6 +12,7 @@ from zpaction.enumeration import ActionParams, enumerate_actions, key_from_theta
 from zpaction.fpalgebra import FpMatrix
 from zpaction.hgroup import (
     Permutation,
+    _all_permutations,
     close_group,
     normalizer_in_symmetric,
     parse_cycles,
@@ -166,6 +167,7 @@ def _normalizer_cases():
     c6 = ["(1 2 3)(4 5 6)", "(1 4)(2 5)(3 6)"]
     cases = {"D3": (6, d3), "K4": (6, k4), "involution": (6, ["(1 2)(3 4)(5 6)"]), "C6": (6, c6)}
     cases.update({f"trivial-{d}": (d, []) for d in (4, 6)})
+    cases.update({"deg7-3-cycles": (7, ["(1 2 3)(4 5 6)"]), "deg7-involution": (7, ["(1 2)(3 4)"])})
     return [pytest.param(degree, gens, id=name) for name, (degree, gens) in cases.items()]
 
 
@@ -182,6 +184,30 @@ def test_normalizer_matches_brute_force_with_few_generators(degree, generators):
     assert set(n.elements) == brute
     assert close_group(n.generators, degree=degree).element_set == n.element_set
     assert len(n.generators) <= math.floor(math.log2(n.order)) + 1
+
+
+# The generators the scan picks, in its order, as the per-relabeling scan over
+# itertools.permutations picked them; orbit reports and traces list them.
+NORMALIZER_GENERATORS = {
+    "D3": ["(4 5 6)", "(2 3)(5 6)", "(1 2)(5 6)", "(1 4)(2 5)(3 6)"],
+    "K4": ["(4 6)", "(3 4)(5 6)", "(1 2)"],
+    "involution": ["(5 6)", "(3 4)", "(3 5)(4 6)", "(1 2)", "(1 3)(2 4)"],
+    "C6": ["(2 3)(5 6)", "(1 2)(4 5)", "(1 4)(2 5)(3 6)"],
+}
+
+
+@pytest.mark.parametrize("name", NORMALIZER_GENERATORS)
+def test_normalizer_generators_are_pinned(name):
+    (degree, generators), = [c.values for c in _normalizer_cases() if c.id == name]
+    q = close_group([parse_cycles(g, degree) for g in generators], degree=degree)
+    n = normalizer_in_symmetric(q)
+    assert [g.cycle_string() for g in n.generators] == NORMALIZER_GENERATORS[name]
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_all_permutations_in_lexicographic_order(degree):
+    expected = list(itertools.permutations(range(degree)))
+    assert list(map(tuple, _all_permutations(degree).tolist())) == expected
 
 
 def test_normalizer_degree_cap():
