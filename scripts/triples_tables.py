@@ -3,12 +3,13 @@
 automorphisms (threefold and Klein-four symmetry).
 
 Prints the predicted count per prime and, inside the exhaustive range,
-recomputes it from scratch and checks agreement.
+recomputes it from scratch and checks agreement.  A disagreement raises
+VerificationError, so ``python -O`` checks it too.
 """
 
 import argparse
 
-from zpaction.enumeration import ActionParams
+from zpaction.enumeration import ActionParams, VerificationError
 from zpaction.classify import classify_triples
 from zpaction.predictions import case_group, predicted_triple_count
 
@@ -30,11 +31,13 @@ def main():
         print("p     N     |C|    checked")
         for p in primes:
             res = classify_triples(ActionParams(p, 5, 2), group, mode="predicted")
-            assert res.count == predicted_triple_count(case, p)
+            if res.count != (formula := predicted_triple_count(case, p)):
+                raise VerificationError(f"{label} p={p}: {res.count} classes, closed form {formula}")
             checked = ""
             if p <= args.exhaustive_limit:
                 full = classify_triples(ActionParams(p, 5, 2), group, mode="exhaustive")
-                assert full.count == res.count and full.invariant == res.invariant
+                if full.count != res.count or full.invariant != res.invariant:
+                    raise VerificationError(f"{label} p={p}: exhaustive and predicted routes differ")
                 checked = "exhaustive-ok"
             print(f"{p:<5d} {res.count:<5d} {len(res.invariant):<6d} {checked}")
 

@@ -164,6 +164,18 @@ def count_orbits_burnside(keys: KeySet, group: PermGroup) -> int:
     return total // group.order
 
 
+def verified_orbits(keys: KeySet, group: PermGroup) -> OrbitReport:
+    """``orbit_partition`` of a G-stable key set, checked against its Burnside count.
+
+    Raises VerificationError when the two counts differ.
+    """
+    report = orbit_partition(keys, group)
+    burnside = count_orbits_burnside(keys, group)
+    if burnside != report.count:
+        raise VerificationError(f"Burnside {burnside} != partition {report.count}")
+    return report
+
+
 def burnside_count_full(
     params: ActionParams, group: PermGroup, max_candidates: int = DEFAULT_CANDIDATE_CAP
 ) -> int:
@@ -513,8 +525,5 @@ def classify_triples(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     normalizer = normalizer_in_symmetric(group)
-    report = orbit_partition(invariant, normalizer)
-    burnside = count_orbits_burnside(invariant, normalizer)  # the invariant set is normalizer-stable
-    if burnside != report.count:
-        raise VerificationError(f"Burnside {burnside} != partition {report.count}")
+    report = verified_orbits(invariant, normalizer)  # the invariant set is normalizer-stable
     return TriplesReport(params, group, normalizer, mode, invariant, report)

@@ -5,9 +5,7 @@ table, verify.  A command table maps every subcommand but verify to
 three functions: a builder that computes a JSON-ready document from the
 parsed arguments, and the two functions that lay that document out as
 text lines and as CSV lines; ``--format json`` prints the document
-itself.  Output is deterministic.  The documents of the heavyweight
-commands are cached as JSON keyed by the command, parameters, canonical
-group text and a digest of the package's source files.
+itself.  Output is deterministic, and nothing but ``--output`` is written.
 
 Exit codes: 0 success, 1 usage or validation error, 2 scale cap
 exceeded, 3 verification failure.
@@ -16,13 +14,9 @@ exceeded, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
-from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -43,9 +37,8 @@ from .classify import (
     burnside_count_full,
     check_invariant_cap,
     classify_triples,
-    count_orbits_burnside,
     invariant_keys_full,
-    orbit_partition,
+    verified_orbits,
 )
 from .geometry import (
     MarkedPoints,
@@ -56,8 +49,8 @@ from .geometry import (
 )
 from .predictions import case_group, predicted_triple_count
 
+# Read only by bench/workloads.py, which sets it on every pass; nothing in the package reads it.
 CACHE_ENV = "ZPACTION_CACHE_DIR"
-CACHEABLE = {"enumerate", "orbits", "invariants", "triples", "table"}
 # S_9 is the largest default group: materializing S_10 takes minutes and gigabytes.
 SYMMETRIC_ORDER_CAP = math.factorial(9)
 
@@ -97,15 +90,11 @@ def build_parser() -> _Parser:
         prog="zpaction", description=DESCRIPTION, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--version", action="version", version=f"zpaction {__version__}")
-    # Every field of the cache key exists on every namespace, taken or not.
-    parser.set_defaults(p=None, n=None, m=None, groups=(), mode="exhaustive", which=None, primes=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--output", metavar="PATH", help="write output to a file instead of stdout")
-        p.add_argument("--cache-dir", metavar="DIR")
-        p.add_argument("--no-cache", action="store_true")
 
     def add_common(p, with_group=False):
         p.add_argument("--p", type=int, required=True, help="prime modulus")
@@ -157,70 +146,6 @@ def _group(args) -> PermGroup:
     return close_group(gens, degree=degree) if gens else symmetric_group(degree)
 
 
-def _group_text(args) -> list[str]:
-    return [parse_cycles(g, args.n + 1).cycle_string() for g in args.groups]
-
-
-# ---------------------------------------------------------------------------
-# caching
-
-
-def _cache_dir(args) -> Path:
-    return Path(args.cache_dir or os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "zpaction")
-
-
-@cache
-def _source_digest() -> str:
-    """sha256 of the package's ``*.py`` files: an edited checkout misses every older entry."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
-def _cache_key(args) -> dict:
-    return {
-        "command": args.command,
-        "p": args.p,
-        "n": args.n,
-        "m": args.m,
-        "groups": _group_text(args) if args.n else list(args.groups),
-        "mode": args.mode,
-        "which": args.which,
-        "primes": list(args.primes),
-        "source": _source_digest(),
-    }
-
-
-def _with_cache(args, compute) -> dict:
-    if args.no_cache or args.command not in CACHEABLE:
-        return compute()
-    key = _cache_key(args)
-    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
-    path = _cache_dir(args) / f"{digest}.json"
-    try:
-        stored = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):  # missing or unreadable: a miss, overwritten below
-        stored = None
-    if isinstance(stored, dict) and stored.get("key") == key and "result" in stored:
-        return stored["result"]
-    result = compute()
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # A name of its own per writer, so concurrent runs never share a partial file.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{digest}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps({"key": key, "result": result}, ensure_ascii=False))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:  # an entry that cannot be stored is skipped, as an unreadable one is a miss
-        pass
-    return result
-
-
 # ---------------------------------------------------------------------------
 # result documents
 
@@ -231,7 +156,8 @@ def _params_doc(params: ActionParams) -> dict:
 
 def _group_head(args) -> dict:
     """The leading fields of a document about a group action."""
-    return {"params": _params_doc(_params(args)), "group": _group_text(args)}
+    group = [parse_cycles(g, args.n + 1).cycle_string() for g in args.groups]
+    return {"params": _params_doc(_params(args)), "group": group}
 
 
 def _orbit_entries(report) -> list[dict]:
@@ -268,10 +194,7 @@ def _check_cap(args, check) -> None:
 def _orbits_doc(args) -> dict:
     _check_cap(args, check_candidate_cap)
     group, keys = _group(args), KeySet.full(_params(args), **_cap(args))
-    report = orbit_partition(keys, group)
-    burnside = count_orbits_burnside(keys, group)
-    if burnside != report.count:
-        raise VerificationError(f"Burnside {burnside} != partition {report.count}")
+    report = verified_orbits(keys, group)
     return {**_group_head(args), "count": report.count, "orbits": _orbit_entries(report)}
 
 
@@ -461,7 +384,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify()
         build, text_lines, csv_lines = _COMMANDS[args.command]
-        doc = _with_cache(args, lambda: build(args))
+        doc = build(args)
         if args.format == "json":
             text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
         else:

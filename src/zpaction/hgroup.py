@@ -7,12 +7,13 @@ generator images (``classify.act``).  This module holds the
 permutation side: cycle notation, group closure, conjugacy classes and
 normalizers.
 
-Groups are closed and held as ``Permutation`` objects, but the
-normalizer of a group in S_{n+1} is found by one array scan: all (n+1)!
-relabelings are a single uint8 array, each generator is conjugated by
-all of them at once, and membership in the group is a test on integer
-codes of the conjugates.  Only the few normalizing relabelings picked as
-generators become ``Permutation`` objects.
+Groups are held as ``Permutation`` objects but computed as arrays of
+images.  One closure, ``_closure``, grows a group level by level on
+sorted codes of its rows.  The normalizer of a group in S_{n+1}
+is found by one array scan: all (n+1)! relabelings are a single uint8
+array, each generator is conjugated by all of them at once, and
+membership in the group is a test on codes of the conjugates.  Its
+generators are picked against the same closure.
 
 Composition convention, fixed once for the whole package: permutations
 compose right-to-left, ``(sigma * tau)(j) = sigma(tau(j))``, so that
@@ -23,7 +24,6 @@ literature; this one matches the conjugation calculus
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -42,7 +42,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(int(i) for i in self.images))
+        object.__setattr__(self, "images", tuple(map(int, self.images)))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
@@ -189,28 +189,16 @@ def close_group(
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators of unequal degree")
-    identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = g * a
-                if b not in elements:
-                    elements.add(b)
-                    nxt.append(b)
-                    if len(elements) > cap:
-                        raise ValueError(f"group closure exceeds cap {cap}")
-        frontier = nxt
-    return PermGroup(degree, gens, tuple(sorted(elements)))
+    rows = np.array([g.images for g in gens], dtype=np.uint16).reshape(-1, degree) - 1
+    identity = np.arange(degree, dtype=np.uint16)[None]
+    return PermGroup(degree, gens, _permutations(_closure(rows, identity, cap)))
 
 
 def symmetric_group(degree: int) -> PermGroup:
     """All of S_degree, generated by the transposition (1 2) and the full cycle."""
     if degree > 10:
         raise ValueError("symmetric group too large to materialize")
-    elements = tuple(Permutation(images) for images in itertools.permutations(range(1, degree + 1)))
+    elements = _permutations(_all_permutations(degree))
     if degree == 1:
         gens: tuple[Permutation, ...] = ()
     elif degree == 2:
@@ -223,8 +211,14 @@ def symmetric_group(degree: int) -> PermGroup:
 
 
 def _permutation_codes(images: np.ndarray) -> np.ndarray:
-    """One integer per row of 0-based permutation images: the row read as base-degree digits."""
+    """One code per row of 0-based images, in the rows' lexicographic order.
+
+    Base-degree digits in an int64 while degree^degree fits (degree <= 15),
+    else the row's big-endian bytes as a void scalar, which sorts slower.
+    """
     degree = images.shape[1]
+    if degree > 15:
+        return np.ascontiguousarray(images, dtype=">u2").view(f"V{2 * degree}")[:, 0]
     codes = np.zeros(len(images), dtype=np.int64)
     for column in images.T:
         codes *= degree
@@ -232,9 +226,29 @@ def _permutation_codes(images: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _element_codes(perms) -> np.ndarray:
-    """``_permutation_codes`` of ``Permutation`` objects."""
-    return _permutation_codes(np.array([perm.images for perm in perms]) - 1)
+def _permutations(images: np.ndarray) -> tuple[Permutation, ...]:
+    """``Permutation`` objects of rows of 0-based images."""
+    return tuple(Permutation(tuple(row)) for row in (images.astype(np.intp) + 1).tolist())
+
+
+def _closure(generators: np.ndarray, elements: np.ndarray, cap: int = DEFAULT_CLOSURE_CAP):
+    """The group that ``generators`` generate, as sorted rows of 0-based images.
+
+    It grows from ``elements``, the sorted rows of a subgroup (at least the
+    identity), one level at a time: the last level's rows are multiplied
+    on the left by every generator at once, (g a)[j] = g[a[j]], and the
+    products with new codes form the next level.  Raises ValueError once
+    there are more than ``cap`` rows.
+    """
+    frontier = elements
+    while len(frontier):
+        products = generators[:, frontier].reshape(-1, elements.shape[1])
+        merged = np.concatenate([elements, products])
+        _, first = np.unique(_permutation_codes(merged), return_index=True)  # known rows first
+        frontier, elements = merged[first[first >= len(elements)]], merged[first]
+        if len(elements) > cap:
+            raise ValueError(f"group closure exceeds cap {cap}")
+    return elements
 
 
 def _all_permutations(degree: int) -> np.ndarray:
@@ -259,11 +273,11 @@ def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
     All degree! relabelings tau are one array, in lexicographic order.
     Each generator g of G is conjugated by all of them at once,
     (tau g tau^-1)[j] = tau[g[tau^-1[j]]], and tau normalizes G iff every
-    conjugate's code is the code of an element of G.  The normalizer is
-    generated by each normalizing tau, in that order, that lies outside
-    the closure of those before, so by at most log2 |N| of them.  The scan
-    is exact and cheap for degree <= 9, which covers every supported
-    degree n+1.
+    conjugate's code is the code of an element of G.  The normalizing tau
+    are the normalizer's elements, already sorted.  It is generated by
+    each of them, in that order, that lies outside the ``_closure`` of
+    those before, so by at most log2 |N| of them.  The scan is exact and
+    cheap for degree <= 9, which covers every supported degree n+1.
     """
     degree = group.degree
     if degree > MAX_NORMALIZER_DEGREE:
@@ -271,7 +285,7 @@ def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
     taus = _all_permutations(degree)
     inverses = np.empty_like(taus)
     np.put_along_axis(inverses, taus, np.arange(degree, dtype=np.uint8)[None], axis=1)
-    members = _element_codes(group.elements)
+    members = _permutation_codes(np.array([g.images for g in group.elements]) - 1)
     normalizing = np.ones(len(taus), dtype=bool)
     for g in group.generators:
         images = np.array(g.images, dtype=np.uint8) - 1
@@ -279,8 +293,8 @@ def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
         normalizing &= np.isin(_permutation_codes(conjugates), members)
     taus = taus[normalizing]
     codes = _permutation_codes(taus)
-    normalizer = close_group([], degree)
-    while (outside := ~np.isin(codes, _element_codes(normalizer.elements))).any():
-        tau = Permutation(tuple((taus[outside.argmax()] + 1).tolist()))
-        normalizer = close_group(normalizer.generators + (tau,), degree)
-    return normalizer
+    picked, closure = [], taus[:1]  # the identity, the least permutation
+    while len(closure) < len(taus):  # the closure lies inside the normalizer
+        picked.append(taus[(~np.isin(codes, _permutation_codes(closure))).argmax()])
+        closure = _closure(np.array(picked), closure)
+    return PermGroup(degree, _permutations(np.array(picked)), _permutations(taus))

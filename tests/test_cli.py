@@ -17,13 +17,13 @@ def run_cli(args, capsys):
 
 
 def test_orbits_table_row(capsys):
-    code, out, _ = run_cli(["orbits", "--p", "113", "--n", "3", "--no-cache"], capsys)
+    code, out, _ = run_cli(["orbits", "--p", "113", "--n", "3"], capsys)
     assert code == 0
     assert out.splitlines()[:2] == ["p, N", "113, 580"]
 
 
 def test_composite_modulus_rejected(capsys):
-    code, _, err = run_cli(["enumerate", "--p", "4", "--n", "3", "--no-cache"], capsys)
+    code, _, err = run_cli(["enumerate", "--p", "4", "--n", "3"], capsys)
     assert code == 1
     assert "composite modulus unsupported" in err
 
@@ -43,6 +43,11 @@ def test_help_shows_usage_and_exit_codes(capsys):
         "3 verification failure\n\n"
     ) in out
     assert "cache" not in out and "command table" not in out
+    with pytest.raises(SystemExit) as exited:
+        main(["orbits", "--help"])
+    out = capsys.readouterr().out
+    assert exited.value.code == 0 and out.startswith("usage: zpaction orbits ")
+    assert "--output" in out and "cache" not in out
 
 
 @pytest.mark.parametrize(
@@ -56,13 +61,13 @@ def test_help_shows_usage_and_exit_codes(capsys):
     ],
 )
 def test_predicted_table_rejects_non_primes(which, prime, message, capsys):
-    code, out, err = run_cli(["table", "--which", which, "--primes", prime, "--no-cache"], capsys)
+    code, out, err = run_cli(["table", "--which", which, "--primes", prime], capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_models_key_rejects_digits_outside_the_field(capsys):
     code, out, err = run_cli(
-        ["models", "--p", "5", "--n", "3", "--key", "1,0,7;0,1,-1", "--no-cache"], capsys
+        ["models", "--p", "5", "--n", "3", "--key", "1,0,7;0,1,-1"], capsys
     )
     assert (code, out) == (1, "")
     assert err == "error: digit string '1,0,7;0,1,-1' has a digit outside 0..4\n"
@@ -70,14 +75,14 @@ def test_models_key_rejects_digits_outside_the_field(capsys):
 
 def test_scale_cap_exit_code(capsys):
     code, _, err = run_cli(
-        ["enumerate", "--p", "113", "--n", "3", "--max-candidates", "10", "--no-cache"], capsys
+        ["enumerate", "--p", "113", "--n", "3", "--max-candidates", "10"], capsys
     )
     assert code == 2
     assert "scale cap" in err
 
 
 def test_usage_error_exit_code(capsys):
-    code, _, err = run_cli(["enumerate", "--n", "3", "--no-cache"], capsys)
+    code, _, err = run_cli(["enumerate", "--n", "3"], capsys)
     assert code == 1
 
 
@@ -86,7 +91,7 @@ def test_triples_predicted(capsys):
         [
             "triples", "--n", "5", "--p", "7",
             "--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)",
-            "--mode", "predicted", "--no-cache",
+            "--mode", "predicted",
         ],
         capsys,
     )
@@ -96,14 +101,14 @@ def test_triples_predicted(capsys):
 
 
 def test_triples_requires_group(capsys):
-    code, _, err = run_cli(["triples", "--n", "5", "--p", "7", "--no-cache"], capsys)
+    code, _, err = run_cli(["triples", "--n", "5", "--p", "7"], capsys)
     assert code == 1
     assert "--group" in err
 
 
 def test_models_text(capsys):
     code, out, _ = run_cli(
-        ["models", "--p", "5", "--n", "3", "--name", "K(0,4)", "--no-cache"], capsys
+        ["models", "--p", "5", "--n", "3", "--name", "K(0,4)"], capsys
     )
     assert code == 0
     assert out == "y1^5 = x*(x - 1)^4 ; y2^5 = (x - λ)^4\n"
@@ -111,7 +116,7 @@ def test_models_text(capsys):
 
 def test_models_by_key_digits(capsys):
     code, out, _ = run_cli(
-        ["models", "--p", "5", "--n", "3", "--key", "1,0,0;0,1,4", "--no-cache"], capsys
+        ["models", "--p", "5", "--n", "3", "--key", "1,0,0;0,1,4"], capsys
     )
     assert code == 0
     assert "y1^5 = x*(x - 1)^4" in out
@@ -119,8 +124,7 @@ def test_models_by_key_digits(capsys):
 
 def test_models_selection_is_exclusive(capsys):
     code, _, err = run_cli(
-        ["models", "--p", "5", "--n", "3", "--name", "K(0,4)", "--key", "1,0,0;0,1,4",
-         "--no-cache"],
+        ["models", "--p", "5", "--n", "3", "--name", "K(0,4)", "--key", "1,0,0;0,1,4"],
         capsys,
     )
     assert code == 1
@@ -129,7 +133,7 @@ def test_models_selection_is_exclusive(capsys):
 
 def test_jacobian_text(capsys):
     code, out, _ = run_cli(
-        ["jacobian", "--p", "3", "--n", "3", "--name", "K(0,2)", "--no-cache"], capsys
+        ["jacobian", "--p", "3", "--n", "3", "--name", "K(0,2)"], capsys
     )
     assert code == 0
     assert out.splitlines()[0] == "genus 4"
@@ -138,7 +142,7 @@ def test_jacobian_text(capsys):
 
 def test_table_csv(capsys):
     code, out, _ = run_cli(
-        ["table", "--which", "k4-triples", "--format", "csv", "--no-cache"], capsys
+        ["table", "--which", "k4-triples", "--format", "csv"], capsys
     )
     assert code == 0
     assert out.splitlines()[0] == "p,N"
@@ -146,7 +150,7 @@ def test_table_csv(capsys):
 
 
 def test_json_round_trip(capsys):
-    args = ["orbits", "--p", "5", "--n", "3", "--format", "json", "--no-cache"]
+    args = ["orbits", "--p", "5", "--n", "3", "--format", "json"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     doc = json.loads(out)
@@ -157,40 +161,17 @@ def test_json_round_trip(capsys):
 
 
 def test_determinism(capsys):
-    args = ["invariants", "--p", "5", "--n", "3", "--group", "(3 4)", "--format", "json",
-            "--no-cache"]
+    args = ["invariants", "--p", "5", "--n", "3", "--group", "(3 4)", "--format", "json"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
     assert json.loads(out1)["count"] == 5
 
 
-def test_cache_hit_identical(tmp_path, capsys):
-    args = [
-        "orbits", "--p", "7", "--n", "3", "--format", "json",
-        "--cache-dir", str(tmp_path),
-    ]
-    code1, cold, _ = run_cli(args, capsys)
-    assert code1 == 0
-    cache_files = list(tmp_path.glob("*.json"))
-    assert len(cache_files) == 1
-    code2, warm, _ = run_cli(args, capsys)
-    assert code2 == 0
-    assert cold == warm
-
-
-def test_cache_distinguishes_group_spec(tmp_path, capsys):
-    base = ["invariants", "--p", "5", "--n", "3", "--cache-dir", str(tmp_path)]
-    run_cli(base + ["--group", "(3 4)"], capsys)
-    run_cli(base + ["--group", "(1 2)(3 4)"], capsys)
-    assert len(list(tmp_path.glob("*.json"))) == 2
-
-
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out, _ = run_cli(
-        ["models", "--p", "5", "--n", "3", "--name", "K(0,1)", "--output", str(target),
-         "--no-cache"],
+        ["models", "--p", "5", "--n", "3", "--name", "K(0,1)", "--output", str(target)],
         capsys,
     )
     assert code == 0 and out == ""
@@ -199,7 +180,7 @@ def test_output_file(tmp_path, capsys):
 
 def test_enumerate_csv(capsys):
     code, out, _ = run_cli(
-        ["enumerate", "--p", "3", "--n", "3", "--format", "csv", "--no-cache"], capsys
+        ["enumerate", "--p", "3", "--n", "3", "--format", "csv"], capsys
     )
     assert code == 0
     lines = out.splitlines()
@@ -209,7 +190,7 @@ def test_enumerate_csv(capsys):
 def test_labels_preset(capsys):
     code, out, _ = run_cli(
         ["models", "--p", "2", "--n", "5", "--name", "Kbar1", "--family", "k4",
-         "--labels", "k4", "--no-cache"],
+         "--labels", "k4"],
         capsys,
     )
     assert code == 0
@@ -218,18 +199,18 @@ def test_labels_preset(capsys):
 
 def test_invariants_scale_cap_exit_code(capsys):
     code, _, err = run_cli(
-        ["invariants", "--p", "5", "--n", "3", "--max-candidates", "1", "--no-cache"], capsys
+        ["invariants", "--p", "5", "--n", "3", "--max-candidates", "1"], capsys
     )
     assert code == 2
     assert "scale cap" in err
 
 
 def test_route_disagreement_exit_code(monkeypatch, capsys):
-    import zpaction.cli
+    import zpaction.classify
 
-    real = zpaction.cli.count_orbits_burnside
-    monkeypatch.setattr(zpaction.cli, "count_orbits_burnside", lambda *a, **k: real(*a, **k) + 1)
-    code, out, err = run_cli(["orbits", "--p", "5", "--n", "3", "--no-cache"], capsys)
+    real = zpaction.classify.count_orbits_burnside
+    monkeypatch.setattr(zpaction.classify, "count_orbits_burnside", lambda *a: real(*a) + 1)
+    code, out, err = run_cli(["orbits", "--p", "5", "--n", "3"], capsys)
     assert code == 3 and out == ""
     assert err == "verification failed: Burnside 5 != partition 4\n"
 
@@ -249,7 +230,7 @@ def test_triples_route_disagreement_exit_code(args, monkeypatch, capsys):
 
     real = zpaction.classify.count_orbits_burnside
     monkeypatch.setattr(zpaction.classify, "count_orbits_burnside", lambda *a: real(*a) + 1)
-    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    code, out, err = run_cli(args, capsys)
     assert code == 3 and out == ""
     assert err.startswith("verification failed: Burnside ") and err.count("\n") == 1
 
@@ -266,7 +247,7 @@ def test_invariants_uses_the_triples_cap(monkeypatch, capsys):
 
     monkeypatch.setattr(zpaction.enumeration, "theta_table", never)
     code, out, err = run_cli(
-        ["invariants", "--p", "59", "--n", "5", "--group", "(1 2)(3 4)(5 6)", "--no-cache"], capsys
+        ["invariants", "--p", "59", "--n", "5", "--group", "(1 2)(3 4)(5 6)"], capsys
     )
     assert (code, out) == (2, "")
     assert err.startswith("scale cap exceeded:") and f"(estimated {SCAN_59})" in err
@@ -292,7 +273,7 @@ def test_scale_cap_is_checked_before_any_group_is_built(args, estimate, monkeypa
     monkeypatch.setattr(zpaction.cli, "symmetric_group", never)
     monkeypatch.setattr(zpaction.cli, "close_group", never)
     monkeypatch.setattr(zpaction.classify, "normalizer_in_symmetric", never)
-    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, "")
     unit = "candidates" if args[0] == "orbits" else "projective vectors"
     assert err.startswith("scale cap exceeded:") and f"(estimated {unit}: {estimate})" in err
@@ -314,7 +295,7 @@ def test_default_group_order_is_capped_before_it_is_built(args, order, monkeypat
         raise AssertionError("the symmetric group was built before the order cap")
 
     monkeypatch.setattr(zpaction.cli, "symmetric_group", never)
-    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("scale cap exceeded:") and f"(estimated group order: {order})" in err
 
@@ -330,7 +311,7 @@ def test_default_group_order_cap_admits_s9(monkeypatch):
 
     monkeypatch.setattr(zpaction.cli, "symmetric_group", stop)
     with pytest.raises(Built, match="^9$"):  # the run gets as far as building S_9
-        main(["orbits", "--p", "2", "--n", "8", "--no-cache"])
+        main(["orbits", "--p", "2", "--n", "8"])
 
 
 @pytest.mark.parametrize(
@@ -342,8 +323,7 @@ def test_default_group_order_cap_admits_s9(monkeypatch):
 )
 def test_one_subgroup_commands_need_m2(command, message, capsys):
     code, out, err = run_cli(
-        [command, "--p", "3", "--n", "4", "--m", "3", "--key", "1,0,0,1;0,1,0,1;0,0,1,1",
-         "--no-cache"],
+        [command, "--p", "3", "--n", "4", "--m", "3", "--key", "1,0,0,1;0,1,0,1;0,0,1,1"],
         capsys,
     )
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -361,7 +341,7 @@ def test_predicted_member_check_exit_code(monkeypatch, capsys):
         [
             "triples", "--n", "5", "--p", "7",
             "--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)",
-            "--mode", "predicted", "--no-cache",
+            "--mode", "predicted",
         ],
         capsys,
     )
@@ -369,59 +349,11 @@ def test_predicted_member_check_exit_code(monkeypatch, capsys):
     assert err.startswith("verification failed: predicted member") and err.count("\n") == 1
 
 
-def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
-    args = ["orbits", "--p", "5", "--n", "3", "--format", "json"]
-    _, expected, _ = run_cli(args + ["--no-cache"], capsys)
-    run_cli(args + ["--cache-dir", str(tmp_path)], capsys)
-    (entry,) = tmp_path.glob("*.json")
-    for garbage in ('{"key": ', "[]", "\xff\xfe"):
-        entry.write_text(garbage, encoding="latin-1")
-        code, out, _ = run_cli(args + ["--cache-dir", str(tmp_path)], capsys)
-        assert code == 0 and out == expected
-        assert json.loads(entry.read_text(encoding="utf-8"))["result"]["count"] == 4
-    assert list(tmp_path.glob("*.tmp")) == []
-
-
-def test_cache_is_keyed_on_package_sources(tmp_path, monkeypatch, capsys):
-    import zpaction.cli
-
-    args = ["orbits", "--p", "5", "--n", "3", "--format", "json", "--cache-dir", str(tmp_path)]
-    _, cold, _ = run_cli(args, capsys)
-    real = zpaction.cli.orbit_partition
-    computed = []
-    monkeypatch.setattr(
-        zpaction.cli, "orbit_partition", lambda *a, **k: computed.append(1) or real(*a, **k)
-    )
-    run_cli(args, capsys)
-    assert computed == []  # same sources: a hit
-    monkeypatch.setattr(zpaction.cli, "_source_digest", lambda: "edited sources")
-    code, warm, _ = run_cli(args, capsys)
-    assert code == 0 and warm == cold
-    assert computed == [1]  # edited sources: a miss, recomputed and stored beside the old entry
-    assert len(list(tmp_path.glob("*.json"))) == 2
-
-
-def test_uncached_runs_never_hash_the_sources(monkeypatch, capsys):
-    import zpaction.cli
-
-    def unreadable():
-        raise AssertionError("source digest computed")
-
-    monkeypatch.setattr(zpaction.cli, "_source_digest", unreadable)
-    for args in (
-        ["orbits", "--p", "5", "--n", "3", "--no-cache"],
-        ["models", "--p", "5", "--n", "3", "--name", "K(0,4)"],
-        ["jacobian", "--p", "3", "--n", "3", "--name", "K(0,2)"],
-    ):
-        code, _, _ = run_cli(args, capsys)
-        assert code == 0
-
-
 def test_jacobian_type2_json(capsys):
     # golden output; the d3 key K(2) at p = 5 is type 2 with t = 3
     code, out, _ = run_cli(
         ["jacobian", "--p", "5", "--n", "5", "--family", "d3", "--name", "K(2)",
-         "--format", "json", "--no-cache"],
+         "--format", "json"],
         capsys,
     )
     lines = [
@@ -449,7 +381,7 @@ def test_jacobian_type2_json(capsys):
 
 def test_models_d3_type1(capsys):
     code, out, _ = run_cli(
-        ["models", "--p", "7", "--n", "5", "--family", "d3", "--name", "K(2,3)", "--no-cache"],
+        ["models", "--p", "7", "--n", "5", "--family", "d3", "--name", "K(2,3)"],
         capsys,
     )
     assert code == 0
@@ -463,21 +395,11 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     code, out, err = run_cli(
-        ["enumerate", "--p", "5", "--n", "3", "--no-cache", "--output", str(blocker / "x.txt")],
+        ["enumerate", "--p", "5", "--n", "3", "--output", str(blocker / "x.txt")],
         capsys,
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_unstorable_cache_entry_is_skipped(tmp_path, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    args = ["enumerate", "--p", "5", "--n", "3"]
-    _, expected, _ = run_cli(args + ["--no-cache"], capsys)
-    code, out, err = run_cli(args + ["--cache-dir", str(blocker / "cache")], capsys)
-    assert code == 0 and out == expected and err == ""
-    assert blocker.read_text() == ""
 
 
 def test_exhaustive_table_checks_every_cap_first(monkeypatch, capsys):
@@ -488,8 +410,7 @@ def test_exhaustive_table_checks_every_cap_first(monkeypatch, capsys):
 
     monkeypatch.setattr(zpaction.cli, "classify_triples", never)
     code, out, err = run_cli(
-        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--primes", "5,7,59",
-         "--no-cache"],
+        ["table", "--which", "d3-triples", "--mode", "exhaustive", "--primes", "5,7,59"],
         capsys,
     )
     assert code == 2 and out == ""
@@ -499,8 +420,8 @@ def test_exhaustive_table_checks_every_cap_first(monkeypatch, capsys):
 @pytest.mark.parametrize("which", ["d3-triples", "k4-triples"])
 def test_default_exhaustive_table_equals_the_predicted_table(which, capsys):
     # every default prime (up to 31) is admitted, and the scan agrees with the closed forms
-    exhaustive = run_cli(["table", "--which", which, "--mode", "exhaustive", "--no-cache"], capsys)
-    predicted = run_cli(["table", "--which", which, "--mode", "predicted", "--no-cache"], capsys)
+    exhaustive = run_cli(["table", "--which", which, "--mode", "exhaustive"], capsys)
+    predicted = run_cli(["table", "--which", which, "--mode", "predicted"], capsys)
     assert exhaustive == predicted and exhaustive[0] == 0
     primes = [int(line.split()[0]) for line in predicted[1].splitlines()[1:]]
     assert primes == list(zpaction.cli.DEFAULT_TABLE_PRIMES[which])
@@ -510,7 +431,7 @@ def test_default_exhaustive_table_equals_the_predicted_table(which, capsys):
 def test_triples_with_no_invariant_keys(mode, capsys):
     code, out, _ = run_cli(
         ["triples", "--p", "5", "--n", "3", "--group", "(1 2)(3 4)", "--group", "(2 3 4)",
-         "--mode", mode, "--format", "json", "--no-cache"],
+         "--mode", mode, "--format", "json"],
         capsys,
     )
     assert code == 0
@@ -525,24 +446,49 @@ def test_key_objects_are_built_only_where_needed(monkeypatch, capsys):
     real = SubgroupKey.__post_init__
     monkeypatch.setattr(SubgroupKey, "__post_init__", lambda self: built.append(1) or real(self))
     for args in (["orbits", "--p", "5", "--n", "5"], ["enumerate", "--p", "5", "--n", "4"]):
-        code, _, _ = run_cli(args + ["--format", "json", "--no-cache"], capsys)
+        code, _, _ = run_cli(args + ["--format", "json"], capsys)
         assert code == 0 and built == [], args
     d3 = ["--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)"]
     for mode in ("exhaustive", "predicted"):
         built.clear()
         code, out, _ = run_cli(
-            ["triples", "--p", "7", "--n", "5", *d3, "--mode", mode, "--format", "json",
-             "--no-cache"],
+            ["triples", "--p", "7", "--n", "5", *d3, "--mode", mode, "--format", "json"],
             capsys,
         )
         assert code == 0 and len(built) <= json.loads(out)["invariant_count"], mode
+
+
+def test_commands_write_nothing_but_their_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    d3 = ["--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)"]
+    for args in (
+        ["enumerate", "--p", "5", "--n", "3"],
+        ["orbits", "--p", "5", "--n", "3"],
+        ["invariants", "--p", "5", "--n", "3", "--group", "(3 4)"],
+        ["triples", "--p", "7", "--n", "5", *d3],
+        ["table", "--which", "n3-orbits", "--primes", "3,5"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "") and out, args
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", [["--no-cache"], ["--cache-dir", "somewhere"]])
+def test_cache_options_are_gone(option, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["orbits", "--p", "5", "--n", "3", *option], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and option[0] in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point_exit_status():
     src = str(Path(zpaction.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "zpaction.cli", "enumerate", "--p", "4", "--n", "3", "--no-cache"],
+        [sys.executable, "-m", "zpaction.cli", "enumerate", "--p", "4", "--n", "3"],
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 1 and proc.stdout == ""
@@ -707,6 +653,6 @@ def test_golden_output(case, capsys):
     args, expected = GOLDEN[case]
     if isinstance(expected, dict):
         expected = json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
-    code, out, err = run_cli(args + ["--no-cache"], capsys)
+    code, out, err = run_cli(args, capsys)
     assert (code, err) == (0, "")
     assert out == expected

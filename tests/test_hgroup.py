@@ -116,6 +116,38 @@ def test_close_group_dihedral():
 def test_close_group_cap():
     with pytest.raises(ValueError, match="cap"):
         close_group([parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)], cap=10)
+    s3 = [parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)]
+    assert close_group(s3, cap=6).order == 6  # the cap is the largest order admitted
+    with pytest.raises(ValueError, match="cap 5"):
+        close_group(s3, cap=5)
+
+
+def _closure_by_products(generators, degree):
+    """The group as a Python set, closed under products one element at a time."""
+    elements = {Permutation.identity(degree)}
+    frontier = list(elements)
+    while frontier:
+        products = {g * a for a in frontier for g in generators} - elements
+        elements |= products
+        frontier = list(products)
+    return sorted(elements)
+
+
+# Degrees above 15 take the closure's byte codes instead of its integer codes.
+@pytest.mark.parametrize("degree, generators", [
+    (1, []),
+    (5, ["(1 2)", "(1 2 3 4 5)"]),
+    (8, ["(1 2 3)(4 5)", "(6 7 8)", "(1 6)"]),
+    (15, ["(1 15)(2 14)", "(3 4 5)", "(13 14 15)"]),
+    (16, ["(1 16)(2 15)", "(3 4 5)", "(14 15 16)"]),
+    (21, ["(" + " ".join(map(str, range(1, 22))) + ")",  # D_21: the 21-cycle and a reflection
+          "".join(f"({k} {23 - k})" for k in range(2, 12))]),
+])
+def test_close_group_matches_products(degree, generators):
+    gens = [parse_cycles(g, degree) for g in generators]
+    g = close_group(gens, degree=degree)
+    assert list(g.elements) == _closure_by_products(gens, degree)
+    assert g.generators == tuple(gens)
 
 
 def test_symmetric_group():
@@ -202,6 +234,19 @@ def test_normalizer_generators_are_pinned(name):
     q = close_group([parse_cycles(g, degree) for g in generators], degree=degree)
     n = normalizer_in_symmetric(q)
     assert [g.cycle_string() for g in n.generators] == NORMALIZER_GENERATORS[name]
+
+
+# The trivial group's normalizer is all of S_9.  The generators are those the scan picked
+# when it re-closed Permutation objects for each one, which took 25 s here.
+@pytest.mark.parametrize("generators, order, expected", [
+    ([], 362_880, ["(8 9)", "(7 8)", "(6 7)", "(5 6)", "(4 5)", "(3 4)", "(2 3)", "(1 2)"]),
+    (["(1 2)"], 10_080, ["(8 9)", "(7 8)", "(6 7)", "(5 6)", "(4 5)", "(3 4)", "(1 2)"]),
+])
+def test_normalizer_at_degree_9(generators, order, expected):
+    n = normalizer_in_symmetric(close_group([parse_cycles(g, 9) for g in generators], degree=9))
+    assert n.order == order
+    assert [g.cycle_string() for g in n.generators] == expected
+    assert list(n.elements) == sorted(set(n.elements))
 
 
 @pytest.mark.parametrize("degree", range(1, 8))
