@@ -23,8 +23,8 @@ A = theta' restricted to theta's pivot columns, so fixed keys are found
 without re-echelonizing.  Orbit closure moves the whole array by one
 generator at a time, re-echelonizes it in a narrow unsigned dtype, finds
 each image's row by binary search, and merges orbits by minimum-label
-propagation.  ``act`` is the per-key pure-Python action the tests check
-these against.
+propagation in ``hgroup.orbit_labels``, which labels conjugacy classes
+too.  ``act`` is the per-key pure-Python action the tests check these against.
 
 The invariant keys of the whole space at m <= 2 come from a scan of the
 projective vectors v of F_p^n, not from the table.  Each block of v is
@@ -61,7 +61,7 @@ from .enumeration import (
     check_candidate_cap,
     key_from_theta,
 )
-from .hgroup import PermGroup, Permutation, normalizer_in_symmetric
+from .hgroup import PermGroup, Permutation, normalizer_in_symmetric, orbit_labels
 
 # The m <= 2 scan's cap in projective vectors (or eigenspace planes).  At n = 5 it admits
 # p <= 53, whose runs take no longer than the p = 17 table did, and refuses p = 59.
@@ -150,7 +150,7 @@ def orbit_partition(keys: KeySet, group: PermGroup) -> OrbitReport:
     if group.degree != keys.params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
     images = [_image_rows(keys, g) for g in group.generators]
-    return OrbitReport(keys, group, _orbit_labels(images, len(keys)))
+    return OrbitReport(keys, group, orbit_labels(images, len(keys)))
 
 
 def count_orbits_burnside(keys: KeySet, group: PermGroup) -> int:
@@ -209,10 +209,10 @@ def _moved_rows(rows: np.ndarray, sigma: Permutation, params: ActionParams) -> n
     """
     p, n = params.p, params.n
     rows = rows.astype(_product_dtype(params), copy=False)
-    inverse = sigma.inverse()
+    inverse = np.argsort(sigma.images)  # sigma^-1(j) - 1 at j - 1
     # The slot of a_{n+1} takes column n - 1 until it is filled below.  np.take copies in
     # C order, which the later steps run faster on than a fancy-index copy.
-    moved = np.take(rows, [min(inverse(j), n) - 1 for j in range(1, n + 1)], axis=2)
+    moved = np.take(rows, np.minimum(inverse[:n], n - 1), axis=2)
     if sigma(n + 1) <= n:
         implied = np.zeros(rows.shape[:2], rows.dtype)
         for column in range(n):  # whole-column adds beat a sum over the short last axis
@@ -351,26 +351,6 @@ def _image_rows(keys: KeySet, sigma: Permutation) -> np.ndarray:
         raise ActionOutsideSetError(
             "the action maps a key outside the supplied set; the set is not closed under the group"
         ) from None
-
-
-def _orbit_labels(images: list[np.ndarray], size: int) -> np.ndarray:
-    """Least row of each row's orbit, given the row permutation of each generator.
-
-    Labels only decrease and always name a row of the same orbit.  Once
-    pulling the least label across every generator changes nothing, each
-    label is constant on every generator's cycles, hence on the orbit.
-    Pointer jumping shortens the chains between rounds.
-    """
-    labels = np.arange(size)
-    while True:
-        updated = labels
-        for image in images:
-            updated = np.minimum(updated, updated[image])
-        while not np.array_equal(jumped := updated[updated], updated):
-            updated = jumped
-        if np.array_equal(updated, labels):
-            return labels
-        labels = updated
 
 
 def _projective_count(p: int, dim: int) -> int:

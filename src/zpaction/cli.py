@@ -51,7 +51,8 @@ from .predictions import case_group, predicted_triple_count
 
 # Read only by bench/workloads.py, which sets it on every pass; nothing in the package reads it.
 CACHE_ENV = "ZPACTION_CACHE_DIR"
-# S_9 is the largest default group: materializing S_10 takes minutes and gigabytes.
+# S_9 is the largest default group.  S_10's image array is only 36 MB, but its conjugacy
+# classes take 3-4 s and 280 MB (S_9's: 0.3 s), so orbits at p = 2, n = 9 would take 4 s.
 SYMMETRIC_ORDER_CAP = math.factorial(9)
 
 DEFAULT_TABLE_PRIMES = {
@@ -178,8 +179,9 @@ def _check_cap(args, check) -> None:
 
     At n = 9, S_10, its closure and the normalizer take seconds and
     hundreds of MB, so a run over the cap fails before it builds them.
-    Without ``--group`` the group is S_{n+1}, built element by element,
-    so its order is capped too, whatever the candidate count.
+    Without ``--group`` the group is S_{n+1}, whose classes cost time
+    and memory in step with its order, so that order is capped too,
+    whatever the candidate count.
     """
     check(_params(args), **_cap(args))
     order = math.factorial(args.n + 1)

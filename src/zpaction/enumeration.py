@@ -18,8 +18,8 @@ pattern (vectorized, no deduplication needed), while
 deduplicates.  They must agree wherever both are feasible.
 
 At run time a key set is a ``KeySet``, one sorted (N, m, n) digit array;
-``SubgroupKey`` objects are built only on request.  Only this module
-knows the row format: digit dtype, sort order and row codes.
+``SubgroupKey`` objects are built only on request.  Rows take the digit
+dtype and row codes of ``hgroup``, in base p, as permutation rows do.
 
 A presentation is the canonical form of one key: theta read in its pivot
 basis.  The pivot columns of the rref theta are the unit vectors, and
@@ -53,7 +53,7 @@ from .fpalgebra import (
     pivot_columns,
     rref,
 )
-from .hgroup import Permutation
+from .hgroup import Permutation, digit_dtype, row_codes
 
 DEFAULT_CANDIDATE_CAP = 10**9
 ORACLE_CANDIDATE_CAP = 10**7
@@ -278,20 +278,6 @@ def name_of_key(key: SubgroupKey) -> str | None:
 # enumeration
 
 
-def _dtype_for(p: int):
-    return np.uint8 if p < 256 else np.uint16
-
-
-def _row_codes(table: np.ndarray) -> np.ndarray:
-    """One opaque scalar per key that sorts like the key's digits.
-
-    Big-endian 16-bit digits compared bytewise order the same as the
-    digit tuples, for every p < 2^16 and any m, n.
-    """
-    flat = np.ascontiguousarray(table.reshape(len(table), math.prod(table.shape[1:])), dtype=">u2")
-    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-
-
 def _rref_walk(p: int, m: int, n: int, chunk: int = _CHUNK):
     """Every rank-m rref m x n matrix over F_p, in (count, m, n) blocks of at most ``chunk``.
 
@@ -300,7 +286,7 @@ def _rref_walk(p: int, m: int, n: int, chunk: int = _CHUNK):
     canonical, so no deduplication is needed.  At m = 1 the matrices are
     the projective points of F_p^n, each scaled to a leading 1.
     """
-    dtype = _dtype_for(p)
+    dtype = digit_dtype(p)
     for pivots in itertools.combinations(range(n), m):
         free = [(i, j) for i in range(m) for j in range(n) if j not in pivots and j > pivots[i]]
         total = p ** len(free)
@@ -359,14 +345,14 @@ class KeySet:
         keys = list(keys)
         if any(key.params != params for key in keys):
             raise ValueError("keys must share the key set's parameters")
-        rows = np.array([key.digits for key in keys], dtype=_dtype_for(params.p))
+        rows = np.array([key.digits for key in keys], dtype=digit_dtype(params.p))
         return cls.from_rows(params, rows.reshape(-1, params.m, params.n))
 
     @classmethod
     def from_rows(cls, params: ActionParams, rows: np.ndarray) -> "KeySet":
         """The distinct rows of an (N, m, n) array of admissible rref matrices at ``params``."""
-        rows = rows.astype(_dtype_for(params.p), copy=False)
-        _, first = np.unique(_row_codes(rows), return_index=True)
+        rows = rows.astype(digit_dtype(params.p), copy=False)
+        _, first = np.unique(row_codes(rows, params.p), return_index=True)
         return cls(params, rows[first])
 
     @classmethod
@@ -383,11 +369,11 @@ class KeySet:
 
     @cached_property
     def _codes(self) -> np.ndarray:
-        return _row_codes(self.rows)
+        return row_codes(self.rows, self.params.p)
 
     def rows_of(self, matrices: np.ndarray) -> np.ndarray:
         """Row of each rref (m, n) matrix, by binary search; KeyError if one is absent."""
-        codes, targets = self._codes, _row_codes(matrices)
+        codes, targets = self._codes, row_codes(matrices, self.params.p)
         rows = np.searchsorted(codes, targets)
         if not (rows < len(codes)).all() or not (codes[rows] == targets).all():
             raise KeyError("a matrix is not a row of the key set")

@@ -7,13 +7,12 @@ generator images (``classify.act``).  This module holds the
 permutation side: cycle notation, group closure, conjugacy classes and
 normalizers.
 
-Groups are held as ``Permutation`` objects but computed as arrays of
-images.  One closure, ``_closure``, grows a group level by level on
-sorted codes of its rows.  The normalizer of a group in S_{n+1}
-is found by one array scan: all (n+1)! relabelings are a single uint8
-array, each generator is conjugated by all of them at once, and
-membership in the group is a test on codes of the conjugates.  Its
-generators are picked against the same closure.
+A group is one sorted array of 0-based images, a row per element,
+compared through ``row_codes`` as key rows are; only its generators are
+``Permutation`` objects.  ``_closure`` grows a group level by level.
+Conjugacy classes are orbits of the rows under conjugation by the
+generators, labelled by ``orbit_labels`` as key orbits are.  The
+normalizer in S_{n+1} is one scan of all (n+1)! relabelings.
 
 Composition convention, fixed once for the whole package: permutations
 compose right-to-left, ``(sigma * tau)(j) = sigma(tau(j))``, so that
@@ -132,48 +131,88 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A permutation group given by generators together with its full closure."""
+    """A permutation group: generators, and elements as ``images[i, j - 1] = sigma_i(j) - 1``.
+
+    ``images`` is (order, degree) in ``digit_dtype(degree)``, its rows
+    sorted, the identity first; ``elements`` builds objects on request.
+    """
 
     degree: int
     generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
+    images: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     @cached_property
-    def element_set(self) -> frozenset[Permutation]:
-        return frozenset(self.elements)
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in self.element_set
+    def elements(self) -> tuple[Permutation, ...]:
+        return _permutations(self.images)
 
     def __iter__(self):
         return iter(self.elements)
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[Permutation, int], ...]:
-        """(first member in ``elements``, size) for each conjugacy class.
+        """(least member, size) for each conjugacy class, in the order of those members.
 
-        A class is the closure of one element under conjugation by the
-        generators, which reaches every conjugate in a finite group.
+        Each generator conjugates every element at once, and binary search
+        on the codes finds each conjugate's row; the classes are the orbits
+        of those row permutations.
         """
-        conjugators = [(g, g.inverse()) for g in self.generators]
-        seen: set[Permutation] = set()
-        classes = []
-        for sigma in self.elements:
-            if sigma not in seen:
-                members = frontier = {sigma}
-                while frontier:
-                    conjugates = {g * a * g_inv for a in frontier for g, g_inv in conjugators}
-                    frontier = conjugates - members
-                    members = members | frontier
-                seen |= members
-                classes.append((sigma, len(members)))
-        return tuple(classes)
+        codes = row_codes(self.images, self.degree)
+        moves = [np.searchsorted(codes, row_codes(g[self.images[:, np.argsort(g)]], self.degree))
+                 for g in _image_array(self.generators, self.degree)]  # g a g^-1 = g[a[g^-1]]
+        roots, sizes = np.unique(orbit_labels(moves, self.order), return_counts=True)
+        return tuple(zip(_permutations(self.images[roots]), sizes.tolist()))
+
+
+def digit_dtype(base: int):
+    """The unsigned dtype of rows whose digits lie below ``base``: uint8 up to base 256, else uint16."""
+    return np.uint8 if base <= 1 << 8 else np.uint16
+
+
+def row_codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """One code per row of digits below ``base`` (any trailing shape), sorting like the digits.
+
+    Mixed-radix int64 codes while base^width < 2^63, else the row's
+    big-endian 16-bit digits as one void scalar (base <= 2^16), which
+    numpy sorts and searches several times slower.  Key rows take base
+    p, permutation rows base degree.
+    """
+    flat = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+    if base ** flat.shape[1] >= 1 << 63:
+        flat = np.ascontiguousarray(flat, dtype=">u2")
+        return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    codes, step = np.zeros(len(flat), dtype=np.int64), 1 << 15  # a block of codes stays in cache
+    for start in range(0, len(flat), step):
+        block = codes[start : start + step]
+        for column in flat[start : start + step].T:
+            block *= base
+            np.add(block, column, out=block, dtype=np.int64, casting="unsafe")  # uint64 digits too
+    return codes
+
+
+def orbit_labels(images: list[np.ndarray], size: int) -> np.ndarray:
+    """Least row of each row's orbit, given the row permutation of each generator.
+
+    Labels only decrease and always name a row of the same orbit.  Once
+    pulling the least label across every generator changes nothing, each
+    label is constant on every generator's cycles, hence on the orbit.
+    Pointer jumping shortens the chains between rounds.
+    """
+    labels = np.arange(size)
+    while True:
+        updated = labels
+        for image in images:
+            updated = np.minimum(updated, updated[image])
+        while not np.array_equal(jumped := updated[updated], updated):
+            updated = jumped
+        if np.array_equal(updated, labels):
+            return labels
+        labels = updated
 
 
 def close_group(
@@ -189,41 +228,23 @@ def close_group(
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators of unequal degree")
-    rows = np.array([g.images for g in gens], dtype=np.uint16).reshape(-1, degree) - 1
-    identity = np.arange(degree, dtype=np.uint16)[None]
-    return PermGroup(degree, gens, _permutations(_closure(rows, identity, cap)))
+    identity = np.arange(degree, dtype=digit_dtype(degree))[None]
+    return PermGroup(degree, gens, _closure(_image_array(gens, degree), identity, cap))
 
 
 def symmetric_group(degree: int) -> PermGroup:
     """All of S_degree, generated by the transposition (1 2) and the full cycle."""
     if degree > 10:
         raise ValueError("symmetric group too large to materialize")
-    elements = _permutations(_all_permutations(degree))
-    if degree == 1:
-        gens: tuple[Permutation, ...] = ()
-    elif degree == 2:
-        gens = (Permutation((2, 1)),)
-    else:
-        swap = parse_cycles("(1 2)", degree)
-        cycle = Permutation(tuple(list(range(2, degree + 1)) + [1]))
-        gens = (swap, cycle)
-    return PermGroup(degree, gens, elements)
+    swap, cycle = (2, 1, *range(3, degree + 1)), (*range(2, degree + 1), 1)
+    gens = tuple(map(Permutation, [swap, cycle][: degree - 1]))  # S_2: the swap alone; S_1: none
+    return PermGroup(degree, gens, _all_permutations(degree))
 
 
-def _permutation_codes(images: np.ndarray) -> np.ndarray:
-    """One code per row of 0-based images, in the rows' lexicographic order.
-
-    Base-degree digits in an int64 while degree^degree fits (degree <= 15),
-    else the row's big-endian bytes as a void scalar, which sorts slower.
-    """
-    degree = images.shape[1]
-    if degree > 15:
-        return np.ascontiguousarray(images, dtype=">u2").view(f"V{2 * degree}")[:, 0]
-    codes = np.zeros(len(images), dtype=np.int64)
-    for column in images.T:
-        codes *= degree
-        codes += column
-    return codes
+def _image_array(perms, degree: int) -> np.ndarray:
+    """0-based images of ``perms``, one row each, in ``digit_dtype(degree)``."""
+    images = np.array([g.images for g in perms], dtype=np.intp).reshape(-1, degree) - 1
+    return images.astype(digit_dtype(degree))
 
 
 def _permutations(images: np.ndarray) -> tuple[Permutation, ...]:
@@ -240,11 +261,11 @@ def _closure(generators: np.ndarray, elements: np.ndarray, cap: int = DEFAULT_CL
     products with new codes form the next level.  Raises ValueError once
     there are more than ``cap`` rows.
     """
-    frontier = elements
+    frontier, degree = elements, elements.shape[1]
     while len(frontier):
-        products = generators[:, frontier].reshape(-1, elements.shape[1])
+        products = generators[:, frontier].reshape(-1, degree)
         merged = np.concatenate([elements, products])
-        _, first = np.unique(_permutation_codes(merged), return_index=True)  # known rows first
+        _, first = np.unique(row_codes(merged, degree), return_index=True)  # known rows first
         frontier, elements = merged[first[first >= len(elements)]], merged[first]
         if len(elements) > cap:
             raise ValueError(f"group closure exceeds cap {cap}")
@@ -252,15 +273,16 @@ def _closure(generators: np.ndarray, elements: np.ndarray, cap: int = DEFAULT_CL
 
 
 def _all_permutations(degree: int) -> np.ndarray:
-    """Every permutation of 0..degree-1 as one (degree!, degree) uint8 array, in lexicographic order.
+    """Every permutation of 0..degree-1 as one (degree!, degree) array, in lexicographic order.
 
     The permutations of 0..k-1 that start with f are f followed by those
     of 0..k-2 with every point >= f moved up by one, which keeps their
     order.
     """
-    perms = np.zeros((1, 0), dtype=np.uint8)
+    dtype = digit_dtype(degree)
+    perms = np.zeros((1, 0), dtype=dtype)
     for k in range(1, degree + 1):
-        firsts = np.repeat(np.arange(k, dtype=np.uint8), len(perms))
+        firsts = np.repeat(np.arange(k, dtype=dtype), len(perms))
         rest = np.tile(perms, (k, 1))
         rest += rest >= firsts[:, None]
         perms = np.column_stack([firsts, rest])
@@ -282,19 +304,16 @@ def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
     degree = group.degree
     if degree > MAX_NORMALIZER_DEGREE:
         raise ValueError(f"degree {degree} too large for exhaustive normalizer scan")
-    taus = _all_permutations(degree)
-    inverses = np.empty_like(taus)
-    np.put_along_axis(inverses, taus, np.arange(degree, dtype=np.uint8)[None], axis=1)
-    members = _permutation_codes(np.array([g.images for g in group.elements]) - 1)
+    taus, members = _all_permutations(degree), row_codes(group.images, degree)
+    inverses = np.argsort(taus, axis=1)
     normalizing = np.ones(len(taus), dtype=bool)
-    for g in group.generators:
-        images = np.array(g.images, dtype=np.uint8) - 1
-        conjugates = np.take_along_axis(taus, images[inverses], axis=1)
-        normalizing &= np.isin(_permutation_codes(conjugates), members)
+    for g in _image_array(group.generators, degree):
+        conjugates = np.take_along_axis(taus, g[inverses], axis=1)
+        normalizing &= np.isin(row_codes(conjugates, degree), members)
     taus = taus[normalizing]
-    codes = _permutation_codes(taus)
+    codes = row_codes(taus, degree)
     picked, closure = [], taus[:1]  # the identity, the least permutation
     while len(closure) < len(taus):  # the closure lies inside the normalizer
-        picked.append(taus[(~np.isin(codes, _permutation_codes(closure))).argmax()])
+        picked.append(taus[(~np.isin(codes, row_codes(closure, degree))).argmax()])
         closure = _closure(np.array(picked), closure)
-    return PermGroup(degree, _permutations(np.array(picked)), _permutations(taus))
+    return PermGroup(degree, _permutations(np.array(picked)), taus)

@@ -25,6 +25,8 @@ test suite confirm it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .enumeration import ActionParams, SubgroupKey, VerificationError, named_key
 from .hgroup import PermGroup, close_group, parse_cycles
 
@@ -60,7 +62,7 @@ def family_for_group(n: int, group: PermGroup) -> str:
         if case_n != n:
             continue
         builtin = case_group(case)
-        if builtin.degree == group.degree and builtin.element_set == group.element_set:
+        if np.array_equal(builtin.images, group.images):  # sorted rows: equal arrays, equal groups
             return case
     raise ValueError(f"no predicted family matches the given group at n={n}")
 

@@ -350,6 +350,20 @@ def test_class_weighted_burnside_matches_per_element_s6():
     assert burnside_count_full(params, s6) == burnside_per_element(keys, s6)
 
 
+def test_burnside_builds_one_permutation_per_class(monkeypatch):
+    # the class sum reads classes off the image array; it builds no Permutation per element
+    s6, built = symmetric_group(6), []
+    post_init = Permutation.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting_post_init)
+    assert burnside_count_full(ActionParams(5, 5, 2), s6) == 58
+    assert len(built) <= len(s6.conjugacy_classes) + len(s6.generators) + 2
+
+
 @pytest.mark.parametrize("group, classes", [(D3, 3), (C6, 6)], ids=["D3", "C6"])
 def test_class_weighted_burnside_matches_per_element_subgroups(group, classes):
     params = ActionParams(5, 5, 2)

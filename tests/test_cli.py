@@ -22,6 +22,19 @@ def test_orbits_table_row(capsys):
     assert out.splitlines()[:2] == ["p, N", "113, 580"]
 
 
+def test_orbits_default_s9_at_the_order_cap(capsys):
+    # S_9, the largest default group, through classes, closure and Burnside at p = 2
+    code, out, _ = run_cli(["orbits", "--p", "2", "--n", "8"], capsys)
+    assert code == 0
+    assert out == (
+        "p, N\n"
+        "2, 3\n"
+        "   1. size   36  rep 1,0,0,0,0,0,0,0;0,1,1,1,1,1,1,1\n"
+        "   2. size  504  rep 1,0,0,0,0,0,1,1;0,1,1,1,1,1,0,0\n"
+        "   3. size  280  rep 1,0,0,0,1,1,1,1;0,1,1,1,0,0,1,1\n"
+    )
+
+
 def test_composite_modulus_rejected(capsys):
     code, _, err = run_cli(["enumerate", "--p", "4", "--n", "3"], capsys)
     assert code == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,10 +27,9 @@ from zpaction.enumeration import (
     name_of_key,
     theta_table,
 )
-from zpaction.enumeration import _row_codes
 from zpaction.classify import act
 from zpaction.geometry import fiber_product_model
-from zpaction.hgroup import Permutation
+from zpaction.hgroup import Permutation, row_codes
 
 
 def test_params_validation():
@@ -129,8 +129,26 @@ def test_key_set_rows_of_misses_raise_key_error():
     assert KeySet.of(params, []).rows_of(np.zeros((0, 2, 3), np.uint8)).shape == (0,)
 
 
+@pytest.mark.parametrize("p, kind", [(1447, "i"), (1451, "V")])
+def test_key_sets_at_the_row_code_switch(p, kind):
+    # keys at (3, 2) have six digits: int64 codes while p^6 < 2^63 (p = 1447), byte codes above
+    params = ActionParams(p, 3, 2)
+    rng = random.Random(p)
+    rows = [[[1, 0, rng.randrange(1, p)], [0, 1, rng.randrange(1, p - 1)]] for _ in range(300)]
+    rows += [[[1, rng.randrange(1, p), 0], [0, 0, 1]] for _ in range(100)]
+    rows += [[[1, 0, p - 1], [0, 1, p - 2]], [[1, p - 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 1]]]
+    key_set = KeySet.from_rows(params, np.array(rows))
+    assert row_codes(key_set.rows, p).dtype.kind == kind
+    expected = sorted({tuple(first + second) for first, second in rows})
+    assert list(map(tuple, key_set.rows.reshape(len(key_set), 6).tolist())) == expected
+    assert key_set.rows_of(key_set.rows[::-1]).tolist() == list(range(len(key_set)))[::-1]
+    missing = [[1, 0, p - 1], [0, 1, p - 1]]  # not admissible, so never a row
+    with pytest.raises(KeyError):
+        key_set.rows_of(np.array([missing], dtype=key_set.rows.dtype))
+
+
 def test_empty_key_sets():
-    assert _row_codes(np.zeros((0, 2, 3), np.uint8)).shape == (0,)
+    assert row_codes(np.zeros((0, 2, 3), np.uint8), 5).shape == (0,)
     empty = KeySet.of(ActionParams(5, 3, 2), [])
     assert len(empty) == 0 and empty.rows.shape == (0, 2, 3)
     assert empty.keys() == [] and empty.digit_strings() == []

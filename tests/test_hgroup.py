@@ -1,7 +1,9 @@
 import itertools
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,8 +18,10 @@ from zpaction.hgroup import (
     close_group,
     normalizer_in_symmetric,
     parse_cycles,
+    row_codes,
     symmetric_group,
 )
+from zpaction.predictions import CASES, case_group
 
 # The paper's matrix form of a relabeling, kept here as an oracle for the
 # package's one action on keys, which permutes the n+1 generator images.
@@ -214,7 +218,7 @@ def test_normalizer_matches_brute_force_with_few_generators(degree, generators):
             brute.add(tau)
     n = normalizer_in_symmetric(q)
     assert set(n.elements) == brute
-    assert close_group(n.generators, degree=degree).element_set == n.element_set
+    assert set(close_group(n.generators, degree=degree).elements) == set(n.elements)
     assert len(n.generators) <= math.floor(math.log2(n.order)) + 1
 
 
@@ -273,3 +277,89 @@ def test_conjugacy_classes_of_symmetric_groups(degree):
     assert len(classes) == len(by_type)
     assert {cycle_type(rep): size for rep, size in classes} == by_type
     assert [rep for rep, _ in classes] == sorted(rep for rep, _ in classes)
+
+
+def test_close_group_above_degree_256():
+    # 0-based images up to 299 need 16 bits; an 8-bit image row would wrap
+    swap = parse_cycles("(1 300)", 300)
+    g = close_group([swap])
+    assert g.order == 2
+    assert g.elements == (Permutation.identity(300), swap)
+    assert swap in g and parse_cycles("(1 299)", 300) not in g
+
+
+@pytest.mark.parametrize("base, kind", [(1447, "i"), (1451, "V")])
+def test_row_codes_switch_to_bytes_past_int64(base, kind):
+    # 1447^6 < 2^63 <= 1451^6: six digits take int64 codes below the switch, byte codes above it
+    rows = np.array([[base - 1] * 6, [base - 2] * 6, [0] * 5 + [1], [base - 1] * 5 + [0],
+                     [1, 2, 3, 255, 256, 257], [1, 2, 3, 256, 255, 257]])
+    codes = row_codes(rows.astype(np.uint16).reshape(-1, 2, 3), base)
+    assert codes.dtype.kind == kind
+    assert np.array_equal(row_codes(rows.astype(np.uint64), base), codes)  # the widest product dtype
+    assert np.argsort(codes, kind="stable").tolist() == sorted(range(6), key=lambda i: rows[i].tolist())
+
+
+def _classes_by_closure(group):
+    """(first member in ``elements``, size) per class, each closed under conjugation as a Python set."""
+    conjugators = [(g, g.inverse()) for g in group.generators]
+    seen: set[Permutation] = set()
+    classes = []
+    for sigma in group.elements:
+        if sigma not in seen:
+            members = frontier = {sigma}
+            while frontier:
+                conjugates = {g * a * g_inv for a in frontier for g, g_inv in conjugators}
+                frontier = conjugates - members
+                members = members | frontier
+            seen |= members
+            classes.append((sigma, len(members)))
+    return classes
+
+
+def _random_groups(seed, count=3, max_order=5040):
+    """``count`` groups of degree <= 9, each generated by up to three random permutations."""
+    rng = random.Random(seed)
+    groups = []
+    while len(groups) < count:
+        degree = rng.randint(1, 9)
+        generators = []
+        for _ in range(rng.randint(0, 3)):
+            support = rng.sample(range(degree), rng.randint(1, degree))
+            images = list(range(1, degree + 1))
+            for a, b in zip(support, rng.sample(support, len(support))):
+                images[a] = b + 1
+            generators.append(Permutation(tuple(images)))
+        try:
+            groups.append(close_group(generators, degree=degree, cap=max_order))
+        except ValueError:  # over the order bound; draw again
+            continue
+    return groups
+
+
+def _oracle_groups():
+    cases = [pytest.param(lambda d=d: [symmetric_group(d)], id=f"S{d}") for d in range(1, 9)]
+    cases += [pytest.param(lambda c=c: [case_group(c), normalizer_in_symmetric(case_group(c))], id=c)
+              for c in CASES]
+    cases += [pytest.param(lambda s=s: _random_groups(s), id=f"random-{s}") for s in range(50)]
+    return cases
+
+
+@pytest.mark.parametrize("groups", _oracle_groups())
+def test_conjugacy_classes_match_set_closure(groups):
+    for group in groups():
+        assert list(group.conjugacy_classes) == _classes_by_closure(group)
+
+
+def test_class_sizes_of_s9_match_cycle_types():
+    # |class of cycle type 1^m_1 2^m_2 ...| = 9! / prod k^m_k m_k!, one class per partition of 9
+    group = symmetric_group(9)
+    classes = group.conjugacy_classes
+    types = set()
+    for rep, size in classes:
+        lengths = Counter(len(c) for c in rep.cycles())
+        lengths[1] = 9 - sum(k * m for k, m in lengths.items())
+        types.add(tuple(sorted(lengths.elements())))
+        assert size == math.factorial(9) // math.prod(k**m * math.factorial(m) for k, m in lengths.items())
+    assert len(classes) == len(types) == 30
+    assert sum(size for _, size in classes) == group.order
+    assert "elements" not in vars(group)  # no Permutation per element was built
