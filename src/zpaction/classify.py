@@ -32,18 +32,18 @@ moved by every generator, and the rank of span(v, g_1 v, ..., g_r v) is
 read in closed form: with c the pivot of v, each image reduces against v
 to w_i = g_i v - chi_i v, chi_i = (g_i v)[c], and the rank is 1 if every
 w_i is 0 and 2 if they are all multiples of one.  No stack is
-echelonized.  Rank-2 spans are candidate planes; rank-1 spans are common
-eigenvectors, which give the candidate lines and a basis of each common
-eigenspace E_chi, whose planes come from the same rref walk that builds
-the table.  The ``invariant_set`` mask certifies each block of
-candidates and keeps only the fixed keys.  At m >= 3 a stable subspace
-need not have that form, so those keys are the mask over the table.
-``_rref_rows`` stays the one batched elimination, for the eigenspace
-bases and for orbit closure.
+echelonized.  The candidates have two sources: the rank-2 planes that a
+keep rule picks before they are built, and one rref walk over each common
+eigenspace E_chi (its basis from the rank-1 spans) for its lines at m = 1
+and its planes at m = 2.  The ``invariant_set`` mask certifies each block
+and keeps only the fixed keys.  At m >= 3 a stable subspace need not have
+that form, so those keys are the mask over the table.  ``_rref_rows`` is
+the one batched elimination, for the eigenspace bases and orbit closure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,8 +63,8 @@ from .enumeration import (
 )
 from .hgroup import PermGroup, Permutation, normalizer_in_symmetric, orbit_labels
 
-# The m <= 2 scan's cap in projective vectors (or eigenspace planes).  At n = 5 it admits
-# p <= 53, whose runs take no longer than the p = 17 table did, and refuses p = 59.
+# The m <= 2 scan's cap on its projective vectors, then on its eigenspace subspaces.  At n = 5
+# it admits p <= 53 (1.4-1.9 s, 0.2-0.3 us per vector, 2 vCPU) and refuses p = 59 (2.9-4.0 s).
 TRIPLES_CANDIDATE_CAP = 10_000_000
 
 # Projective vectors per block of the invariant-key scan; bounds its working memory.
@@ -267,23 +267,25 @@ def _rref_rows(block: np.ndarray, params: ActionParams) -> np.ndarray:
 
 
 def _orbit_spans(vectors: np.ndarray, images: list[np.ndarray], params: ActionParams):
-    """Characters, rank and rref plane of each span(v, g_1 v, ..., g_r v), without elimination.
+    """Characters, rank and kept rref plane of each span(v, g_1 v, ..., g_r v), without elimination.
 
     ``vectors`` holds K rref rows v, (K, 1, n), each with its leading 1
     at a column c; ``images`` holds each generator's (K, 1, n) images
     g_i v.  Returns the (K, r) characters chi_i = (g_i v)[c], the (K,)
     ranks capped at 3 (3 stands for any rank above 2), and the (K_2, 2, n)
-    rref rows of the rank-2 spans, in row order.
+    rref rows, in row order, of the rank-2 spans whose v is at most 1 at
+    the plane's second pivot max(c, d): v = r_1, r_1 + r_2 or r_2 of the
+    plane's rref rows (r_1, r_2), so each plane comes from at most three v.
 
     Each image reduces against v to w_i = g_i v - chi_i v, which is 0 at
     c.  The span has rank 1 iff every w_i is 0.  Otherwise let u be the
     first nonzero w_i scaled to a leading 1 at its column d: the rank is
     2 iff every w_i - w_i[d] u is 0 (always so for that first w_i and the
     zero ones before it, so w_1 is never tested), and the plane's rref
-    rows are u and v - v[d] u, ordered by pivot.  The work runs on (n, K)
-    transposes, one contiguous row of K entries per column, since numpy
-    is slow on a short last axis.  Entries stay below p, so the products
-    stay below p^2 and fit the product dtype.
+    rows are u and v - v[d] u, ordered by pivot, built only for those v.
+    The work runs on (n, K) transposes, one contiguous row of K entries
+    per column, since numpy is slow on a short last axis.  Entries stay
+    below p, so the products stay below p^2 and fit the product dtype.
     """
     p = params.p
     count = len(vectors)
@@ -316,7 +318,7 @@ def _orbit_spans(vectors: np.ndarray, images: list[np.ndarray], params: ActionPa
         outside |= _nonzero_columns(residue)
     spanned = np.logical_or.reduce(nonzero)
     ranks[spanned] = np.where(outside[spanned], 3, 2)
-    k = np.flatnonzero(ranks == 2)
+    k = np.flatnonzero((ranks == 2) & (v[d, spread] <= 1))  # keep rule; v[d] = 0 if d < c
     u, d, v = np.take(u, k, axis=1), d[k], np.take(v, k, axis=1)  # take beats fancy indexing here
     rest = v + (p - v[d, np.arange(len(k))]) * u
     rest %= p
@@ -353,8 +355,9 @@ def _image_rows(keys: KeySet, sigma: Permutation) -> np.ndarray:
         ) from None
 
 
-def _projective_count(p: int, dim: int) -> int:
-    return (p**dim - 1) // (p - 1)
+def _subspace_count(p: int, dim: int, m: int) -> int:
+    """The Gaussian binomial [dim choose m]_p: the m-dimensional subspaces of F_p^dim."""
+    return math.prod(p**dim - p**i for i in range(m)) // math.prod(p**m - p**i for i in range(m))
 
 
 def check_invariant_cap(
@@ -363,14 +366,15 @@ def check_invariant_cap(
     """Raise ScaleCapError when ``invariant_keys_full`` at ``params`` exceeds its route's cap.
 
     At m >= 3 that is ``theta_table``'s cap on table rows.  At m <= 2 it
-    is ``TRIPLES_CANDIDATE_CAP`` on the scan's projective vectors of F_p^n
-    or, once the scan has counted them, its eigenspace ``planes``.
+    is ``TRIPLES_CANDIDATE_CAP`` on the span walk's projective vectors
+    [n choose 1]_p or, once it has found the common eigenspaces, on the
+    ``planes`` (lines at m = 1) sum [dim E_chi choose m]_p of their walk.
     ``max_candidates`` (None or 0: the route's cap) overrides either cap.
     """
     if params.m > 2:
         return check_candidate_cap(params, max_candidates or DEFAULT_CANDIDATE_CAP)
     estimate, unit = ((planes, "eigenspace planes") if planes is not None
-                      else (_projective_count(params.p, params.n), "projective vectors"))
+                      else (_subspace_count(params.p, params.n, 1), "projective vectors"))
     if estimate > (max_candidates or TRIPLES_CANDIDATE_CAP):
         message = f"the invariant scan at (p={params.p}, n={params.n}, m={params.m}) exceeds the cap"
         raise ScaleCapError(message, estimate, unit)
@@ -393,9 +397,9 @@ def invariant_keys_full(
     check_invariant_cap(params, max_candidates)
     if params.m > 2:
         return invariant_set(KeySet.full(params, max_candidates or DEFAULT_CANDIDATE_CAP), group)
-    fixed = [invariant_set(KeySet.from_rows(params, block), group).rows
-             for block in _stable_candidates(params, group, max_candidates)]
-    return KeySet.from_rows(params, np.concatenate(fixed))  # each key comes at most three times
+    fixed = [invariant_set(KeySet.from_rows(params, block), group).rows  # a key up to 3 times
+             for block in _stable_candidates(params, group, max_candidates)]  # maybe no block
+    return KeySet.from_rows(params, np.concatenate([KeySet.of(params, ()).rows, *fixed]))
 
 
 def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: int | None):
@@ -403,25 +407,21 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
 
     A relabeling moves a key's rows by one linear map of F_p^n, so a key
     is fixed by Q iff its row space W is stable under every generator.
-    A stable line is spanned by a common eigenvector v of the generators.
+    A stable line is spanned by a common eigenvector of the generators.
     A stable plane W either is span(v, g_1 v, ..., g_r v) of rank 2 for
     some v in W, or else every v in W is a common eigenvector, so each
     generator acts on W as a scalar and W is a plane of one common
     eigenspace E_chi, chi the tuple of those scalars.
 
-    One walk over the projective vectors v, ``_SCAN_CHUNK`` at a time,
-    moves v by every generator and reads the rank of span(v, g_1 v, ...,
-    g_r v) and, at rank 2, its rref rows from ``_orbit_spans``, which
-    reduces each image against v instead of echelonizing the stack.
-    Rank 1 marks a common eigenvector: a candidate line, and a vector of
-    E_chi for chi read off v's pivot entry.  Rank 2 gives a candidate
-    plane W with rref rows (r_1, r_2), kept only from v = r_1, r_1 + r_2
-    or r_2 (v's entry at r_2's pivot is at most 1): unless W is of scalar
-    type, at most two points of W are common eigenvectors, so one of the
-    three spans W.
-    At m = 2 the planes of each E_chi come from the rref walk over
-    G(2, dim E_chi) times a basis of E_chi, once their count passes the
-    scan cap.  Rows may repeat.
+    Two sources give the candidates.  A walk over the projective vectors
+    v, ``_SCAN_CHUNK`` at a time, reads each span from ``_orbit_spans``.
+    At m = 2 its kept planes are the first: a stable plane not of scalar
+    type has at most two common eigenvectors as points, so one of its
+    three kept v spans it.  Its rank-1 v give a basis of each E_chi, chi
+    read off v's pivot entry.  The second, once the count of its
+    subspaces passes the scan cap, is the rref walk over G(m, dim E_chi)
+    times each basis: the lines at m = 1, the scalar-type planes at m = 2.
+    Rows may repeat.
     """
     p, n, m = params.p, params.n, params.m
     dtype = _product_dtype(params)
@@ -430,26 +430,20 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
         vectors = vectors.astype(dtype)
         images = [_moved_rows(vectors, g, params) for g in group.generators]
         characters, ranks, planes = _orbit_spans(vectors, images, params)
-        eigen = vectors[ranks == 1]
-        if m == 1:
-            yield eigen[_admissible(eigen, p)]
-            continue
-        spanning = vectors[ranks == 2, 0]
-        second_pivots = (planes[:, 1] != 0).argmax(axis=1)
-        planes = planes[spanning[np.arange(len(planes)), second_pivots] <= 1]
-        yield planes[_admissible(planes, p)]
+        if m == 2:
+            yield planes[_admissible(planes, p)]
+        eigen = vectors[ranks == 1, 0]
         labels, inverse = np.unique(characters[ranks == 1], axis=0, return_inverse=True)
         for label, chi in enumerate(map(tuple, labels.tolist())):
-            basis = np.concatenate([eigenspaces.get(chi, eigen[:0, 0]), eigen[inverse == label, 0]])
+            basis = np.concatenate([eigenspaces.get(chi, eigen[:0]), eigen[inverse == label]])
             eigenspaces[chi] = basis[: _rref_rows(basis[None], params)[0]]
-    plane_count = sum(_projective_count(p, len(b)) * _projective_count(p, len(b) - 1) // (p + 1)
-                      for b in eigenspaces.values())  # [dim E_chi choose 2]_p each
-    check_invariant_cap(params, max_candidates, plane_count)
+    count = sum(_subspace_count(p, len(basis), m) for basis in eigenspaces.values())
+    check_invariant_cap(params, max_candidates, count)
     for basis in eigenspaces.values():
-        for coefficients in _rref_walk(p, 2, len(basis), _SCAN_CHUNK):  # none if dim < 2
-            planes = coefficients.astype(dtype) @ basis  # a product of rref matrices is rref
-            planes %= p
-            yield planes[_admissible(planes, p)]
+        for coefficients in _rref_walk(p, m, len(basis), _SCAN_CHUNK):  # none if dim E_chi < m
+            rows = coefficients.astype(dtype) @ basis  # a product of rref matrices is rref
+            rows %= p
+            yield rows[_admissible(rows, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +477,21 @@ def classify_triples(
     ``exhaustive`` finds every invariant subgroup of the parameter space
     with ``invariant_keys_full`` (at m <= 2 a projective-vector scan, at
     m >= 3 the table, each certified by the invariance mask); ``predicted``
-    instantiates the matching closed-form family (and re-verifies every
-    member's invariance).  The classes are the orbits of the invariant set
-    under the normalizer of ``group`` inside S_{n+1}; their Burnside count
-    must agree with the partition, else VerificationError.  The exhaustive
-    route checks its cap before the normalizer is built.
+    instantiates the matching closed-form m = 2 family (and re-verifies
+    every member's invariance).  The classes are the orbits of the invariant
+    set under the normalizer of ``group`` inside S_{n+1}; their Burnside
+    count must agree with the partition, else VerificationError.  The
+    exhaustive route checks its cap, then builds the normalizer, then scans.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
     if mode == "exhaustive":
+        check_invariant_cap(params, max_candidates)
+        normalizer = normalizer_in_symmetric(group)
         invariant = invariant_keys_full(params, group, max_candidates)
     elif mode == "predicted":
+        if params.m != 2:
+            raise ValueError(f"the predicted families are m = 2, not m = {params.m}")
         from .predictions import family_for_group, predicted_invariant_set
 
         case = family_for_group(params.n, group)
@@ -502,8 +500,8 @@ def classify_triples(
         if invariant != predicted:
             bad = min(set(predicted.digit_strings()) - set(invariant.digit_strings()))
             raise VerificationError(f"predicted member {bad} is not invariant")
+        normalizer = normalizer_in_symmetric(group)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    normalizer = normalizer_in_symmetric(group)
     report = verified_orbits(invariant, normalizer)  # the invariant set is normalizer-stable
     return TriplesReport(params, group, normalizer, mode, invariant, report)

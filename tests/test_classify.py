@@ -261,6 +261,24 @@ def test_triples_checks_the_cap_before_the_normalizer(monkeypatch):
         classify_triples(ActionParams(59, 5, 2), involution, mode="exhaustive")
 
 
+def test_triples_checks_the_normalizer_degree_before_the_scan(monkeypatch):
+    import zpaction.classify
+
+    def never(*args):
+        raise AssertionError("the invariant scan started")
+
+    monkeypatch.setattr(zpaction.classify, "invariant_keys_full", never)
+    cycle = close_group([parse_cycles("(1 2 3 4 5 6 7 8 9 10)", 10)])
+    with pytest.raises(ValueError, match="degree 10 too large for exhaustive normalizer scan"):
+        classify_triples(ActionParams(7, 9, 2), cycle, mode="exhaustive")
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_triples_predicted_rejects_m_other_than_2(m):
+    with pytest.raises(ValueError, match=f"the predicted families are m = 2, not m = {m}"):
+        classify_triples(ActionParams(7, 5, m), D3, mode="predicted")
+
+
 def test_triples_exhaustive_agrees_with_predicted_small():
     d3 = close_group([parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 6)(3 5)", 6)])
     for p in (2, 3, 5):
@@ -614,13 +632,19 @@ def _span_group(n, name):
 
 
 def _eliminated_spans(vectors, images, params):
-    """What ``_orbit_spans`` returns, read off ``_rref_rows`` of the whole (1 + r, n) stacks."""
+    """What ``_orbit_spans`` returns, read off ``_rref_rows`` of the whole (1 + r, n) stacks.
+
+    Like ``_orbit_spans`` it keeps a plane only when v's entry at the plane's second pivot is
+    at most 1.
+    """
     stack = np.concatenate([vectors, *images], axis=1)
     pivots = (vectors[:, 0] != 0).argmax(axis=1)
     characters = stack[np.arange(len(stack)), 1:, pivots]
     ranks = _rref_rows(stack, params)
     planes = stack[ranks == 2, :2].reshape(-1, 2, params.n)  # (0, 2, n) also when the stack is v alone
-    return characters, np.minimum(ranks, 3), planes
+    second_pivots = (planes[:, 1] != 0).argmax(axis=1)
+    kept = vectors[ranks == 2, 0][np.arange(len(planes)), second_pivots] <= 1
+    return characters, np.minimum(ranks, 3), planes[kept]
 
 
 def _check_spans(vectors, group, params):
@@ -646,6 +670,24 @@ def test_orbit_spans_match_the_elimination_on_whole_walks(p, n, name):
     for vectors in _rref_walk(p, 1, n, 1000):
         ranks |= _check_spans(vectors, group, params)
     assert (ranks == {1}) if name == "no generator" else (2 in ranks)
+
+
+@pytest.mark.parametrize("p, n, name", [(31, 3, "(1 2)"), (13, 5, "(1 2)(3 4)(5 6)"), (7, 5, "D3")])
+def test_orbit_spans_keep_each_plane_from_at_most_three_vectors(p, n, name):
+    params, group = ActionParams(p, n, 2), _span_group(n, name)
+    kept, spans = [], []
+    for vectors in _rref_walk(p, 1, n, 1 << 12):
+        vectors = vectors.astype(_product_dtype(params))
+        images = [_moved_rows(vectors, g, params) for g in group.generators]
+        kept.append(_orbit_spans(vectors, images, params)[2])
+        stack = np.concatenate([vectors, *images], axis=1)
+        ranks = _rref_rows(stack, params)
+        spans.append(stack[ranks == 2, :2])
+    kept, spans = np.concatenate(kept), np.concatenate(spans)
+    _, multiplicity = np.unique(kept.reshape(len(kept), -1), axis=0, return_counts=True)
+    assert 0 < multiplicity.max() <= 3
+    assert invariant_set(KeySet.from_rows(params, kept), group) == invariant_set(
+        KeySet.from_rows(params, spans), group)
 
 
 @lru_cache(maxsize=None)

@@ -113,6 +113,19 @@ def test_triples_predicted(capsys):
     assert "normalizer order: 36" in out
 
 
+def test_triples_predicted_rejects_m_1(capsys):
+    code, out, err = run_cli(
+        [
+            "triples", "--n", "5", "--p", "7", "--m", "1",
+            "--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)",
+            "--mode", "predicted",
+        ],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: the predicted families are m = 2, not m = 1\n"
+
+
 def test_triples_requires_group(capsys):
     code, _, err = run_cli(["triples", "--n", "5", "--p", "7"], capsys)
     assert code == 1
