@@ -32,6 +32,7 @@ from .classify import (
     burnside_count_full,
     classify_triples,
     count_orbits_burnside,
+    count_orbits_keyless,
     invariant_set,
     orbit_partition,
 )
@@ -235,11 +236,15 @@ def check_11_oracles_and_properties() -> str:
         params = ActionParams(p, n, m)
         _require(enumerate_actions(params) == brute_force_oracle(params),
                  f"enumeration routes disagree at ({p},{n},{m})")
-    # Burnside = partition count at every configuration exercised above
+    # Burnside = partition count at every configuration exercised above; the keyless count
+    # (route B) and the table Burnside both give the published n = 3 table
     s4 = _s4()
     for p in N3_ORBIT_TABLE:
         params = ActionParams(p, 3, 2)
-        _require(burnside_count_full(params, s4) == N3_ORBIT_TABLE[p], f"Burnside differs at p={p}")
+        keyless, table = count_orbits_keyless(params, s4), burnside_count_full(params, s4)
+        _require(keyless == table == N3_ORBIT_TABLE[p],
+                 f"p={p}: keyless Burnside {keyless}, table Burnside {table}, "
+                 f"published {N3_ORBIT_TABLE[p]}")
     for case, group in (("N5_D3", _d3_group()), ("N5_K4", _k4_group())):
         for p in (5, 7, 11, 13):
             res = classify_triples(ActionParams(p, 5, 2), group, mode="predicted")
@@ -289,7 +294,7 @@ def check_11_oracles_and_properties() -> str:
         )
         _require(quotient_genus(key, sub) >= 0, f"{key}: negative quotient genus")
 
-    return f"4 oracle configs, Burnside everywhere, 4x{TRIALS} trials, zero failures"
+    return f"4 oracle configs, Burnside everywhere, keyless = table, 4x{TRIALS} trials, zero failures"
 
 
 def check_12_genus_formulas() -> str:

@@ -8,23 +8,38 @@ topologically inequivalent actions; orbits of an invariant set under the
 normalizer of a permutation subgroup Q count inequivalent triples (the
 action together with its extra automorphisms).
 
-Two counting routes are kept independent; they must agree.  Orbit
-closure follows the generators.  The Burnside (Cauchy-Frobenius) count
-averages fixed-point counts over the group; on a G-stable key set
-Fix(tau sigma tau^-1) = tau Fix(sigma), so it takes one fixed-point count
-per conjugacy class, weighted by the class size.
+Every orbit count is checked by two independent routes; they must agree.
+Orbit closure, ``orbit_partition``, follows the generators over a key
+set, and a Burnside (Cauchy-Frobenius) count checks it:
+* ``orbits`` at m <= 2 (``classify_orbits``): route B,
+  ``count_orbits_keyless`` (module ``keyless``), a sum over GL_m(F_p) x G
+  that reads no key; it costs about 0.3 ms per prime at n = 3 and does
+  not grow with p.
+* ``orbits`` at m >= 3 and ``classify_triples`` (``verified_orbits``):
+  ``count_orbits_burnside`` over the keys, one fixed-point mask per
+  conjugacy class weighted by the class size, as on a G-stable key set
+  Fix(tau sigma tau^-1) = tau Fix(sigma); about 60 ms at (5, 5, 2).
+* past the table, ``table --which n5-orbits``: route B against route A,
+  ``count_orbits_scanned``, which takes each cycle type's fixed set from
+  the invariant scan; (31, 5, 2) takes about 3 s and 100 MB.
+``table --which n3-orbits`` prints route B alone, which criterion 11 of
+the acceptance suite checks against the table Burnside and the
+published table.
 
-Hot paths note.  Key sets are ``KeySet`` rows: both routes work on one
-sorted (N, m, n) array and build no ``SubgroupKey``; ``OrbitReport``
-builds keys only when a caller reads them.  A relabeling moves a whole
-array at once by gathering columns, the implied image of a_{n+1} filled
-in where it lands.  It fixes a key iff the moved theta' equals A theta for
-A = theta' restricted to theta's pivot columns, so fixed keys are found
-without re-echelonizing.  Orbit closure moves the whole array by one
-generator at a time, re-echelonizes it in a narrow unsigned dtype, finds
-each image's row by binary search, and merges orbits by minimum-label
-propagation in ``hgroup.orbit_labels``, which labels conjugacy classes
-too.  ``act`` is the per-key pure-Python action the tests check these against.
+Hot paths note.  Key sets are ``KeySet`` rows: orbit closure and the
+table Burnside work on one sorted (N, m, n) array and build no
+``SubgroupKey``; ``OrbitReport`` builds keys only when a caller reads
+them.  A relabeling moves a whole array at once by gathering columns, the
+implied image of a_{n+1} filled in where it lands.  It fixes a key iff the
+moved theta' equals A theta for A = theta' restricted to theta's pivot
+columns, so fixed keys are found without re-echelonizing.  Orbit closure
+moves the whole array by one generator at a time: at m <= 2 it gathers
+whole rows of the keys' (m, n + 1, N) extended columns and reads each
+moved key's rref in closed form (``_rref_columns``), at m >= 3 it
+re-echelonizes in a narrow unsigned dtype.  It finds each image's row by
+binary search and merges orbits by minimum-label propagation in
+``hgroup.orbit_labels``, which labels conjugacy classes too.  ``act`` is
+the per-key pure-Python action the tests check these against.
 
 The invariant keys of the whole space at m <= 2 come from a scan of the
 projective vectors v of F_p^n, not from the table.  Each block of v is
@@ -38,7 +53,8 @@ eigenspace E_chi (its basis from the rank-1 spans) for its lines at m = 1
 and its planes at m = 2.  The ``invariant_set`` mask certifies each block
 and keeps only the fixed keys.  At m >= 3 a stable subspace need not have
 that form, so those keys are the mask over the table.  ``_rref_rows`` is
-the one batched elimination, for the eigenspace bases and orbit closure.
+the one batched elimination, for the eigenspace bases and for orbit
+closure at m >= 3.
 """
 
 from __future__ import annotations
@@ -61,7 +77,8 @@ from .enumeration import (
     check_candidate_cap,
     key_from_theta,
 )
-from .hgroup import PermGroup, Permutation, normalizer_in_symmetric, orbit_labels
+from .hgroup import PermGroup, Permutation, close_group, normalizer_in_symmetric, orbit_labels
+from .keyless import count_orbits_keyless
 
 # The m <= 2 scan's cap on its projective vectors, then on its eigenspace subspaces.  At n = 5
 # it admits p <= 53 (1.4-1.9 s, 0.2-0.3 us per vector, 2 vCPU) and refuses p = 59 (2.9-4.0 s).
@@ -69,6 +86,9 @@ TRIPLES_CANDIDATE_CAP = 10_000_000
 
 # Projective vectors per block of the invariant-key scan; bounds its working memory.
 _SCAN_CHUNK = 1 << 16
+
+# Keys per block of orbit closure; bounds its temporaries.
+_CLOSURE_CHUNK = 1 << 16
 
 
 class ActionOutsideSetError(ValueError):
@@ -92,8 +112,9 @@ def _product_dtype(params: ActionParams):
     """Narrowest unsigned dtype for the array products before their reduction mod p.
 
     Those are ``coeff @ block`` in ``_fixed_mask``, the row updates of
-    ``_rref_rows`` and the reductions of ``_orbit_spans``; entries below p
-    bound them all by n(p-1)^2 + p, as m <= n.
+    ``_rref_rows``, the reductions of ``_orbit_spans`` and ``_rref_columns``
+    and the column sums of ``_extended_columns``; entries below p bound them
+    all by n(p-1)^2 + p, as m <= n.
     """
     bound = params.n * (params.p - 1) ** 2 + params.p
     return np.uint16 if bound < 1 << 16 else np.uint32 if bound < 1 << 32 else np.uint64
@@ -130,7 +151,17 @@ class OrbitReport:
 
     @property
     def representatives(self) -> tuple[SubgroupKey, ...]:
-        return tuple(KeySet(self.keys.params, self.keys.rows[self._roots]).keys())
+        return tuple(self.representative_rows.keys())
+
+    @property
+    def representative_rows(self) -> KeySet:
+        """The orbit representatives as a key set, in orbit order."""
+        return KeySet(self.keys.params, self.keys.rows[self._roots])
+
+    @property
+    def sizes(self) -> list[int]:
+        """Each orbit's size, in orbit order."""
+        return np.bincount(self.labels, minlength=len(self.labels))[self._roots].tolist()
 
     def orbit_of(self, key: SubgroupKey) -> int:
         """Index of the orbit containing ``key``; raises KeyError if absent."""
@@ -149,7 +180,7 @@ def orbit_partition(keys: KeySet, group: PermGroup) -> OrbitReport:
     """
     if group.degree != keys.params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
-    images = [_image_rows(keys, g) for g in group.generators]
+    images = _image_rows(keys, group.generators)
     return OrbitReport(keys, group, orbit_labels(images, len(keys)))
 
 
@@ -169,8 +200,25 @@ def verified_orbits(keys: KeySet, group: PermGroup) -> OrbitReport:
 
     Raises VerificationError when the two counts differ.
     """
-    report = orbit_partition(keys, group)
-    burnside = count_orbits_burnside(keys, group)
+    return _checked(orbit_partition(keys, group), count_orbits_burnside(keys, group))
+
+
+def classify_orbits(
+    params: ActionParams, group: PermGroup, max_candidates: int = DEFAULT_CANDIDATE_CAP
+) -> OrbitReport:
+    """``orbit_partition`` of the whole parameter space, checked against a Burnside count.
+
+    At m <= 2 the count is route B, ``count_orbits_keyless``, which reads
+    no key; at m >= 3 it is ``count_orbits_burnside`` over the table.
+    Raises VerificationError when the two counts differ.
+    """
+    keys = KeySet.full(params, max_candidates)
+    if params.m > 2:
+        return verified_orbits(keys, group)
+    return _checked(orbit_partition(keys, group), count_orbits_keyless(params, group))
+
+
+def _checked(report: OrbitReport, burnside: int) -> OrbitReport:
     if burnside != report.count:
         raise VerificationError(f"Burnside {burnside} != partition {report.count}")
     return report
@@ -181,6 +229,44 @@ def burnside_count_full(
 ) -> int:
     """Burnside orbit count over the whole parameter space."""
     return count_orbits_burnside(KeySet.full(params, max_candidates), group)
+
+
+def count_orbits_scanned(
+    params: ActionParams, group: PermGroup, max_candidates: int | None = None
+) -> int:
+    """Route A: Burnside over the cycle types of ``group``, each fixed set from the invariant scan.
+
+    The whole space is S_{n+1}-stable, so Fix(sigma) depends only on
+    sigma's cycle type; it is |``invariant_keys_full``(params, <sigma>)|
+    for one sigma of each type, and for the identity the closed form
+    sum_{s=0}^{n} (-1)^s C(n+1, s) [n-s choose m]_p, by inclusion-exclusion
+    over the generators a_j in K, any n of which are independent.  At
+    m <= 2 no table is built.  Raises VerificationError unless |G|
+    divides the sum.
+    """
+    p, n, m = params.p, params.n, params.m
+    total = 0
+    for cycles, size in group.cycle_types.items():
+        if cycles == ((1, n + 1),):
+            fixed = sum((-1) ** s * math.comb(n + 1, s) * _subspace_count(p, n - s, m)
+                        for s in range(n + 1))
+        else:
+            cyclic = close_group([_permutation_of_type(cycles)], degree=n + 1)
+            fixed = len(invariant_keys_full(params, cyclic, max_candidates))
+        total += size * fixed
+    if total % group.order:
+        raise VerificationError("the scanned Burnside sum is not divisible by the group order")
+    return total // group.order
+
+
+def _permutation_of_type(cycles: tuple[tuple[int, int], ...]) -> Permutation:
+    """A permutation with the given (cycle length, cycles) pairs, on consecutive points."""
+    images, start = [], 1
+    for length, count in cycles:
+        for _ in range(count):
+            images += [*range(start + 1, start + length), start]
+            start += length
+    return Permutation(tuple(images))
 
 
 def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
@@ -343,16 +429,82 @@ def _nonzero_columns(columns: np.ndarray) -> np.ndarray:
     return found
 
 
-def _image_rows(keys: KeySet, sigma: Permutation) -> np.ndarray:
-    """Row of each key's image under sigma."""
-    moved = _moved_rows(keys.rows, sigma, keys.params)
-    _rref_rows(moved, keys.params)
-    try:
-        return keys.rows_of(moved)
-    except KeyError:
-        raise ActionOutsideSetError(
-            "the action maps a key outside the supplied set; the set is not closed under the group"
-        ) from None
+def _extended_columns(rows: np.ndarray, params: ActionParams) -> np.ndarray:
+    """The (m, n + 1, K) columns of (K, m, n) rows: theta, then the implied image of a_{n+1}."""
+    columns = rows.transpose(1, 2, 0)
+    implied = columns.sum(axis=1, dtype=_product_dtype(params))
+    implied %= params.p
+    np.subtract(params.p, implied, out=implied)  # (p - sum mod p) mod p, as unsigned negation wraps
+    implied %= params.p
+    return np.concatenate([columns, implied[:, None, :].astype(columns.dtype)], axis=1)
+
+
+def _image_rows(keys: KeySet, generators) -> list[np.ndarray]:
+    """Row of each key's image under each generator, ``_CLOSURE_CHUNK`` keys at a time.
+
+    At m <= 2 each block's theta' gathers whole rows of its
+    ``_extended_columns`` and its rref is read in closed form
+    (``_rref_columns``); at m >= 3 ``_rref_rows`` eliminates.  Blocks keep
+    the temporaries small and reused: whole-table temporaries of tens of MB
+    stayed resident after they were freed and raised the peak of a later
+    JSON listing of the orbits.
+    """
+    params = keys.params
+    inverses = [np.argsort(sigma.images)[: params.n] for sigma in generators]  # sigma^-1(j) - 1
+    images = [np.empty(len(keys), dtype=np.intp) for _ in generators]
+    for start in range(0, len(keys), _CLOSURE_CHUNK):
+        block = keys.rows[start : start + _CLOSURE_CHUNK]
+        columns = _extended_columns(block, params) if params.m <= 2 else None
+        for sigma, inverse, rows in zip(generators, inverses, images):
+            if columns is not None:  # theta'(a_j) = theta(a_{sigma^-1(j)})
+                moved = _rref_columns(np.take(columns, inverse, axis=1), params).transpose(2, 0, 1)
+            else:
+                moved = _moved_rows(block, sigma, params)
+                _rref_rows(moved, params)
+            try:
+                rows[start : start + len(block)] = keys.rows_of(moved)
+            except KeyError:
+                raise ActionOutsideSetError(
+                    "the action maps a key outside the supplied set; the set is not closed under the group"
+                ) from None
+    return images
+
+
+def _rref_columns(columns: np.ndarray, params: ActionParams) -> np.ndarray:
+    """The rref of rank-m matrices, m <= 2, given and returned as (m, n, K) columns.
+
+    At m = 1 the row is scaled by the inverse of its leading entry.  At
+    m = 2, with rows r0, r1, c the first nonzero column and d the first
+    column whose minor det(c, d) = r0[c] r1[d] - r1[c] r0[d] is nonzero,
+    the rref rows are det^-1 (r1[d] r0 - r0[d] r1), which is 1 at c and 0
+    at d, and det^-1 (det(c, j))_j, which is 0 before d and 1 at d.
+    Entries stay below p, so every product stays below 2p^2 and fits the
+    product dtype; the per-key factors carry it into the rows.
+    """
+    p = params.p
+    dtype = _product_dtype(params)
+    inverse = np.array(params.modulus.inverse_table, dtype=dtype)
+    spread = np.arange(columns.shape[2])
+    if params.m == 1:
+        (row,) = columns
+        row = row * inverse[row[_leading(row), spread]]
+        row %= p
+        return row[None]
+    r0, r1 = columns
+    c = _leading(r0 | r1)
+    minor = r1 * r0[c, spread].astype(dtype)
+    minor += r0 * (p - r1[c, spread].astype(dtype))
+    minor %= p
+    d = _leading(minor)
+    scale = inverse[minor[d, spread]]
+    first = r0 * r1[d, spread].astype(dtype)
+    first += r1 * (p - r0[d, spread].astype(dtype))
+    first %= p
+    first *= scale
+    first %= p
+    minor *= scale
+    minor %= p
+    return np.stack([first, minor])
 
 
 def _subspace_count(p: int, dim: int, m: int) -> int:

@@ -34,11 +34,12 @@ from .enumeration import (
     key_from_named,
 )
 from .classify import (
-    burnside_count_full,
     check_invariant_cap,
+    classify_orbits,
     classify_triples,
+    count_orbits_keyless,
+    count_orbits_scanned,
     invariant_keys_full,
-    verified_orbits,
 )
 from .geometry import (
     MarkedPoints,
@@ -57,6 +58,7 @@ SYMMETRIC_ORDER_CAP = math.factorial(9)
 
 DEFAULT_TABLE_PRIMES = {
     "n3-orbits": (3, 5, 7, 11, 13, 17, 19, 23, 29, 113),
+    "n5-orbits": (5, 7, 11, 13, 17, 19),
     "d3-triples": (5, 7, 11, 13, 17, 19, 23, 29, 31),
     "k4-triples": (2, 3, 5, 7, 11, 13),
 }
@@ -161,7 +163,11 @@ def _group_head(args) -> dict:
     return {"params": _params_doc(_params(args)), "group": group}
 
 
-def _orbit_entries(report) -> list[dict]:
+def _orbit_entries(report, args) -> list[dict]:
+    """Each orbit's representative and size, and its members for JSON, which alone prints them."""
+    if args.format != "json":
+        reps = report.representative_rows.digit_strings()
+        return [{"rep": rep, "size": size} for rep, size in zip(reps, report.sizes)]
     digits = report.keys.digit_strings()
     return [
         {"rep": digits[rows[0]], "size": len(rows), "members": [digits[i] for i in rows]}
@@ -195,9 +201,8 @@ def _check_cap(args, check) -> None:
 
 def _orbits_doc(args) -> dict:
     _check_cap(args, check_candidate_cap)
-    group, keys = _group(args), KeySet.full(_params(args), **_cap(args))
-    report = verified_orbits(keys, group)
-    return {**_group_head(args), "count": report.count, "orbits": _orbit_entries(report)}
+    report = classify_orbits(_params(args), _group(args), **_cap(args))
+    return {**_group_head(args), "count": report.count, "orbits": _orbit_entries(report, args)}
 
 
 def _enumerate_doc(args) -> dict:
@@ -225,7 +230,7 @@ def _triples_doc(args) -> dict:
         "normalizer_order": result.normalizer.order,
         "invariant_count": len(result.invariant),
         "count": result.count,
-        "orbits": _orbit_entries(result.report),
+        "orbits": _orbit_entries(result.report, args),
     }
 
 
@@ -275,12 +280,26 @@ def _jacobian_doc(args) -> dict:
     }
 
 
+def _n5_orbit_count(p: int, s6: PermGroup) -> int:
+    """Route B's orbit count at (p, 5, 2), checked against route A; neither builds the table."""
+    params = ActionParams(p, 5, 2)
+    keyless, scanned = count_orbits_keyless(params, s6), count_orbits_scanned(params, s6)
+    if keyless != scanned:
+        raise VerificationError(f"p={p}: keyless Burnside {keyless} != scanned Burnside {scanned}")
+    return keyless
+
+
 def _table_doc(args) -> dict:
     primes = args.primes or DEFAULT_TABLE_PRIMES[args.which]
     case = "N5_D3" if args.which == "d3-triples" else "N5_K4"
     if args.which == "n3-orbits":
         s4 = symmetric_group(4)
-        count = lambda p: burnside_count_full(ActionParams(p, 3, 2), s4)
+        count = lambda p: count_orbits_keyless(ActionParams(p, 3, 2), s4)
+    elif args.which == "n5-orbits":
+        for p in primes:  # fail on the first prime over the scan's cap before any row runs
+            check_invariant_cap(ActionParams(p, 5, 2))
+        s6 = symmetric_group(6)
+        count = lambda p: _n5_orbit_count(p, s6)
     elif args.mode == "predicted":
         count = lambda p: predicted_triple_count(case, p)
     else:

@@ -23,6 +23,7 @@ literature; this one matches the conjugation calculus
 
 from __future__ import annotations
 
+import collections
 import math
 import re
 from dataclasses import dataclass
@@ -167,6 +168,21 @@ class PermGroup:
                  for g in _image_array(self.generators, self.degree)]  # g a g^-1 = g[a[g^-1]]
         roots, sizes = np.unique(orbit_labels(moves, self.order), return_counts=True)
         return tuple(zip(_permutations(self.images[roots]), sizes.tolist()))
+
+    @cached_property
+    def cycle_types(self) -> dict[tuple[tuple[int, int], ...], int]:
+        """Elements per cycle type, a type being its sorted (cycle length, cycles) pairs.
+
+        Fixed points count as 1-cycles.  Conjugates share a cycle type, so
+        the conjugacy classes give the counts.
+        """
+        types: dict[tuple[tuple[int, int], ...], int] = {}
+        for sigma, size in self.conjugacy_classes:
+            lengths = [len(cycle) for cycle in sigma.cycles()]
+            lengths += [1] * (self.degree - sum(lengths))
+            key = tuple(sorted(collections.Counter(lengths).items()))
+            types[key] = types.get(key, 0) + size
+        return types
 
 
 def digit_dtype(base: int):

@@ -14,6 +14,7 @@ from zpaction.enumeration import (
     KeySet,
     ScaleCapError,
     SubgroupKey,
+    VerificationError,
     _rref_walk,
     enumerate_actions,
     key_from_named,
@@ -26,20 +27,25 @@ from zpaction.classify import (
     burnside_count_full,
     classify_triples,
     count_orbits_burnside,
+    count_orbits_keyless,
+    count_orbits_scanned,
     invariant_keys_full,
     invariant_set,
     orbit_partition,
+    _extended_columns,
     _fixed_mask,
     _image_rows,
     _moved_rows,
     _orbit_spans,
     _product_dtype,
+    _rref_columns,
     _rref_rows,
 )
 from zpaction.fpalgebra import FpMatrix, kernel_basis, rref
 from zpaction.hgroup import (
     Permutation,
     close_group,
+    digit_dtype,
     normalizer_in_symmetric,
     parse_cycles,
     symmetric_group,
@@ -494,8 +500,9 @@ def test_image_rows_match_act_with_16_bit_digits():
     seeds = [named(name, params) for name in ("K(0,1)", "K(3)", "K(100,200)", "K(255,254)")]
     keys = KeySet.of(params, set().union(*(orbit_by_bfs(seed, S4) for seed in seeds)))
     listed = keys.keys()
-    for sigma in S4:
-        images = [listed[i] for i in _image_rows(keys, sigma)]
+    elements = S4.elements
+    for sigma, rows in zip(elements, _image_rows(keys, elements)):
+        images = [listed[i] for i in rows]
         assert images == [act(sigma, key) for key in listed], sigma.cycle_string()
 
 
@@ -756,3 +763,139 @@ def test_invariant_keys_full_with_the_spans_eliminated(monkeypatch, p, n, m, nam
     monkeypatch.setattr(zpaction.classify, "_orbit_spans", _eliminated_spans)
     assert invariant_keys_full(params, group) == keys
     assert invariant_set(KeySet.full(params), group) == keys
+
+
+# ---------------------------------------------------------------------------
+# route B, the keyless Burnside count, and the closed-form rref of orbit closure
+
+
+def _space_size(p, n, m):
+    """|F(p, n, m)| by inclusion-exclusion over the generators in K (route A's identity term)."""
+    def subspaces(dim):
+        return math.prod(p**dim - p**i for i in range(m)) // math.prod(p**m - p**i for i in range(m))
+    return sum((-1) ** s * math.comb(n + 1, s) * subspaces(n - s) for s in range(n + 1))
+
+
+def _keyless_cases():
+    """Every (p, n, m <= 2) with p <= 13 and n <= 7 whose table has at most 10^6 rows."""
+    cases = []
+    for p, n, m in itertools.product((2, 3, 5, 7, 11, 13), range(2, 8), (1, 2)):
+        if m <= n and (n - 1) * (p - 1) > 2 and _space_size(p, n, m) <= 10**6:
+            cases.append(pytest.param(p, n, m, id=f"p{p}-n{n}-m{m}"))
+    return cases
+
+
+@lru_cache(maxsize=None)
+def _keyless_groups(degree):
+    """S_degree, the trivial group, the full cycle and, from degree 6, D3, K4 and an involution."""
+    groups = [symmetric_group(degree), close_group([], degree=degree),
+              close_group([Permutation((*range(2, degree + 1), 1))])]
+    if degree >= 6:
+        for generators in (D3.generators, case_group("N5_K4").generators,
+                           [parse_cycles("(1 2)(3 4)(5 6)", 6)]):
+            groups.append(close_group([parse_cycles(g.cycle_string(), degree) for g in generators]))
+    return groups
+
+
+@pytest.mark.parametrize("p, n, m", _keyless_cases())
+def test_keyless_count_matches_the_table_burnside(p, n, m):
+    params = ActionParams(p, n, m)
+    keys = KeySet.full(params)
+    assert len(keys) == _space_size(p, n, m)
+    for group in _keyless_groups(n + 1):
+        assert count_orbits_keyless(params, group) == count_orbits_burnside(keys, group), group.order
+
+
+def test_keyless_count_reproduces_the_published_counts():
+    from zpaction.acceptance import N3_ORBIT_TABLE
+
+    s4, s6 = symmetric_group(4), symmetric_group(6)
+    assert {p: count_orbits_keyless(ActionParams(p, 3, 2), s4) for p in N3_ORBIT_TABLE} == N3_ORBIT_TABLE
+    n5 = {5: 58, 7: 282, 11: 3086, 13: 7974, 17: 37408, 19: 71688, 31: 1290318}
+    assert {p: count_orbits_keyless(ActionParams(p, 5, 2), s6) for p in n5} == n5
+
+
+def test_keyless_count_covers_m_up_to_2_only():
+    with pytest.raises(ValueError, match="m <= 2"):
+        count_orbits_keyless(ActionParams(3, 4, 3), symmetric_group(5))
+    with pytest.raises(ValueError, match="degree"):
+        count_orbits_keyless(ActionParams(5, 3, 2), symmetric_group(5))
+
+
+def test_keyless_count_checks_its_divisibility(monkeypatch):
+    import zpaction.keyless
+
+    real = zpaction.keyless._zero_sum_count
+    monkeypatch.setattr(zpaction.keyless, "_zero_sum_count", lambda p, w, cycles: real(p, w, cycles) + 1)
+    with pytest.raises(VerificationError, match="not divisible"):
+        count_orbits_keyless(ActionParams(5, 3, 2), S4)
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 2), (5, 5, 2), (2, 6, 2), (5, 4, 1), (3, 5, 1)])
+def test_scanned_count_matches_the_keyless_count(p, n, m):
+    params = ActionParams(p, n, m)
+    for group in _keyless_groups(n + 1):
+        assert count_orbits_scanned(params, group) == count_orbits_keyless(params, group), group.order
+
+
+def test_scanned_count_builds_no_table(monkeypatch):
+    import zpaction.enumeration
+
+    def never(*args, **kwargs):
+        raise AssertionError("the table build started")
+
+    monkeypatch.setattr(zpaction.enumeration, "theta_table", never)
+    assert count_orbits_scanned(ActionParams(13, 5, 2), symmetric_group(6)) == 7974
+
+
+def _moved_tables():
+    """Whole tables at m = 1 and 2, with p = 2, 3 and both sides of the uint16 product dtype."""
+    cases = [(2, 6, 2), (3, 5, 1), (3, 5, 2), (5, 5, 2), (7, 4, 1), (113, 3, 2), (127, 3, 2), (257, 3, 1)]
+    return [pytest.param(p, n, m, id=f"p{p}-n{n}-m{m}") for p, n, m in cases]
+
+
+@pytest.mark.parametrize("p, n, m", _moved_tables())
+def test_closed_form_rref_matches_the_elimination_on_whole_tables(p, n, m):
+    params = ActionParams(p, n, m)
+    keys = KeySet.full(params)
+    columns = _extended_columns(keys.rows, params)
+    for sigma in symmetric_group(n + 1).generators + (Permutation.identity(n + 1),):
+        moved = np.take(columns, np.argsort(sigma.images)[:n], axis=1)
+        expected = _moved_rows(keys.rows, sigma, params)
+        assert np.array_equal(moved.transpose(2, 0, 1), expected)
+        _rref_rows(expected, params)
+        assert np.array_equal(_rref_columns(moved, params).transpose(2, 0, 1), expected)
+
+
+@pytest.mark.parametrize("p", [113, 127], ids=["uint16", "uint32"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_closed_form_rref_matches_the_elimination_on_sampled_matrices(p, data):
+    # any rank-2 (2, 5) matrix, not only moved keys; n(p-1)^2 + p passes 16 bits between the primes
+    params = ActionParams(p, 5, 2)
+    reduced = lambda mat: rref(FpMatrix(params.modulus, tuple(map(tuple, mat))))
+    row = st.lists(st.integers(0, p - 1), min_size=5, max_size=5)
+    matrix = st.lists(row, min_size=2, max_size=2).filter(lambda mat: reduced(mat)[1] == 2)
+    matrices = data.draw(st.lists(matrix, min_size=1, max_size=20))
+    columns = np.array(matrices, dtype=digit_dtype(p)).transpose(1, 2, 0)  # as orbit closure has them
+    closed = _rref_columns(np.ascontiguousarray(columns), params).transpose(2, 0, 1)
+    block = np.array(matrices, dtype=_product_dtype(params))
+    _rref_rows(block, params)
+    assert np.array_equal(closed, block)
+    assert [[list(r) for r in reduced(mat)[0].entries] for mat in matrices] == block.tolist()
+
+
+@pytest.mark.parametrize(
+    "params, group",
+    [(ActionParams(5, 5, 2), D3), (ActionParams(13, 4, 1), symmetric_group(5)),
+     (ActionParams(3, 5, 3), symmetric_group(6))],
+    ids=["m2", "m1", "m3"],
+)
+def test_orbit_partition_does_not_depend_on_the_closure_chunk(monkeypatch, params, group):
+    import zpaction.classify
+
+    keys = KeySet.full(params)
+    whole = orbit_partition(keys, group).labels
+    monkeypatch.setattr(zpaction.classify, "_CLOSURE_CHUNK", 97)
+    assert len(keys) > 97 * 3
+    assert np.array_equal(orbit_partition(keys, group).labels, whole)

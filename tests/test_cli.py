@@ -232,13 +232,111 @@ def test_invariants_scale_cap_exit_code(capsys):
 
 
 def test_route_disagreement_exit_code(monkeypatch, capsys):
+    # at m <= 2 the partition is checked against route B, the keyless count
     import zpaction.classify
 
-    real = zpaction.classify.count_orbits_burnside
-    monkeypatch.setattr(zpaction.classify, "count_orbits_burnside", lambda *a: real(*a) + 1)
+    real = zpaction.classify.count_orbits_keyless
+    monkeypatch.setattr(zpaction.classify, "count_orbits_keyless", lambda *a: real(*a) + 1)
     code, out, err = run_cli(["orbits", "--p", "5", "--n", "3"], capsys)
     assert code == 3 and out == ""
     assert err == "verification failed: Burnside 5 != partition 4\n"
+
+
+def _forbid(monkeypatch, module, *names):
+    """Make each named function of ``module`` fail the test when it is called."""
+    def never(*args, **kwargs):
+        raise AssertionError("a forbidden route ran")
+
+    for name in names:  # raising=False: also a name the module does not import today
+        monkeypatch.setattr(module, name, never, raising=False)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbits", "--p", "5", "--n", "5"],
+        ["orbits", "--p", "113", "--n", "3", "--format", "json"],
+        ["orbits", "--p", "7", "--n", "4", "--m", "1", "--group", "(1 2 3)"],
+        ["table", "--which", "n3-orbits"],
+        ["table", "--which", "n5-orbits", "--primes", "5"],
+    ],
+)
+def test_orbit_counts_at_m_up_to_2_skip_the_table_burnside(args, monkeypatch, capsys):
+    import zpaction.classify
+    import zpaction.cli
+
+    for module in (zpaction.classify, zpaction.cli):
+        _forbid(monkeypatch, module, "count_orbits_burnside", "burnside_count_full")
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "") and out
+
+
+def test_table_orbit_counts_build_no_table(monkeypatch, capsys):
+    import zpaction.enumeration
+
+    _forbid(monkeypatch, zpaction.enumeration, "theta_table")
+    for which in ("n3-orbits", "n5-orbits"):
+        code, out, err = run_cli(["table", "--which", which, "--primes", "5,7"], capsys)
+        assert (code, err) == (0, "") and out
+
+
+def test_orbits_at_m3_keep_the_table_burnside(monkeypatch, capsys):
+    import zpaction.classify
+
+    calls = []
+    real = zpaction.classify.count_orbits_burnside
+    monkeypatch.setattr(zpaction.classify, "count_orbits_burnside",
+                        lambda *a: calls.append(a) or real(*a))
+    _forbid(monkeypatch, zpaction.classify, "count_orbits_keyless")
+    code, out, _ = run_cli(["orbits", "--p", "3", "--n", "4", "--m", "3"], capsys)
+    assert code == 0 and out.startswith("p, N\n3, ") and len(calls) == 1
+
+
+def test_n5_orbit_table(capsys):
+    code, out, err = run_cli(["table", "--which", "n5-orbits", "--primes", "5,7,11"], capsys)
+    assert (code, out, err) == (0, "p   N\n5   58\n7   282\n11  3086\n", "")
+
+
+@pytest.mark.parametrize("route", ["count_orbits_keyless", "count_orbits_scanned"])
+def test_n5_orbit_table_route_disagreement_exit_code(route, monkeypatch, capsys):
+    import zpaction.cli
+
+    real = getattr(zpaction.cli, route)
+    monkeypatch.setattr(zpaction.cli, route, lambda *a: real(*a) + 1)
+    code, out, err = run_cli(["table", "--which", "n5-orbits", "--primes", "5"], capsys)
+    assert (code, out) == (3, "")
+    keyless, scanned = (59, 58) if route == "count_orbits_keyless" else (58, 59)
+    assert err == f"verification failed: p=5: keyless Burnside {keyless} != scanned Burnside {scanned}\n"
+
+
+def test_n5_orbit_table_checks_every_cap_first(monkeypatch, capsys):
+    import zpaction.cli
+
+    _forbid(monkeypatch, zpaction.cli, "count_orbits_keyless", "count_orbits_scanned")
+    code, out, err = run_cli(["table", "--which", "n5-orbits", "--primes", "5,59"], capsys)
+    assert (code, out) == (2, "") and f"(estimated {SCAN_59})" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("command", ["orbits", "triples"])
+def test_text_and_csv_list_no_members(command, fmt, monkeypatch, capsys):
+    # only JSON prints the members, so only JSON builds their digit strings
+    from zpaction.classify import OrbitReport
+    from zpaction.enumeration import KeySet
+
+    def never(self):
+        raise AssertionError("the member lists were built")
+
+    digits = []
+    real = KeySet.digit_strings
+    monkeypatch.setattr(OrbitReport, "orbit_rows", property(never))
+    monkeypatch.setattr(KeySet, "digit_strings", lambda self: digits.append(len(self)) or real(self))
+    args = ["--p", "7", "--n", "5", "--format", fmt]
+    args = ["orbits", *args] if command == "orbits" else ["triples", *args, "--group", "(1 2)(3 4)(5 6)"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    count = int(out.splitlines()[1].split(", ")[1]) if fmt == "text" else len(out.splitlines()) - 1
+    assert digits == [count]
 
 
 @pytest.mark.parametrize(

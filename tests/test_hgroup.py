@@ -365,3 +365,18 @@ def test_class_sizes_of_s9_match_cycle_types():
     assert len(classes) == len(types) == 30
     assert sum(size for _, size in classes) == group.order
     assert "elements" not in vars(group)  # no Permutation per element was built
+
+
+@pytest.mark.parametrize(
+    "generators, degree",
+    [([], 5), (["(1 2 3 4 5 6)"], 6), (["(1 2 3)(4 5 6)", "(1 4)(2 6)(3 5)"], 6), (["(1 2)", "(1 2 3 4 5 6 7)"], 7)],
+)
+def test_cycle_types_count_every_element_by_its_cycles(generators, degree):
+    group = close_group([parse_cycles(g, degree) for g in generators], degree=degree)
+    expected = Counter()
+    for sigma in group.elements:
+        lengths = Counter(len(c) for c in sigma.cycles())
+        lengths[1] = degree - sum(k * m for k, m in lengths.items())
+        expected[tuple(sorted((k, m) for k, m in lengths.items() if m))] += 1
+    assert group.cycle_types == dict(expected)
+    assert sum(group.cycle_types.values()) == group.order
