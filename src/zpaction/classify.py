@@ -137,9 +137,14 @@ class OrbitReport:
         return len(self._roots)
 
     @cached_property
+    def order(self) -> np.ndarray:
+        """Every row, grouped by orbit: orbits in representative order, rows ascending in each."""
+        return np.argsort(self.labels, kind="stable")
+
+    @cached_property
     def orbit_rows(self) -> list[list[int]]:
         """Each orbit's rows, ascending, orbits in representative order."""
-        order = np.argsort(self.labels, kind="stable")
+        order = self.order
         pieces = np.split(order, np.searchsorted(self.labels[order], self._roots))[1:]
         return [rows.tolist() for rows in pieces]  # the split's first piece is empty
 

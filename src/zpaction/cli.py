@@ -14,9 +14,11 @@ exceeded, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring as _encode
 from pathlib import Path
 
 from . import __version__
@@ -168,11 +170,13 @@ def _orbit_entries(report, args) -> list[dict]:
     if args.format != "json":
         reps = report.representative_rows.digit_strings()
         return [{"rep": rep, "size": size} for rep, size in zip(reps, report.sizes)]
-    digits = report.keys.digit_strings()
-    return [
-        {"rep": digits[rows[0]], "size": len(rows), "members": [digits[i] for i in rows]}
-        for rows in report.orbit_rows
-    ]
+    keys = report.keys
+    digits = KeySet(keys.params, keys.rows[report.order]).digit_strings()  # rows in orbit order
+    entries, start = [], 0
+    for size in report.sizes:
+        entries.append({"rep": digits[start], "size": size, "members": digits[start : start + size]})
+        start += size
+    return entries
 
 
 def _cap(args) -> dict:
@@ -374,6 +378,26 @@ def _table_csv(doc: dict) -> list[str]:
     return ["p,N", *(f"{row['p']},{row['N']}" for row in doc["rows"])]
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` of a document with string keys.
+
+    An indent sends ``json.dumps`` to its pure-Python encoder; here each
+    list of strings, such as an orbit's members, is encoded in one join.
+    """
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, dict) and value:
+        body = sep.join(f"{_encode(key)}: {_json(item, inner)}" for key, item in value.items())
+        return f"{{{inner}{body}{pad}}}"  # one copy of the body, where "+" chains make several
+    if isinstance(value, (list, tuple)) and value:
+        strings = all(isinstance(item, str) for item in value)
+        body = sep.join(map(_encode, value) if strings else (_json(item, inner) for item in value))
+        return f"[{inner}{body}{pad}]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return _encode(value) if isinstance(value, str) else json.dumps(value)
+
+
 # subcommand -> (document builder, text lines, CSV lines); JSON is the document itself.
 _COMMANDS = {
     "enumerate": (_enumerate_doc, _keys_text, _keys_csv),
@@ -407,11 +431,11 @@ def main(argv=None) -> int:
         build, text_lines, csv_lines = _COMMANDS[args.command]
         doc = build(args)
         if args.format == "json":
-            text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+            text = _json(doc) + "\n"
         else:
             text = "\n".join((csv_lines if args.format == "csv" else text_lines)(doc)) + "\n"
         if args.output:
-            Path(args.output).write_text(text)
+            Path(args.output).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return 0
@@ -430,6 +454,9 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # Output is UTF-8 whatever the locale: "λ" in a model cannot be written as ASCII.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

@@ -58,6 +58,7 @@ from .hgroup import Permutation, digit_dtype, row_codes
 DEFAULT_CANDIDATE_CAP = 10**9
 ORACLE_CANDIDATE_CAP = 10**7
 _CHUNK = 1 << 20
+_STRING_BLOCK = 1 << 16  # rows per block of ``KeySet.digit_strings``: a few MB of temporaries
 
 
 class ScaleCapError(RuntimeError):
@@ -385,10 +386,31 @@ class KeySet:
         return [SubgroupKey(params, FpMatrix(params.modulus, tuple(map(tuple, r)))) for r in rows]
 
     def digit_strings(self) -> list[str]:
-        """``SubgroupKey.digit_string`` of every row, without building keys."""
+        """``SubgroupKey.digit_string`` of every row, without building keys.
+
+        Renders ``_STRING_BLOCK`` rows at a time into one byte buffer:
+        the k-th decimal digit of each entry is ``// 10**k % 10``, a mask
+        drops the leading zeros, and the separators sit in a column of
+        their own.  Each block is decoded and split once.
+        """
         m, n = self.params.m, self.params.n
-        spec = ";".join([",".join(["%d"] * n)] * m)
-        return [spec % tuple(row) for row in self.rows.reshape(len(self), m * n).tolist()]
+        width = len(str(self.params.p - 1))
+        separators = np.full(m * n, ord(","), dtype=np.uint8)
+        separators[n - 1 :: n] = ord(";")
+        separators[-1] = ord("\n")
+        flat, strings = self.rows.reshape(len(self), m * n), []
+        for start in range(0, len(flat), _STRING_BLOCK):
+            entries = flat[start : start + _STRING_BLOCK]
+            chars = np.empty(entries.shape + (width + 1,), dtype=np.uint8)
+            keep = np.ones(chars.shape, dtype=bool)
+            for k in range(width):
+                power = 10 ** (width - 1 - k)  # below p, so it fits the entries' dtype
+                chars[..., k] = entries // power % 10 + ord("0")
+                if power > 1:
+                    keep[..., k] = entries >= power
+            chars[..., width] = separators
+            strings += chars[keep][:-1].tobytes().decode("ascii").split("\n")
+        return strings
 
 
 def enumerate_actions(

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zpaction
-from zpaction.cli import main
+from zpaction.cli import _json, main
 
 
 def run_cli(args, capsys):
@@ -619,6 +621,24 @@ def test_console_entry_point_exit_status():
     assert "composite modulus unsupported" in proc.stderr
 
 
+def test_output_is_utf8_whatever_the_locale(tmp_path):
+    # "λ" in a model: an ASCII locale must not change the bytes written, to stdout or --output
+    src = str(Path(zpaction.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    ascii_env = {**base, "PYTHONPATH": src, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+    utf8_env = {**base, "PYTHONPATH": src, "PYTHONUTF8": "1"}
+    args = [sys.executable, "-m", "zpaction.cli", *MODELS_P5, "--format", "json"]
+    ascii_run, utf8_run = (
+        subprocess.run(args, capture_output=True, env=env, check=False) for env in (ascii_env, utf8_env)
+    )
+    assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+    assert ascii_run.stdout == utf8_run.stdout and "λ".encode() in ascii_run.stdout
+    path = tmp_path / "model.json"
+    to_file = subprocess.run(args + ["--output", str(path)], capture_output=True, env=ascii_env, check=False)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert path.read_bytes() == utf8_run.stdout
+
+
 # Exact output of every (subcommand, format) pair at small parameters.  JSON
 # documents are given as values and compared as the indented dump the command
 # line prints.
@@ -780,3 +800,28 @@ def test_golden_output(case, capsys):
     code, out, err = run_cli(args, capsys)
     assert (code, err) == (0, "")
     assert out == expected
+
+
+def test_json_writer_matches_json_dumps_on_the_golden_documents():
+    documents = [expected for _, expected in GOLDEN.values() if isinstance(expected, dict)]
+    assert len(documents) == 6
+    for doc in documents:
+        assert _json(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+_TEXT = st.text(st.sampled_from('aλ"\\\n\t\x00\x1f\x7f\u2028é,; ') | st.characters(), max_size=8)
+_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS | st.lists(_TEXT) | st.dictionaries(_TEXT, st.lists(_TEXT)))
+def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, indent=2, ensure_ascii=False)

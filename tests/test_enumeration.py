@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fp_oracle import SingularMatrixError, mat_inverse
+from zpaction import enumeration
 from zpaction.fpalgebra import FpMatrix, NotPrimeError, kernel_basis, rref
 from zpaction.enumeration import (
     NAMED_FORMS,
@@ -152,6 +154,54 @@ def test_empty_key_sets():
     empty = KeySet.of(ActionParams(5, 3, 2), [])
     assert len(empty) == 0 and empty.rows.shape == (0, 2, 3)
     assert empty.keys() == [] and empty.digit_strings() == []
+
+
+def _sampled_key_set(params: ActionParams, count: int, seed: int) -> KeySet:
+    """The whole table where it has at most 5,000 rows, else ``count`` keys from random matrices."""
+    p, n, m = params.p, params.n, params.m
+    if math.comb(n, m) * p ** (m * (n - m)) <= 5000:
+        return KeySet.full(params)
+    rng, keys = random.Random(seed), set()
+    while len(keys) < count:
+        try:
+            keys.add(key_from_theta(params, [[rng.randrange(p) for _ in range(n)] for _ in range(m)]))
+        except AdmissibilityError:
+            pass
+    return KeySet.of(params, keys)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 11, 101, 113, 257])
+def test_digit_strings_match_the_keys(p, m):
+    # 257 takes the uint16 digit dtype; the random rows reach three-digit entries
+    params = ActionParams(p, max(m + 1, 5 if p == 2 else 3), m)
+    key_set = _sampled_key_set(params, 300, p * 10 + m)
+    assert len(key_set) > 0 and key_set.rows.dtype == (np.uint16 if p > 256 else np.uint8)
+    assert key_set.digit_strings() == [key.digit_string() for key in key_set.keys()]
+
+
+@pytest.mark.parametrize("params", [ActionParams(5, 3, 2), ActionParams(113, 3, 2), ActionParams(3, 5, 3)])
+def test_digit_strings_across_blocks(params, monkeypatch):
+    key_set = _sampled_key_set(params, 40, 1)
+    expected = [key.digit_string() for key in key_set.keys()]
+    monkeypatch.setattr(enumeration, "_STRING_BLOCK", 7)
+    assert len(key_set) > 3 * 7 and key_set.digit_strings() == expected
+    assert KeySet.of(params, []).digit_strings() == []
+
+
+def test_digit_strings_build_no_table_of_the_modulus():
+    # the largest modulus, five-digit entries near p - 1: well under p bytes of temporaries
+    p = 65521
+    key_set = KeySet(ActionParams(p, 2, 1), np.array([[[1, 10000]], [[1, p - 3]], [[1, p - 2]]], np.uint16))
+    tracemalloc.start()
+    try:
+        strings = key_set.digit_strings()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert strings == ["1,10000", f"1,{p - 3}", f"1,{p - 2}"]
+    assert strings == [key.digit_string() for key in key_set.keys()]
+    assert peak < 16_384
 
 
 def test_scale_caps():
