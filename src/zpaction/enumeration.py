@@ -126,13 +126,12 @@ class SubgroupKey:
             )
         if not is_rref(theta):
             raise AdmissibilityError("theta is not in reduced row-echelon form")
-        if len(pivot_columns(theta)) != params.m:
+        if not all(map(any, theta.entries)):  # an rref matrix's rank is its nonzero row count
             raise AdmissibilityError(f"theta has rank < m = {params.m}")
-        p = params.p
-        for j in range(params.n):
-            if all(row[j] == 0 for row in theta.entries):
-                raise AdmissibilityError(f"generator a_{j + 1} lies in the subgroup")
-        if all(sum(row) % p == 0 for row in theta.entries):
+        for j, column in enumerate(zip(*theta.entries), start=1):
+            if not any(column):
+                raise AdmissibilityError(f"generator a_{j} lies in the subgroup")
+        if not any(sum(row) % params.p for row in theta.entries):
             raise AdmissibilityError(f"generator a_{params.n + 1} lies in the subgroup")
 
     @cached_property
@@ -151,10 +150,8 @@ class SubgroupKey:
     @cached_property
     def images(self) -> tuple[tuple[int, ...], ...]:
         """Images of a_1, ..., a_{n+1} in Z_p^m (columns plus minus-the-sum)."""
-        p = self.params.p
-        cols = [self.theta.column(j) for j in range(self.params.n)]
-        last = tuple((-sum(c[i] for c in cols)) % p for i in range(self.params.m))
-        return tuple(cols) + (last,)
+        rows, p = self.theta.entries, self.params.p
+        return tuple(zip(*rows)) + (tuple([-sum(row) % p for row in rows]),)
 
     def kernel(self) -> FpMatrix:
         """A canonical basis of K itself, as rows of an (n-m) x n matrix."""
@@ -166,9 +163,9 @@ class SubgroupKey:
 
 def key_from_digit_string(params: ActionParams, text: str) -> SubgroupKey:
     """The key whose ``digit_string`` is ``text``; digits outside 0..p-1 are a ValueError."""
-    rows = tuple(tuple(int(tok) for tok in row.split(",")) for row in text.split(";"))
-    if any(not 0 <= digit < params.p for row in rows for digit in row):
-        raise ValueError(f"digit string {text!r} has a digit outside 0..{params.p - 1}")
+    p, rows = params.p, tuple(tuple(map(int, row.split(","))) for row in text.split(";"))
+    if any(not 0 <= digit < p for row in rows for digit in row):
+        raise ValueError(f"digit string {text!r} has a digit outside 0..{p - 1}")
     return SubgroupKey(params, FpMatrix(params.modulus, rows, params.n))
 
 

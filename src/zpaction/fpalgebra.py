@@ -94,9 +94,6 @@ class FpMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def flat(self) -> tuple[int, ...]:
         return tuple(e for row in self.entries for e in row)
 

@@ -23,9 +23,9 @@ exponent slot like any other point.  Rendering omits its factor, and the
 sum-to-zero exponent invariant encodes its branching implicitly.  That
 keeps the arithmetic uniform with no special cases.
 
-The p+1 lines of Z_p^2 and the normalized functionals of Z_p^m are built
-once per modulus (and m) as immutable tuples, so a per-key decomposition
-does only arithmetic per line.
+Line and hyperplane functionals are read-only int64 arrays cached per
+modulus (and m).  One product with the images gives an (H, n+1) value
+matrix, and every genus, fixed-point count and exponent row follows on it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+
+import numpy as np
 
 from .enumeration import SubgroupKey, VerificationError
 from .fpalgebra import FpMatrix, PrimeModulus, kernel_basis
@@ -58,6 +59,7 @@ class MarkedPoints:
             raise ValueError("marked-point labels must be pairwise distinct")
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def standard(n: int) -> "MarkedPoints":
         return MarkedPoints(n, ("inf", "0", "1") + tuple(f"q{j}" for j in range(4, n + 2)))
 
@@ -98,7 +100,7 @@ def points_preset(name: str, n: int) -> MarkedPoints:
         raise ValueError(f"unknown label preset {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveModel:
     """A cyclic p-cover y^p = prod (x - q_j)^{e_j} over the marked points.
 
@@ -123,7 +125,7 @@ class CurveModel:
         return self.modulus.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberProductModel:
     """Two cyclic p-covers sharing the x coordinate; their fiber product is S."""
 
@@ -172,24 +174,33 @@ def line(modulus: PrimeModulus, vector) -> FpMatrix:
     return sub
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @lru_cache(maxsize=None)
-def _plane_lines(modulus: PrimeModulus) -> tuple[FpMatrix, ...]:
+def _plane_tables(modulus: PrimeModulus) -> tuple[tuple[FpMatrix, ...], np.ndarray, np.ndarray]:
+    """The p+1 lines, spanned by (a, b), the functionals (b, -a) cutting them out, and 1/x mod p."""
     gens = [(0, 1)] + [(1, c) for c in range(modulus.p)]
-    return tuple(FpMatrix(modulus, (g,)) for g in gens)
+    functionals = np.array([(b, -a % modulus.p) for a, b in gens], dtype=np.int64)
+    inverses = np.array(modulus.inverse_table, dtype=np.int64)
+    return tuple(FpMatrix(modulus, (g,)) for g in gens), _read_only(functionals), _read_only(inverses)
 
 
 def lines_of_plane(modulus: PrimeModulus) -> list[FpMatrix]:
     """The p+1 one-dimensional subspaces of Z_p^2, sorted by their rref generator."""
-    return list(_plane_lines(modulus))
+    return list(_plane_tables(modulus)[0])
 
 
 @lru_cache(maxsize=None)
-def _functionals(modulus: PrimeModulus, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
+def _functionals(modulus: PrimeModulus, m: int) -> np.ndarray:
+    rows = [
         (0,) * k + (1,) + rest
         for k in range(m)
         for rest in itertools.product(range(modulus.p), repeat=m - 1 - k)
-    )
+    ]
+    return _read_only(np.array(rows, dtype=np.int64))
 
 
 def normalized_functionals(modulus: PrimeModulus, m: int) -> list[tuple[int, ...]]:
@@ -198,13 +209,12 @@ def normalized_functionals(modulus: PrimeModulus, m: int) -> list[tuple[int, ...
     No two of them are proportional, so their kernels are the
     (p^m - 1)/(p - 1) hyperplanes, each exactly once.
     """
-    return list(_functionals(modulus, m))
+    return list(map(tuple, _functionals(modulus, m).tolist()))
 
 
-def _values(key: SubgroupKey, functional) -> list[int]:
-    """A functional on Z_p^m evaluated at theta(a_1), ..., theta(a_{n+1})."""
-    p = key.params.p
-    return [sum(map(mul, functional, img)) % p for img in key.images]
+def _value_matrix(key: SubgroupKey, functionals: np.ndarray) -> np.ndarray:
+    """Row h: functional h at theta(a_1..a_{n+1}) mod p; entries below 2^16 keep int64 products exact."""
+    return np.asarray(functionals, dtype=np.int64) @ np.array(key.images, dtype=np.int64).T % key.params.p
 
 
 def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: int) -> int:
@@ -227,6 +237,30 @@ def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: int) -> int:
     return genus
 
 
+def _index_p_genera(key: SubgroupKey, branched: np.ndarray) -> np.ndarray:
+    """``_riemann_hurwitz`` at deck order p for each entry of ``branched``; the first bad one raises."""
+    p = key.params.p
+    ramified, rest = np.divmod(branched * (p * (p - 1)), 2 * p)
+    genera = 1 - p + ramified
+    bad = np.flatnonzero(rest | (genera < 0))
+    if bad.size:
+        _riemann_hurwitz(key, p, int(branched[bad[0]]))
+    return genera
+
+
+def _pgonal_exponents(key: SubgroupKey, values: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` scaled so that its first nonzero finite entry is 1."""
+    p, finite = key.params.p, values[:, 1:]
+    leads = finite[np.arange(len(finite)), (finite != 0).argmax(axis=1)]
+    if not leads.all():  # rank 2 forces a branched finite point
+        bad = values[leads.argmin()].tolist()
+        raise VerificationError(f"no finite point is branched for key {key}: values {bad}")
+    exponents = values * _plane_tables(key.params.modulus)[2][leads, None] % p
+    if (exponents.sum(axis=1) % p).any():
+        raise ValueError("cyclic-cover exponents must sum to 0 mod p")
+    return exponents
+
+
 def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
     """Genus of S/L for a proper subgroup L <= Z_p^m, by Riemann-Hurwitz.
 
@@ -240,20 +274,8 @@ def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
     annihilator = kernel_basis(sub)
     if not annihilator.rows:
         raise ValueError("L must be a proper subgroup of Z_p^m")
-    values = [_values(key, f) for f in annihilator.entries]
-    branched = sum(1 for column in zip(*values) if any(column))
+    branched = int(_value_matrix(key, annihilator.entries).any(axis=0).sum())
     return _riemann_hurwitz(key, params.p**annihilator.rows, branched)
-
-
-def _pgonal_curve(key: SubgroupKey, values: list[int], points: MarkedPoints) -> CurveModel:
-    """The p-cover with exponents ``values``, scaled so the first nonzero finite one is 1."""
-    params = key.params
-    lead = next((e for e in values[1:] if e), None)
-    if lead is None:  # rank 2 forces a branched finite point
-        raise VerificationError(f"no finite point is branched for key {key}: values {values}")
-    p = params.p
-    scale = params.modulus.inv(lead)
-    return CurveModel(params.modulus, points, tuple([scale * e % p for e in values]))
 
 
 def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = None) -> CurveModel:
@@ -271,7 +293,8 @@ def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = 
     if sub.cols != 2 or annihilator.rows != 1:
         raise ValueError("L must be a line in Z_p^2")
     pts = points if points is not None else MarkedPoints.standard(params.n)
-    return _pgonal_curve(key, _values(key, annihilator.entries[0]), pts)
+    (exponents,) = _pgonal_exponents(key, _value_matrix(key, annihilator.entries)).tolist()
+    return CurveModel(params.modulus, pts, exponents)
 
 
 def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) -> FiberProductModel:
@@ -294,7 +317,7 @@ def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) ->
     return FiberProductModel(CurveModel(params.modulus, pts, s), CurveModel(params.modulus, pts, r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JacobianLine:
     """One cyclic subgroup L of the deck group with its quotient data."""
 
@@ -352,18 +375,25 @@ def jacobian_decomposition(key: SubgroupKey, points: MarkedPoints | None = None)
     params = key.params
     if params.m != 2:
         raise ValueError("the line decomposition is defined for m = 2")
-    p = params.p
+    modulus, p = params.modulus, params.p
     pts = points if points is not None else MarkedPoints.standard(params.n)
-    xs, ys = zip(*key.images)
-    entries = []
-    for ln in _plane_lines(params.modulus):
-        ((a, b),) = ln.entries
-        values = [(b * x - a * y) % p for x, y in zip(xs, ys)]
-        zeros = values.count(0)
-        genus = _riemann_hurwitz(key, p, len(values) - zeros)
-        entries.append(JacobianLine(ln, genus, p * zeros, _pgonal_curve(key, values, pts)))
-    total = total_genus(p, params.n, params.m)
-    return JacobianReport(key, tuple(entries), total)
+    if pts.n != params.n:
+        raise ValueError("one exponent per marked point required")
+    lines, functionals, _ = _plane_tables(modulus)
+    values = _value_matrix(key, functionals)
+    branched = np.count_nonzero(values, axis=1)
+    genera = _index_p_genera(key, branched).tolist()
+    fixed = (p * (params.n + 1 - branched)).tolist()
+    exponents = _pgonal_exponents(key, values).tolist()
+    entries, assign = [], object.__setattr__
+    for ln, genus, fix, exps in zip(lines, genera, fixed, exponents):
+        # built without CurveModel.__post_init__: its checks ran on the whole exponent matrix
+        model = object.__new__(CurveModel)
+        assign(model, "modulus", modulus)
+        assign(model, "points", pts)
+        assign(model, "exponents", tuple(exps))
+        entries.append(JacobianLine(ln, genus, fix, model))
+    return JacobianReport(key, tuple(entries), total_genus(p, params.n, params.m))
 
 
 @dataclass(frozen=True)
@@ -387,13 +417,9 @@ def conjecture_probe(key: SubgroupKey) -> ConjectureProbe:
     params = key.params
     if params.m < 2:
         raise ValueError("the probe needs m >= 2")
-    p = params.p
-    total = total_genus(p, params.n, params.m)
-    sum_genus = 0
-    for functional in _functionals(params.modulus, params.m):
-        values = _values(key, functional)
-        sum_genus += _riemann_hurwitz(key, p, len(values) - values.count(0))
-    return ConjectureProbe(sum_genus, total)
+    values = _value_matrix(key, _functionals(params.modulus, params.m))
+    genera = _index_p_genera(key, np.count_nonzero(values, axis=1))
+    return ConjectureProbe(int(genera.sum()), total_genus(params.p, params.n, params.m))
 
 
 # ---------------------------------------------------------------------------

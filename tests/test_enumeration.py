@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from fp_oracle import SingularMatrixError, mat_inverse
 from zpaction import enumeration
-from zpaction.fpalgebra import FpMatrix, NotPrimeError, kernel_basis, rref
+from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, kernel_basis, rref
 from zpaction.enumeration import (
     NAMED_FORMS,
     ActionParams,
@@ -223,6 +224,19 @@ def test_subgroup_key_validation():
         SubgroupKey(params, FpMatrix(mod, ((1, 0, 4), (0, 1, 4))))
     with pytest.raises(AdmissibilityError, match="rank"):
         SubgroupKey(params, FpMatrix(mod, ((1, 2, 3), (0, 0, 0))))
+
+
+@pytest.mark.parametrize("p,rows,message", [
+    (5, ((0, 1, 0), (1, 0, 0)), "theta is not in reduced row-echelon form"),
+    (5, ((1, 2, 3), (0, 0, 0)), "theta has rank < m = 2"),
+    (5, ((1, 0, 0), (0, 1, 0)), "generator a_3 lies in the subgroup"),
+    (5, ((1, 0, 4), (0, 1, 4)), "generator a_4 lies in the subgroup"),
+    (5, ((1, 0), (0, 1)), "theta must be 2x3, got 2x2"),
+    (7, ((1, 0, 1), (0, 1, 1)), "theta modulus differs from params"),
+])
+def test_subgroup_key_admissibility_messages(p, rows, message):
+    with pytest.raises(AdmissibilityError, match=f"^{re.escape(message)}$"):
+        SubgroupKey(ActionParams(5, 3, 2), FpMatrix(PrimeModulus(p), rows))
 
 
 def test_digit_string_round_trip():

@@ -1,6 +1,8 @@
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,10 @@ from zpaction.geometry import (
     CurveModel,
     FiberProductModel,
     MarkedPoints,
-    _pgonal_curve,
+    _functionals,
+    _index_p_genera,
+    _pgonal_exponents,
+    _plane_tables,
     _riemann_hurwitz,
     conjecture_probe,
     fiber_product_model,
@@ -78,6 +83,10 @@ def test_curve_model_exponent_sum():
     CurveModel(m, pts, (0, 1, 4, 0))
     with pytest.raises(ValueError, match="sum to 0"):
         CurveModel(m, pts, (0, 1, 1, 0))
+    # the same check on a whole exponent matrix, which skips CurveModel's own
+    key = key_from_named(ActionParams(5, 3, 2), "K(0,1)")
+    with pytest.raises(ValueError, match="^cyclic-cover exponents must sum to 0 mod p$"):
+        _pgonal_exponents(key, np.array([[0, 1, 4, 0], [0, 1, 1, 0]], dtype=np.int64))
 
 
 def test_example_family_model():
@@ -217,10 +226,12 @@ def test_hyperplane_count():
 
 
 def test_pgonal_curve_without_branched_finite_point_is_verification_error():
-    # an all-zero finite column must not reach modulus.inv, even under python -O
+    # an all-zero finite column must not reach the inverse table, even under python -O;
+    # the check runs on every row of the value matrix, not just the first
     key = key_from_named(ActionParams(5, 3, 2), "K(0,1)")
-    with pytest.raises(VerificationError, match="no finite point is branched"):
-        _pgonal_curve(key, [0, 0, 0, 0], MarkedPoints.standard(3))
+    values = np.array([[1, 2, 3, 4], [0, 0, 0, 0]], dtype=np.int64)
+    with pytest.raises(VerificationError, match=r"no finite point is branched .*: values \[0, 0, 0, 0\]$"):
+        _pgonal_exponents(key, values)
 
 
 def test_riemann_hurwitz_matches_fraction_formula():
@@ -236,6 +247,21 @@ def test_riemann_hurwitz_matches_fraction_formula():
                         _riemann_hurwitz(key, deck, branched)
 
 
+def test_index_p_genera_match_riemann_hurwitz_count_by_count():
+    # integrality fails only at p = 2, nonnegativity below two branched points
+    for p in (2, 3, 5, 7):
+        key = key_from_theta(ActionParams(p, 4, 2), [[1, 0, 1, 1], [0, 1, 1, 0]])
+        for branched in range(9):
+            counts = np.array([2, 4, branched, 2], dtype=np.int64)
+            try:
+                expected = [_riemann_hurwitz(key, p, b) for b in counts.tolist()]
+            except VerificationError as exc:
+                with pytest.raises(VerificationError, match=f"^{re.escape(str(exc))}$"):
+                    _index_p_genera(key, counts)
+            else:
+                assert _index_p_genera(key, counts).tolist() == expected
+
+
 def test_line_and_functional_tables_are_not_shared():
     modulus = PrimeModulus(5)
     key = key_from_named(ActionParams(5, 3, 2), "K(1,2)")
@@ -248,6 +274,9 @@ def test_line_and_functional_tables_are_not_shared():
     kept = list(functionals)
     functionals.clear()
     assert lines_of_plane(modulus) == fresh and normalized_functionals(modulus, 2) == kept
+    for table in (*_plane_tables(modulus)[1:], _functionals(modulus, 2), _functionals(modulus, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
     assert jacobian_decomposition(key) == before
     assert conjecture_probe(key).equal
 
@@ -263,6 +292,8 @@ def test_jacobian_labels_change_only_labels(preset):
             assert ours.line == theirs.line and ours.fixed_points == theirs.fixed_points
             assert ours.model.exponents == theirs.model.exponents
             assert ours.model.points == points and theirs.model.points == MarkedPoints.standard(5)
+    with pytest.raises(ValueError, match="^one exponent per marked point required$"):
+        jacobian_decomposition(enumerate_actions(ActionParams(3, 4, 2))[0], points)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,12 +385,38 @@ def _listed_lines(modulus):
     return [(ln, _elements(ln.entries, modulus.p, 2)) for ln in lines_of_plane(modulus)]
 
 
-@pytest.mark.parametrize("p,n", [(5, 3), (3, 5), (7, 4)])
+@pytest.mark.parametrize("p,n", [(5, 3), (3, 5), (7, 4), (2, 4), (2, 5)])
 def test_jacobian_lines_match_element_listing(p, n):
     params = ActionParams(p, n, 2)
     lines = _listed_lines(params.modulus)
     for key in enumerate_actions(params):
         _check_jacobian_by_listing(key, lines)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (2, 5)])
+def test_conjecture_probe_matches_element_listing(p, n):
+    hyperplanes = _all_subspaces(p, 3, 2)
+    assert len(hyperplanes) == p * p + p + 1
+    for key in enumerate_actions(ActionParams(p, n, 3)):
+        expected = sum(_oracle_genus(p, 3, elements, key.images) for _, elements in hyperplanes)
+        assert conjecture_probe(key).genus_sum == expected
+
+
+def test_jacobian_at_the_widest_modulus_matches_per_line_formula():
+    # entries near p make the value products pass 2^31
+    p = 65521
+    key = key_from_theta(ActionParams(p, 4, 2), [[1, 0, p - 1, 12345], [0, 1, 40000, p - 2]])
+    report = jacobian_decomposition(key)
+    assert len(report.lines) == p + 1
+    xs, ys = zip(*key.images)
+    for entry in report.lines:
+        ((a, b),) = entry.line.entries
+        values = [(b * x - a * y) % p for x, y in zip(xs, ys)]
+        branched = len(values) - values.count(0)
+        assert entry.genus == 1 - p + branched * p * (p - 1) // (2 * p)
+        assert entry.fixed_points == p * values.count(0)
+        scale = pow(next(e for e in values[1:] if e), -1, p)
+        assert entry.model.exponents == tuple(scale * e % p for e in values)
 
 
 # The benchmark's largest m = 2 classes, too large to enumerate here.
