@@ -29,13 +29,13 @@ published table.
 Hot paths note.  Key sets are ``KeySet`` rows: orbit closure and the
 table Burnside work on one sorted (N, m, n) array and build no
 ``SubgroupKey``; ``OrbitReport`` builds keys only when a caller reads
-them.  A relabeling moves a whole array at once by gathering columns, the
-implied image of a_{n+1} filled in where it lands.  It fixes a key iff the
+them.  A relabeling moves a whole array at once by one gather from its
+(m, n + 1, N) ``_extended`` columns, theta and the implied image of
+a_{n+1}, built once per block for every generator.  It fixes a key iff the
 moved theta' equals A theta for A = theta' restricted to theta's pivot
 columns, so fixed keys are found without re-echelonizing.  Orbit closure
-moves the whole array by one generator at a time: at m <= 2 it gathers
-whole rows of the keys' (m, n + 1, N) extended columns and reads each
-moved key's rref in closed form (``_rref_columns``), at m >= 3 it
+moves the whole array by one generator at a time: at m <= 2 it reads
+each moved key's rref in closed form (``_rref_columns``), at m >= 3 it
 re-echelonizes in a narrow unsigned dtype.  It finds each image's row by
 binary search and merges orbits by minimum-label propagation in
 ``hgroup.orbit_labels``, which labels conjugacy classes too.  ``act`` is
@@ -113,7 +113,7 @@ def _product_dtype(params: ActionParams):
 
     Those are ``coeff @ block`` in ``_fixed_mask``, the row updates of
     ``_rref_rows``, the reductions of ``_orbit_spans`` and ``_rref_columns``
-    and the column sums of ``_extended_columns``; entries below p bound them
+    and the column sums of ``_extended``; entries below p bound them
     all by n(p-1)^2 + p, as m <= n.
     """
     bound = params.n * (params.p - 1) ** 2 + params.p
@@ -290,29 +290,29 @@ def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
 # vectorized internals over key sets
 
 
-def _moved_rows(rows: np.ndarray, sigma: Permutation, params: ActionParams) -> np.ndarray:
-    """Each key's theta' under sigma, theta'(a_j) = theta(a_{sigma^-1(j)}), in the product dtype.
+def _extended(rows: np.ndarray, params: ActionParams) -> np.ndarray:
+    """The (m, n + 1, K) columns of (K, m, n) rows, in the product dtype: theta, then a_{n+1}.
 
-    Column j - 1 gathers column sigma^-1(j) - 1 of theta.  The column that
-    receives a_{n+1}, which theta lacks, is filled with its implied image
-    (p - column sum mod p) mod p: negating the sum in an unsigned dtype
-    would wrap, not reduce mod p.
+    The image of a_{n+1} is (p - column sum mod p) mod p, as negation in an unsigned dtype wraps.
+    Summing the middle axis adds whole columns, faster than a sum over a short last axis.
     """
     p, n = params.p, params.n
-    rows = rows.astype(_product_dtype(params), copy=False)
-    inverse = np.argsort(sigma.images)  # sigma^-1(j) - 1 at j - 1
-    # The slot of a_{n+1} takes column n - 1 until it is filled below.  np.take copies in
-    # C order, which the later steps run faster on than a fancy-index copy.
-    moved = np.take(rows, np.minimum(inverse[:n], n - 1), axis=2)
-    if sigma(n + 1) <= n:
-        implied = np.zeros(rows.shape[:2], rows.dtype)
-        for column in range(n):  # whole-column adds beat a sum over the short last axis
-            implied += rows[:, :, column]
-        implied %= p
-        np.subtract(p, implied, out=implied)
-        implied %= p
-        moved[:, :, sigma(n + 1) - 1] = implied
-    return moved
+    columns = np.empty((rows.shape[1], n + 1, len(rows)), dtype=_product_dtype(params))
+    columns[:, :n] = rows.transpose(1, 2, 0)
+    implied = np.sum(columns[:, :n], axis=1, out=columns[:, n])
+    implied %= p
+    np.subtract(p, implied, out=implied)
+    implied %= p
+    return columns
+
+
+def _moved_rows(columns: np.ndarray, sigma: Permutation) -> np.ndarray:
+    """Each key's theta' under sigma, theta'(a_j) = theta(a_{sigma^-1(j)}), as (K, m, n) rows.
+
+    A transposed view of one gather of the ``_extended`` columns; ``.transpose(1, 2, 0)`` undoes it.
+    """
+    inverse = np.argsort(sigma.images)[: columns.shape[1] - 1]  # sigma^-1(j) - 1 at j - 1
+    return np.take(columns, inverse, axis=1).transpose(2, 0, 1)
 
 
 def _fixed_mask(keys: KeySet, sigma: Permutation) -> np.ndarray:
@@ -322,7 +322,7 @@ def _fixed_mask(keys: KeySet, sigma: Permutation) -> np.ndarray:
     chunk = 1 << 20
     for start in range(0, len(keys), chunk):
         block = keys.rows[start : start + chunk].astype(_product_dtype(keys.params))
-        moved = _moved_rows(block, sigma, keys.params)
+        moved = _moved_rows(_extended(block, keys.params), sigma)
         pivots = (block != 0).argmax(axis=2)[:, None, :]  # first nonzero column per row (rref)
         rebuilt = np.take_along_axis(moved, pivots, axis=2) @ block
         rebuilt %= p
@@ -434,40 +434,29 @@ def _nonzero_columns(columns: np.ndarray) -> np.ndarray:
     return found
 
 
-def _extended_columns(rows: np.ndarray, params: ActionParams) -> np.ndarray:
-    """The (m, n + 1, K) columns of (K, m, n) rows: theta, then the implied image of a_{n+1}."""
-    columns = rows.transpose(1, 2, 0)
-    implied = columns.sum(axis=1, dtype=_product_dtype(params))
-    implied %= params.p
-    np.subtract(params.p, implied, out=implied)  # (p - sum mod p) mod p, as unsigned negation wraps
-    implied %= params.p
-    return np.concatenate([columns, implied[:, None, :].astype(columns.dtype)], axis=1)
-
-
 def _image_rows(keys: KeySet, generators) -> list[np.ndarray]:
     """Row of each key's image under each generator, ``_CLOSURE_CHUNK`` keys at a time.
 
-    At m <= 2 each block's theta' gathers whole rows of its
-    ``_extended_columns`` and its rref is read in closed form
-    (``_rref_columns``); at m >= 3 ``_rref_rows`` eliminates.  Blocks keep
+    Each block's ``_extended`` columns are built once and gathered by
+    every generator; at m <= 2 the moved rref is read in closed form
+    (``_rref_columns``), at m >= 3 ``_rref_rows`` eliminates.  Blocks keep
     the temporaries small and reused: whole-table temporaries of tens of MB
     stayed resident after they were freed and raised the peak of a later
     JSON listing of the orbits.
     """
     params = keys.params
-    inverses = [np.argsort(sigma.images)[: params.n] for sigma in generators]  # sigma^-1(j) - 1
     images = [np.empty(len(keys), dtype=np.intp) for _ in generators]
     for start in range(0, len(keys), _CLOSURE_CHUNK):
-        block = keys.rows[start : start + _CLOSURE_CHUNK]
-        columns = _extended_columns(block, params) if params.m <= 2 else None
-        for sigma, inverse, rows in zip(generators, inverses, images):
-            if columns is not None:  # theta'(a_j) = theta(a_{sigma^-1(j)})
-                moved = _rref_columns(np.take(columns, inverse, axis=1), params).transpose(2, 0, 1)
+        columns = _extended(keys.rows[start : start + _CLOSURE_CHUNK], params)
+        for sigma, rows in zip(generators, images):
+            moved = _moved_rows(columns, sigma)
+            if params.m <= 2:
+                moved = _rref_columns(moved.transpose(1, 2, 0), params).transpose(2, 0, 1)
             else:
-                moved = _moved_rows(block, sigma, params)
+                moved = moved.copy()  # C order, which _rref_rows runs faster on than the view
                 _rref_rows(moved, params)
             try:
-                rows[start : start + len(block)] = keys.rows_of(moved)
+                rows[start : start + len(moved)] = keys.rows_of(moved)
             except KeyError:
                 raise ActionOutsideSetError(
                     "the action maps a key outside the supplied set; the set is not closed under the group"
@@ -585,7 +574,8 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
     eigenspaces = {}
     for vectors in _rref_walk(p, 1, n, _SCAN_CHUNK):
         vectors = vectors.astype(dtype)
-        images = [_moved_rows(vectors, g, params) for g in group.generators]
+        columns = _extended(vectors, params)
+        images = [_moved_rows(columns, g) for g in group.generators]
         characters, ranks, planes = _orbit_spans(vectors, images, params)
         if m == 2:
             yield planes[_admissible(planes, p)]
@@ -651,8 +641,7 @@ def classify_triples(
             raise ValueError(f"the predicted families are m = 2, not m = {params.m}")
         from .predictions import family_for_group, predicted_invariant_set
 
-        case = family_for_group(params.n, group)
-        predicted = KeySet.of(params, predicted_invariant_set(case, params.p))
+        predicted = predicted_invariant_set(family_for_group(params.n, group), params.p)
         invariant = invariant_set(predicted, group)
         if invariant != predicted:
             bad = min(set(predicted.digit_strings()) - set(invariant.digit_strings()))

@@ -101,7 +101,7 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--output", metavar="PATH", help="write output to a file instead of stdout")
 
-    def add_common(p, with_group=False):
+    def add_common(p, with_group=False, capped=True):
         p.add_argument("--p", type=int, required=True, help="prime modulus")
         p.add_argument("--n", type=int, required=True, help="number of branch points minus one")
         p.add_argument("--m", type=int, default=2, help="rank of the deck group (default 2)")
@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
             p.add_argument("--group", action="append", default=[], dest="groups", metavar="CYCLES",
                            help="generator in cycle notation, repeatable")
         add_output(p)
-        p.add_argument("--max-candidates", type=int, metavar="N", help="override the scale cap")
+        if capped:
+            p.add_argument("--max-candidates", type=int, metavar="N", help="override the scale cap")
 
     add_common(sub.add_parser("enumerate", help="list the admissible subgroup keys"))
     add_common(sub.add_parser("orbits", help="orbit partition under relabelings"), with_group=True)
@@ -124,7 +125,7 @@ def build_parser() -> _Parser:
     for cmd, helptext in (("models", "fiber-product curve model of one subgroup"),
                           ("jacobian", "per-line genus decomposition of one subgroup")):
         p_one = sub.add_parser(cmd, help=helptext)
-        add_common(p_one)
+        add_common(p_one, capped=False)  # one subgroup: no scale to cap
         p_one.add_argument("--name", help="named subgroup, e.g. 'K(0,1)'")
         p_one.add_argument("--family", choices=("n3", "d3", "k4"))
         p_one.add_argument("--key", help="digit string, e.g. '1,0,0;0,1,4'")
@@ -266,19 +267,19 @@ def _models_doc(args) -> dict:
 def _jacobian_doc(args) -> dict:
     key, points = _key_and_points(args)
     report = jacobian_decomposition(key, points)
+    lines = [
+        {"line": ",".join(str(e) for e in entry.line.entries[0]), "genus": entry.genus,
+         "fixed_points": entry.fixed_points}
+        for entry in report.lines
+    ]
+    if args.format != "csv":  # only text and JSON print the models, so only they render them
+        for line, entry in zip(lines, report.lines):
+            line["model"] = render_model(entry.model)
     return {
         "params": _params_doc(key.params),
         "key": key.digit_string(),
         "genus": report.total,
-        "lines": [
-            {
-                "line": ",".join(str(e) for e in entry.line.entries[0]),
-                "genus": entry.genus,
-                "fixed_points": entry.fixed_points,
-                "model": render_model(entry.model),
-            }
-            for entry in report.lines
-        ],
+        "lines": lines,
         "genus_sum": report.genus_sum,
         "fixed_sum": report.fixed_sum,
     }

@@ -30,8 +30,8 @@ theta(a_{t+1})), at any m ``GeneralPresentation`` (a relabeling that puts
 the pivots first, plus the coordinate table).  ``classify_type`` reads
 one off a key; ``key_from_presentation`` rebuilds the key from the
 images.  The named subgroups (the n = 3 family and the n = 5 d3 and k4
-families) are plane presentations too: ``NAMED_FORMS`` gives each form's
-(t, l, r, s) and ``named_key`` resolves it the same way.
+families) are plane presentations too: each form's (t, l, r, s) in
+``NAMED_FORMS`` is theta's rref rows as they stand (``named_rows``).
 """
 
 from __future__ import annotations
@@ -212,14 +212,19 @@ NAMED_FORMS: dict[str, dict[tuple[str, int], Callable[..., tuple]]] = {
 _NAME_RE = re.compile(r"(K(?:bar)?\d?)(?:\((\d+(?:,\d+)?)\))?")
 
 
+def named_rows(family: str, form: str, *args: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """theta's rref rows (1, l, 0, r), (0, ..., 0, 1, s) for ``form(*args)``, not reduced mod p."""
+    t, l, r, s = NAMED_FORMS[family][form, len(args)](*args)
+    return (1, *l, 0, *r), (0,) * t + (1, *s)
+
+
 def named_key(params: ActionParams, family: str, form: str, *args: int) -> SubgroupKey:
     """The member ``form(*args)`` of a named family: ``named_key(params, "k4", "K3", 2)`` is K3(2).
 
-    The key of the form's ``NAMED_FORMS`` presentation.  Which p and which
-    parameters a family admits is ``key_from_named``'s to check.
+    The key of its ``named_rows``, validated by ``SubgroupKey``.  Which p
+    and which parameters a family admits is ``key_from_named``'s to check.
     """
-    t, l, r, s = NAMED_FORMS[family][form, len(args)](*args)
-    return key_from_presentation(PlanePresentation(params, t, l, r, s))
+    return SubgroupKey(params, FpMatrix(params.modulus, named_rows(family, form, *args)))
 
 
 def key_from_named(params: ActionParams, name: str, family: str | None = None) -> SubgroupKey:

@@ -8,11 +8,11 @@ an independent oracle against it.
 Cases: the eight n = 3 symmetry groups Q1..Q8, and at n = 5 the
 threefold-symmetry (D3) and Klein-four (K4) one-dimensional families.
 
-Every family is a list of named forms and integer parameters, resolved
-through ``enumeration.named_key``.  Congruences are solved in O(p) work:
-the one-variable quadratics by residue scan, the D3 conic
-r^2 + s^2 - rs = 1 by a square-root table, so every 16-bit prime takes
-well under a second.
+Every family is a list of named forms and integer parameters, stacked as
+rref rows (``enumeration.named_rows``) into one ``KeySet``.  Congruences
+are solved in O(p) work: the one-variable quadratics by residue scan, the
+D3 conic r^2 + s^2 - rs = 1 by a square-root table, so every 16-bit prime
+takes well under a second.
 
 One deliberate correction: the published closed form for the n = 3
 four-cycle case lists K(s/(1-s), s) over the roots of s^2 + 2s + 2, which
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .enumeration import ActionParams, SubgroupKey, VerificationError, named_key
+from .enumeration import ActionParams, KeySet, VerificationError, _admissible, named_key, named_rows
 from .hgroup import PermGroup, close_group, parse_cycles
 
 _CASE_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {
@@ -43,6 +43,7 @@ _CASE_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {
     "N5_K4": (5, ("(3 5)(4 6)", "(1 2)(3 4)(5 6)")),
 }
 CASES = tuple(_CASE_GENERATORS)
+_FAMILIES = {"N5_D3": "d3", "N5_K4": "k4"}  # the NAMED_FORMS family of each case; else n3
 
 
 def case_group(case: str) -> PermGroup:
@@ -127,14 +128,17 @@ def _members(case: str, p: int) -> list[tuple]:
     return members
 
 
-def predicted_invariant_set(case: str, p: int) -> list[SubgroupKey]:
-    """The invariant subgroups of a case at prime p, as sorted keys."""
+def predicted_invariant_set(case: str, p: int) -> KeySet:
+    """The invariant subgroups of a case at prime p: its members' rows, stacked, as a key set."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
     n, _ = _CASE_GENERATORS[case]
-    params = ActionParams(p, n, 2)
-    family = {"N5_D3": "d3", "N5_K4": "k4"}.get(case, "n3")
-    return sorted(named_key(params, family, *member) for member in _members(case, p))
+    params, family, members = ActionParams(p, n, 2), _FAMILIES.get(case, "n3"), _members(case, p)
+    rows = np.array([named_rows(family, *x) for x in members], dtype=np.int64).reshape(-1, 2, n) % p
+    bad = np.flatnonzero(~_admissible(rows, p))
+    if len(bad):  # the first inadmissible member raises its own AdmissibilityError
+        named_key(params, family, *members[bad[0]])
+    return KeySet.from_rows(params, rows)
 
 
 def predicted_triple_count(case: str, p: int) -> int:

@@ -32,7 +32,7 @@ from zpaction.classify import (
     invariant_keys_full,
     invariant_set,
     orbit_partition,
-    _extended_columns,
+    _extended,
     _fixed_mask,
     _image_rows,
     _moved_rows,
@@ -482,7 +482,7 @@ def sample_keys(params, count, seed):
 def test_fixed_mask_matches_act_at_the_product_dtype_edge(p):
     # n(p-1)^2 + p first exceeds 16 bits between p = 113 and p = 127 at n = 5
     params = ActionParams(p, 5, 2)
-    d3_fixed, k4_fixed = (set(predicted_invariant_set(case, p)) for case in ("N5_D3", "N5_K4"))
+    d3_fixed, k4_fixed = (set(predicted_invariant_set(case, p).keys()) for case in ("N5_D3", "N5_K4"))
     keys = KeySet.of(params, sample_keys(params, 200, seed=p) | d3_fixed | k4_fixed)
     listed = keys.keys()
     k4 = close_group([parse_cycles("(3 5)(4 6)", 6), parse_cycles("(1 2)(3 4)(5 6)", 6)])
@@ -657,7 +657,7 @@ def _eliminated_spans(vectors, images, params):
 def _check_spans(vectors, group, params):
     """Assert that both routes agree on the rref rows ``vectors``; returns the ranks."""
     vectors = vectors.astype(_product_dtype(params))
-    images = [_moved_rows(vectors, g, params) for g in group.generators]
+    images = [_moved_rows(_extended(vectors, params), g) for g in group.generators]
     got = _orbit_spans(vectors, images, params)
     expected = _eliminated_spans(vectors, images, params)
     assert [a.tolist() for a in got] == [a.tolist() for a in expected]
@@ -685,7 +685,7 @@ def test_orbit_spans_keep_each_plane_from_at_most_three_vectors(p, n, name):
     kept, spans = [], []
     for vectors in _rref_walk(p, 1, n, 1 << 12):
         vectors = vectors.astype(_product_dtype(params))
-        images = [_moved_rows(vectors, g, params) for g in group.generators]
+        images = [_moved_rows(_extended(vectors, params), g) for g in group.generators]
         kept.append(_orbit_spans(vectors, images, params)[2])
         stack = np.concatenate([vectors, *images], axis=1)
         ranks = _rref_rows(stack, params)
@@ -702,7 +702,7 @@ def _common_eigenspaces(p, name):
     """rref bases of the nonzero common eigenspaces E_chi of the generators on F_p^5, from kernels."""
     params, group = ActionParams(p, 5, 1), _span_group(5, name)
     units = np.eye(5, dtype=np.uint16)[:, None, :]
-    matrices = [_moved_rows(units, g, params)[:, 0].tolist() for g in group.generators]  # g v = v M
+    matrices = [_moved_rows(_extended(units, params), g)[:, 0].tolist() for g in group.generators]  # g v = v M
     orders = [math.lcm(*map(len, g.cycles())) for g in group.generators]
     roots = [[x for x in range(1, p) if pow(x, order, p) == 1] for order in orders]
     spaces = []
@@ -858,13 +858,15 @@ def _moved_tables():
 def test_closed_form_rref_matches_the_elimination_on_whole_tables(p, n, m):
     params = ActionParams(p, n, m)
     keys = KeySet.full(params)
-    columns = _extended_columns(keys.rows, params)
+    columns = _extended(keys.rows, params)
+    theta = keys.rows.astype(np.int64)
+    extended = np.concatenate([theta, -theta.sum(axis=2, keepdims=True) % p], axis=2)  # [theta | a_{n+1}]
     for sigma in symmetric_group(n + 1).generators + (Permutation.identity(n + 1),):
-        moved = np.take(columns, np.argsort(sigma.images)[:n], axis=1)
-        expected = _moved_rows(keys.rows, sigma, params)
-        assert np.array_equal(moved.transpose(2, 0, 1), expected)
+        moved = _moved_rows(columns, sigma)
+        assert np.array_equal(moved, extended[:, :, np.argsort(sigma.images)[:n]])
+        expected = moved.copy()
         _rref_rows(expected, params)
-        assert np.array_equal(_rref_columns(moved, params).transpose(2, 0, 1), expected)
+        assert np.array_equal(_rref_columns(moved.transpose(1, 2, 0), params).transpose(2, 0, 1), expected)
 
 
 @pytest.mark.parametrize("p", [113, 127], ids=["uint16", "uint32"])

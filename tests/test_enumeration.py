@@ -582,3 +582,34 @@ def test_name_of_key_round_trip():
         name = name_of_key(key)
         assert name is not None
         assert key_from_named(params, name) == key
+
+
+@pytest.mark.parametrize(
+    "family, n, p", [("n3", 3, 5), ("n3", 3, 7), ("d3", 5, 2), ("d3", 5, 7), ("k4", 5, 2), ("k4", 5, 5)]
+)
+def test_named_key_matches_the_plane_presentation_route(family, n, p):
+    # every form at every parameter tuple: the same key, or the same AdmissibilityError text
+    params = ActionParams(p, n, 2)
+
+    def outcome(build):
+        try:
+            return build().digit_string()
+        except AdmissibilityError as exc:
+            return f"error: {exc}"
+
+    outcomes = set()
+    for (form, arity), entry in NAMED_FORMS[family].items():
+        for args in itertools.product(range(p), repeat=arity):
+            direct = outcome(lambda: enumeration.named_key(params, family, form, *args))
+            presented = outcome(lambda: key_from_presentation(PlanePresentation(params, *entry(*args))))
+            assert direct == presented, (form, args)
+            outcomes.add(direct.startswith("error: "))
+    assert outcomes == {False, True}  # both branches are reached
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_named_key_off_m2_is_a_shape_error(m):
+    # a named form is two rows, which SubgroupKey's shape check refuses at any other m
+    message = rf"^K\(0,1\) is not admissible at p=5: theta must be {m}x3, got 2x3$"
+    with pytest.raises(AdmissibilityError, match=message):
+        key_from_named(ActionParams(5, 3, m), "K(0,1)")

@@ -1,11 +1,26 @@
+import re
+
 import pytest
 
-from zpaction.enumeration import ActionParams, KeySet, name_of_key
+import zpaction.predictions
+from zpaction import enumeration
+from zpaction.enumeration import (
+    NAMED_FORMS,
+    ActionParams,
+    AdmissibilityError,
+    KeySet,
+    PlanePresentation,
+    SubgroupKey,
+    key_from_named,
+    key_from_presentation,
+    name_of_key,
+)
 from zpaction.fpalgebra import NotPrimeError
 from zpaction.classify import act, classify_triples, invariant_set
 from zpaction.predictions import (
     CASES,
     _conic_points,
+    _members,
     case_group,
     family_for_group,
     predicted_invariant_set,
@@ -15,7 +30,7 @@ from zpaction.hgroup import close_group, parse_cycles
 
 
 def names_of(keys):
-    return sorted(name_of_key(k) for k in keys)
+    return sorted(name_of_key(k) for k in keys.keys())
 
 
 def test_q4_p7_single_member():
@@ -32,8 +47,8 @@ def test_q6_p5():
 
 
 def test_q3_branches():
-    assert predicted_invariant_set("N3_Q3", 3) == []
-    assert predicted_invariant_set("N3_Q3", 5) == []  # 5 = 2 mod 3
+    assert predicted_invariant_set("N3_Q3", 3).keys() == []
+    assert predicted_invariant_set("N3_Q3", 5).keys() == []  # 5 = 2 mod 3
     assert names_of(predicted_invariant_set("N3_Q3", 7)) == ["K(1,4)", "K(5,2)"]
 
 
@@ -103,7 +118,7 @@ def test_alpha_branch_consistency_at_p3():
 def test_n3_predictions_match_generic(case, p):
     keys = KeySet.full(ActionParams(p, 3, 2))
     generic = invariant_set(keys, case_group(case))
-    assert sorted(generic.keys()) == predicted_invariant_set(case, p)
+    assert sorted(generic.keys()) == predicted_invariant_set(case, p).keys()
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c.startswith("N3")])
@@ -111,7 +126,7 @@ def test_n3_predictions_match_generic(case, p):
 def test_n3_predictions_match_generic_large(case, p):
     keys = KeySet.full(ActionParams(p, 3, 2))
     generic = invariant_set(keys, case_group(case))
-    assert sorted(generic.keys()) == predicted_invariant_set(case, p)
+    assert sorted(generic.keys()) == predicted_invariant_set(case, p).keys()
 
 
 @pytest.mark.parametrize("case", ["N5_D3", "N5_K4"])
@@ -119,7 +134,7 @@ def test_n3_predictions_match_generic_large(case, p):
 def test_n5_predictions_match_generic(case, p):
     keys = KeySet.full(ActionParams(p, 5, 2))
     generic = invariant_set(keys, case_group(case))
-    assert sorted(generic.keys()) == predicted_invariant_set(case, p)
+    assert sorted(generic.keys()) == predicted_invariant_set(case, p).keys()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -127,7 +142,7 @@ def test_n5_predictions_match_generic(case, p):
 def test_predicted_members_invariant_large_p(case, p):
     # cheap spot check far beyond the exhaustive range
     group = case_group(case)
-    for key in predicted_invariant_set(case, p):
+    for key in predicted_invariant_set(case, p).keys():
         for g in group.generators:
             assert act(g, key) == key
 
@@ -152,5 +167,67 @@ def test_family_for_group_matches_verbatim_only():
 def test_family_members_all_admissible():
     for case in CASES:
         p = 7 if case != "N3_Q4" else 13
-        keys = predicted_invariant_set(case, p)
-        assert len(set(keys)) == len(keys)
+        keys = predicted_invariant_set(case, p).keys()
+        assert len(set(keys)) == len(keys) == len(_members(case, p))  # no member repeats another
+
+
+def _per_member_keys(case, p):
+    """The members one at a time, each through its plane presentation and rref: the old route."""
+    params = ActionParams(p, 3 if case.startswith("N3") else 5, 2)
+    forms = NAMED_FORMS[zpaction.predictions._FAMILIES.get(case, "n3")]
+    return sorted(
+        key_from_presentation(PlanePresentation(params, *forms[form, len(args)](*args)))
+        for form, *args in _members(case, p)
+    )
+
+
+def _oracle_cases():
+    primes = _primes_up_to(31) + [101, 1009]
+    return [
+        pytest.param(case, p, id=f"{case}-p{p}")
+        for case in CASES
+        for p in primes
+        if p > 2 or case.startswith("N5")  # p = 2 is not hyperbolic at n = 3
+    ]
+
+
+@pytest.mark.parametrize("case, p", _oracle_cases())
+def test_predicted_rows_match_the_per_member_route(case, p):
+    assert predicted_invariant_set(case, p).keys() == _per_member_keys(case, p)
+
+
+def test_predicted_route_builds_no_key_or_presentation_and_runs_no_rref(monkeypatch):
+    cases = [(case, p) for case in CASES for p in (2, 3, 5, 13) if p > 2 or case.startswith("N5")]
+    expected = {(case, p): predicted_invariant_set(case, p) for case, p in cases}
+    names = [(ActionParams(5, 3, 2), "K(0,4)", None), (ActionParams(5, 5, 2), "K(2)", "d3"),
+             (ActionParams(7, 5, 2), "K3(1)", "k4"), (ActionParams(2, 5, 2), "Kbar2", "k4")]
+    resolved = [key_from_named(*name) for name in names]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the closed-form route")
+
+    monkeypatch.setattr(enumeration, "rref", refuse)
+    monkeypatch.setattr(PlanePresentation, "__post_init__", refuse)
+    assert [key_from_named(*name) for name in names] == resolved
+    monkeypatch.setattr(SubgroupKey, "__post_init__", refuse)
+    for (case, p), keys in expected.items():
+        assert predicted_invariant_set(case, p) == keys, (case, p)
+    for case in ("N5_D3", "N5_K4"):
+        report = classify_triples(ActionParams(31, 5, 2), case_group(case), mode="predicted")
+        assert report.count == predicted_triple_count(case, 31)
+
+
+@pytest.mark.parametrize(
+    "case, p, member, message",
+    [
+        ("N3_Q1", 5, ("K", 0), "generator a_2 lies in the subgroup"),
+        ("N3_Q6", 5, ("K", 4, 4), "generator a_4 lies in the subgroup"),
+        ("N5_D3", 7, ("K", 0, 0), "generator a_4 lies in the subgroup"),
+        ("N5_D3", 7, ("K", 0), "generator a_2 lies in the subgroup"),
+    ],
+)
+def test_inadmissible_member_raises_its_own_error(case, p, member, message, monkeypatch):
+    real = _members
+    monkeypatch.setattr(zpaction.predictions, "_members", lambda case, p: [*real(case, p), member])
+    with pytest.raises(AdmissibilityError, match=f"^{re.escape(message)}$"):
+        predicted_invariant_set(case, p)
