@@ -17,24 +17,26 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fpalgebra import FpMatrix, PrimeModulus, rref
 from .hgroup import Permutation, symmetric_group
 from .enumeration import (
     ActionParams,
     KeySet,
-    SubgroupKey,
     brute_force_oracle,
     enumerate_actions,
     key_from_named,
 )
 from .classify import (
-    act,
+    ActionOutsideSetError,
     burnside_count_full,
     classify_triples,
     count_orbits_burnside,
     count_orbits_keyless,
     invariant_set,
     orbit_partition,
+    _image_rows,
 )
 from .predictions import case_group, predicted_invariant_set, predicted_triple_count
 from .geometry import (
@@ -62,23 +64,11 @@ def _require(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _s4():
-    return symmetric_group(4)
-
-
-def _d3_group():
-    return case_group("N5_D3")
-
-
-def _k4_group():
-    return case_group("N5_K4")
-
-
 def check_1_orbit_table() -> str:
     """Orbit counts of the n=3 space under S_4 match the published table."""
     start = time.perf_counter()
     for p, expected in N3_ORBIT_TABLE.items():
-        got = orbit_partition(KeySet.full(ActionParams(p, 3, 2)), _s4()).count
+        got = orbit_partition(KeySet.full(ActionParams(p, 3, 2)), symmetric_group(4)).count
         _require(got == expected, f"p={p}: {got} orbits, expected {expected}")
     elapsed = time.perf_counter() - start
     _require(elapsed < 10.0, f"orbit table took {elapsed:.1f}s, budget 10s")
@@ -97,7 +87,7 @@ def check_2_space_sizes() -> str:
 def check_3_p5_representatives() -> str:
     """The four p=5 orbits contain K(0,1), K(0,2), K(0,4), K(1,2) separately."""
     params = ActionParams(5, 3, 2)
-    report = orbit_partition(KeySet.full(params), _s4())
+    report = orbit_partition(KeySet.full(params), symmetric_group(4))
     _require(report.count == 4, f"expected 4 orbits, got {report.count}")
     named = [key_from_named(params, n) for n in ("K(0,1)", "K(0,2)", "K(0,4)", "K(1,2)")]
     indices = {report.orbit_of(k) for k in named}
@@ -126,7 +116,7 @@ def check_4_invariant_sets() -> str:
 
 def check_5_d3_triples() -> str:
     """Threefold-symmetry class counts match the table; modes agree; N order 36."""
-    group = _d3_group()
+    group = case_group("N5_D3")
     start = time.perf_counter()
     exhaustive_13 = None
     for p, expected in D3_TRIPLE_TABLE.items():
@@ -149,7 +139,7 @@ def check_5_d3_triples() -> str:
 
 def check_6_d3_formula() -> str:
     """alpha + beta + gamma/3 equals the partition count for every table prime."""
-    group = _d3_group()
+    group = case_group("N5_D3")
     for p in D3_TRIPLE_TABLE:
         formula = predicted_triple_count("N5_D3", p)
         direct = classify_triples(ActionParams(p, 5, 2), group, mode="predicted").count
@@ -159,7 +149,7 @@ def check_6_d3_formula() -> str:
 
 def check_7_k4_triples() -> str:
     """Klein-four class counts are 3 at p=2 and p+4 otherwise; N order 16."""
-    group = _k4_group()
+    group = case_group("N5_K4")
     for p in (2, 3, 5, 7, 11, 13):
         expected = 3 if p == 2 else p + 4
         predicted = classify_triples(ActionParams(p, 5, 2), group, mode="predicted")
@@ -174,7 +164,7 @@ def check_7_k4_triples() -> str:
 
 def check_8_small_prime_examples() -> str:
     """Threefold symmetry at p=3: 7 invariant groups in 3 classes; p=2: 3 in 1."""
-    group = _d3_group()
+    group = case_group("N5_D3")
     res3 = classify_triples(ActionParams(3, 5, 2), group, mode="exhaustive")
     _require(len(res3.invariant) == 7, f"|C_3| = {len(res3.invariant)} != 7")
     _require(res3.count == 3, f"p=3 classes {res3.count} != 3")
@@ -221,51 +211,57 @@ def check_10_model_emission() -> str:
     return "example family at p=5,7,11 and all four p=5 table rows exact"
 
 
-def _property_pools() -> list[list[SubgroupKey]]:
-    return [
-        enumerate_actions(ActionParams(5, 3, 2)),
-        enumerate_actions(ActionParams(3, 4, 2)),
-        enumerate_actions(ActionParams(2, 5, 2)),
-        enumerate_actions(ActionParams(3, 4, 3)),
-    ]
-
-
 def check_11_oracles_and_properties() -> str:
-    """Route equivalences plus 1000 seeded trials per structural property."""
-    for p, n, m in [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 4, 2)]:
-        params = ActionParams(p, n, m)
-        _require(enumerate_actions(params) == brute_force_oracle(params),
-                 f"enumeration routes disagree at ({p},{n},{m})")
-    # Burnside = partition count at every configuration exercised above; the keyless count
-    # (route B) and the table Burnside both give the published n = 3 table
-    s4 = _s4()
-    for p in N3_ORBIT_TABLE:
-        params = ActionParams(p, 3, 2)
-        keyless, table = count_orbits_keyless(params, s4), burnside_count_full(params, s4)
-        _require(keyless == table == N3_ORBIT_TABLE[p],
-                 f"p={p}: keyless Burnside {keyless}, table Burnside {table}, "
-                 f"published {N3_ORBIT_TABLE[p]}")
-    for case, group in (("N5_D3", _d3_group()), ("N5_K4", _k4_group())):
-        for p in (5, 7, 11, 13):
-            res = classify_triples(ActionParams(p, 5, 2), group, mode="predicted")
-            burnside = count_orbits_burnside(res.invariant, res.normalizer)
-            _require(burnside == res.count, f"{case} p={p}: Burnside {burnside} != {res.count}")
+    """The array action's axioms, route equivalences and 1000 seeded trials per property."""
     rng = random.Random(SEED)
-    pools = _property_pools()
+    configs = ((5, 3, 2), (3, 4, 2), (2, 5, 2), (3, 4, 3))
+    tables = [KeySet.full(ActionParams(*config)) for config in configs]
+    pools = [table.keys() for table in tables]
 
     def random_perm(degree):
         images = list(range(1, degree + 1))
         rng.shuffle(images)
         return Permutation(tuple(images))
 
-    for _ in range(TRIALS):  # action axioms
-        pool = rng.choice(pools)
-        key = rng.choice(pool)
-        degree = key.params.n + 1
-        sigma, tau = random_perm(degree), random_perm(degree)
-        _require(act(sigma * tau, key) == act(sigma, act(tau, key)),
-                 f"{key}: act(sigma * tau) != act(sigma) act(tau)")
-        _require(act(Permutation.identity(degree), key) == key, f"{key}: the identity moves it")
+    draws = [[] for _ in tables]  # each table's (sigma, tau) trials
+    for _ in range(TRIALS):
+        i = rng.randrange(len(tables))
+        degree = tables[i].params.n + 1
+        draws[i].append((random_perm(degree), random_perm(degree)))
+    for keys, pairs in zip(tables, draws):  # the array action, which every count below rests on
+        p, n, m = keys.params.p, keys.params.n, keys.params.m
+        identity = Permutation.identity(n + 1)
+        moves = list(dict.fromkeys(g for s, t in pairs for g in (s * t, s, t, identity)))
+        try:  # one call per table moves every key by each distinct permutation of its trials
+            images = dict(zip(moves, _image_rows(keys, moves)))
+        except ActionOutsideSetError:
+            images = None
+        _require(images is not None, f"({p},{n},{m}): the action leaves the admissible keys")
+        for sigma, tau in pairs:
+            _require(np.array_equal(images[sigma * tau], images[sigma][images[tau]]),
+                     f"({p},{n},{m}): img(sigma * tau) != img(sigma)[img(tau)] at sigma "
+                     f"{sigma.cycle_string()}, tau {tau.cycle_string()}")
+            _require(np.array_equal(images[identity], np.arange(len(keys))),
+                     f"({p},{n},{m}): the identity moves a key")
+
+    for p, n, m in [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 4, 2)]:
+        params = ActionParams(p, n, m)
+        _require(enumerate_actions(params) == brute_force_oracle(params),
+                 f"enumeration routes disagree at ({p},{n},{m})")
+    # Burnside = partition count at every configuration exercised above; the keyless count
+    # (route B) and the table Burnside both give the published n = 3 table
+    s4 = symmetric_group(4)
+    for p in N3_ORBIT_TABLE:
+        params = ActionParams(p, 3, 2)
+        keyless, table = count_orbits_keyless(params, s4), burnside_count_full(params, s4)
+        _require(keyless == table == N3_ORBIT_TABLE[p],
+                 f"p={p}: keyless Burnside {keyless}, table Burnside {table}, "
+                 f"published {N3_ORBIT_TABLE[p]}")
+    for case in ("N5_D3", "N5_K4"):
+        for p in (5, 7, 11, 13):
+            res = classify_triples(ActionParams(p, 5, 2), case_group(case), mode="predicted")
+            burnside = count_orbits_burnside(res.invariant, res.normalizer)
+            _require(burnside == res.count, f"{case} p={p}: Burnside {burnside} != {res.count}")
 
     for _ in range(TRIALS):  # rref idempotence
         p = rng.choice([2, 3, 5, 7, 11, 13])
@@ -275,13 +271,6 @@ def check_11_oracles_and_properties() -> str:
         reduced, rank = rref(mat)
         again, rank2 = rref(reduced)
         _require(again == reduced and rank == rank2, "rref is not idempotent")
-
-    for _ in range(TRIALS):  # admissibility preserved under the action
-        pool = rng.choice(pools)
-        key = rng.choice(pool)
-        moved = act(random_perm(key.params.n + 1), key)
-        # construction re-validates
-        _require(isinstance(moved, SubgroupKey), f"{key}: the action leaves the admissible keys")
 
     for _ in range(TRIALS):  # quotient genus integral and nonnegative
         pool = rng.choice(pools)
@@ -294,7 +283,8 @@ def check_11_oracles_and_properties() -> str:
         )
         _require(quotient_genus(key, sub) >= 0, f"{key}: negative quotient genus")
 
-    return f"4 oracle configs, Burnside everywhere, keyless = table, 4x{TRIALS} trials, zero failures"
+    return ("array action on every key of 4 tables, 4 oracle configs, Burnside everywhere, "
+            f"keyless = table, 3x{TRIALS} trials, zero failures")
 
 
 def check_12_genus_formulas() -> str:

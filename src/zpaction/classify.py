@@ -21,7 +21,7 @@ set, and a Burnside (Cauchy-Frobenius) count checks it:
   Fix(tau sigma tau^-1) = tau Fix(sigma); about 60 ms at (5, 5, 2).
 * past the table, ``table --which n5-orbits``: route B against route A,
   ``count_orbits_scanned``, which takes each cycle type's fixed set from
-  the invariant scan; (31, 5, 2) takes about 3 s and 100 MB.
+  the invariant scan, or at m >= 3 one mask pass; (31, 5, 2): 3 s, 100 MB.
 ``table --which n3-orbits`` prints route B alone, which criterion 11 of
 the acceptance suite checks against the table Burnside and the
 published table.
@@ -31,15 +31,15 @@ table Burnside work on one sorted (N, m, n) array and build no
 ``SubgroupKey``; ``OrbitReport`` builds keys only when a caller reads
 them.  A relabeling moves a whole array at once by one gather from its
 (m, n + 1, N) ``_extended`` columns, theta and the implied image of
-a_{n+1}, built once per block for every generator.  It fixes a key iff the
-moved theta' equals A theta for A = theta' restricted to theta's pivot
-columns, so fixed keys are found without re-echelonizing.  Orbit closure
-moves the whole array by one generator at a time: at m <= 2 it reads
-each moved key's rref in closed form (``_rref_columns``), at m >= 3 it
-re-echelonizes in a narrow unsigned dtype.  It finds each image's row by
-binary search and merges orbits by minimum-label propagation in
-``hgroup.orbit_labels``, which labels conjugacy classes too.  ``act`` is
-the per-key pure-Python action the tests check these against.
+a_{n+1}, built once per block for every permutation.  It fixes a key iff
+the moved theta' equals A theta for A = theta' restricted to theta's
+pivot columns, so ``_fixed_masks`` finds fixed keys without
+re-echelonizing.  Orbit closure moves the whole array by one generator
+at a time: at m <= 2 it reads each moved key's rref in closed form
+(``_rref_columns``), at m >= 3 it re-echelonizes in a narrow unsigned
+dtype.  It finds each image's row by binary search and merges orbits by
+minimum-label propagation in ``hgroup.orbit_labels``, which labels
+conjugacy classes too.
 
 The invariant keys of the whole space at m <= 2 come from a scan of the
 projective vectors v of F_p^n, not from the table.  Each block of v is
@@ -50,11 +50,11 @@ w_i is 0 and 2 if they are all multiples of one.  No stack is
 echelonized.  The candidates have two sources: the rank-2 planes that a
 keep rule picks before they are built, and one rref walk over each common
 eigenspace E_chi (its basis from the rank-1 spans) for its lines at m = 1
-and its planes at m = 2.  The ``invariant_set`` mask certifies each block
-and keeps only the fixed keys.  At m >= 3 a stable subspace need not have
-that form, so those keys are the mask over the table.  ``_rref_rows`` is
-the one batched elimination, for the eigenspace bases and for orbit
-closure at m >= 3.
+and its planes at m = 2.  The generators' ``_fixed_masks`` certify each
+block and keep only the fixed keys.  At m >= 3 a
+stable subspace need not have that form, so those keys are the mask over
+the table.  ``_rref_rows`` is the one batched elimination, for the
+eigenspace bases and for orbit closure at m >= 3.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .enumeration import (
     _admissible,
     _rref_walk,
     check_candidate_cap,
-    key_from_theta,
 )
 from .hgroup import PermGroup, Permutation, close_group, normalizer_in_symmetric, orbit_labels
 from .keyless import count_orbits_keyless
@@ -87,31 +86,19 @@ TRIPLES_CANDIDATE_CAP = 10_000_000
 # Projective vectors per block of the invariant-key scan; bounds its working memory.
 _SCAN_CHUNK = 1 << 16
 
-# Keys per block of orbit closure; bounds its temporaries.
+# Keys per block of orbit closure and of the fixed-point masks; each bounds its temporaries.
 _CLOSURE_CHUNK = 1 << 16
+_MASK_CHUNK = 1 << 20
 
 
 class ActionOutsideSetError(ValueError):
     """The group action maps a key outside the supplied key set."""
 
 
-def act(sigma: Permutation, key: SubgroupKey) -> SubgroupKey:
-    """The key of Phi_sigma(K); always admissible again.
-
-    Phi_sigma(a_j) = a_{sigma(j)} only permutes the n+1 generator images:
-    the new quotient sends a_j to theta(a_{sigma^-1(j)}).
-    """
-    n = key.params.n
-    if sigma.degree != n + 1:
-        raise ValueError(f"permutation degree {sigma.degree} != n+1 = {n + 1}")
-    inverse = sigma.inverse()
-    return key_from_theta(key.params, zip(*(key.images[inverse(j) - 1] for j in range(1, n + 1))))
-
-
 def _product_dtype(params: ActionParams):
     """Narrowest unsigned dtype for the array products before their reduction mod p.
 
-    Those are ``coeff @ block`` in ``_fixed_mask``, the row updates of
+    Those are ``coeff @ block`` in ``_fixed_masks``, the row updates of
     ``_rref_rows``, the reductions of ``_orbit_spans`` and ``_rref_columns``
     and the column sums of ``_extended``; entries below p bound them
     all by n(p-1)^2 + p, as m <= n.
@@ -193,8 +180,8 @@ def count_orbits_burnside(keys: KeySet, group: PermGroup) -> int:
     """Burnside orbit count of a G-stable key set; must equal the partition count."""
     if group.degree != keys.params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
-    classes = group.conjugacy_classes
-    total = sum(size * int(_fixed_mask(keys, sigma).sum()) for sigma, size in classes)
+    representatives, sizes = zip(*group.conjugacy_classes)
+    total = int(np.dot(sizes, _fixed_counts(keys.rows, keys.params, representatives)))
     if total % group.order != 0:
         raise VerificationError("Burnside sum is not divisible by the group order")
     return total // group.order
@@ -246,19 +233,21 @@ def count_orbits_scanned(
     for one sigma of each type, and for the identity the closed form
     sum_{s=0}^{n} (-1)^s C(n+1, s) [n-s choose m]_p, by inclusion-exclusion
     over the generators a_j in K, any n of which are independent.  At
-    m <= 2 no table is built.  Raises VerificationError unless |G|
-    divides the sum.
+    m <= 2 no table is built; at m >= 3 one mask pass over it counts the
+    other types.  Raises VerificationError unless |G| divides the sum.
     """
     p, n, m = params.p, params.n, params.m
-    total = 0
-    for cycles, size in group.cycle_types.items():
-        if cycles == ((1, n + 1),):
-            fixed = sum((-1) ** s * math.comb(n + 1, s) * _subspace_count(p, n - s, m)
-                        for s in range(n + 1))
-        else:
-            cyclic = close_group([_permutation_of_type(cycles)], degree=n + 1)
-            fixed = len(invariant_keys_full(params, cyclic, max_candidates))
-        total += size * fixed
+    types = {cycles: size for cycles, size in group.cycle_types.items() if cycles != ((1, n + 1),)}
+    moved = [_permutation_of_type(cycles) for cycles in types]
+    if m > 2 and moved:
+        table = KeySet.full(params, max_candidates or DEFAULT_CANDIDATE_CAP)
+        fixed = _fixed_counts(table.rows, params, moved).tolist()
+    else:  # the scan; at m >= 3 the identity alone, which needs no table
+        fixed = [len(invariant_keys_full(params, close_group([sigma], degree=n + 1), max_candidates))
+                 for sigma in moved]
+    total = sum((-1) ** s * math.comb(n + 1, s) * _subspace_count(p, n - s, m)
+                for s in range(n + 1))
+    total += sum(size * count for size, count in zip(types.values(), fixed))
     if total % group.order:
         raise VerificationError("the scanned Burnside sum is not divisible by the group order")
     return total // group.order
@@ -281,9 +270,10 @@ def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
     """
     if group.degree != keys.params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
+    rows = keys.rows
     for g in group.generators:
-        keys = KeySet(keys.params, keys.rows[_fixed_mask(keys, g)])
-    return keys
+        rows = rows[_fixed_masks(rows, keys.params, [g])[0]]
+    return KeySet(keys.params, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +305,32 @@ def _moved_rows(columns: np.ndarray, sigma: Permutation) -> np.ndarray:
     return np.take(columns, inverse, axis=1).transpose(2, 0, 1)
 
 
-def _fixed_mask(keys: KeySet, sigma: Permutation) -> np.ndarray:
-    """Boolean mask of keys fixed by sigma, no echelonization needed."""
-    p = keys.params.p
-    mask = np.empty(len(keys), dtype=bool)
-    chunk = 1 << 20
-    for start in range(0, len(keys), chunk):
-        block = keys.rows[start : start + chunk].astype(_product_dtype(keys.params))
-        moved = _moved_rows(_extended(block, keys.params), sigma)
+def _fixed_masks(rows: np.ndarray, params: ActionParams, permutations) -> np.ndarray:
+    """(len(permutations), K) masks of the (K, m, n) rref rows each permutation fixes.
+
+    Each ``_MASK_CHUNK`` block builds its product-dtype rows, ``_extended``
+    columns and pivots once for every permutation; see the module notes.
+    """
+    masks = np.empty((len(permutations), len(rows)), dtype=bool)
+    for start in range(0, len(rows), _MASK_CHUNK):
+        columns = _extended(rows[start : start + _MASK_CHUNK], params)
+        block = columns[:, :-1].transpose(2, 0, 1)  # the rows again, in the product dtype
         pivots = (block != 0).argmax(axis=2)[:, None, :]  # first nonzero column per row (rref)
-        rebuilt = np.take_along_axis(moved, pivots, axis=2) @ block
-        rebuilt %= p
-        mask[start : start + len(block)] = (rebuilt == moved).all(axis=(1, 2))
-    return mask
+        for sigma, mask in zip(permutations, masks):
+            moved = _moved_rows(columns, sigma)
+            rebuilt = np.take_along_axis(moved, pivots, axis=2) @ block
+            rebuilt %= params.p
+            mask[start : start + len(block)] = (rebuilt == moved).all(axis=(1, 2))
+            del moved, rebuilt  # before the next gather, or two permutations' temporaries peak together
+    return masks
+
+
+def _fixed_counts(rows: np.ndarray, params: ActionParams, permutations) -> np.ndarray:
+    """How many of the (K, m, n) rref rows each permutation fixes; masks one block at a time."""
+    counts = np.zeros(len(permutations), dtype=np.int64)
+    for start in range(0, len(rows), _MASK_CHUNK):
+        counts += _fixed_masks(rows[start : start + _MASK_CHUNK], params, permutations).sum(axis=1)
+    return counts
 
 
 def _rref_rows(block: np.ndarray, params: ActionParams) -> np.ndarray:
@@ -434,8 +437,8 @@ def _nonzero_columns(columns: np.ndarray) -> np.ndarray:
     return found
 
 
-def _image_rows(keys: KeySet, generators) -> list[np.ndarray]:
-    """Row of each key's image under each generator, ``_CLOSURE_CHUNK`` keys at a time.
+def _image_rows(keys: KeySet, generators) -> np.ndarray:
+    """The (len(generators), K) rows of each key's image, ``_CLOSURE_CHUNK`` keys at a time.
 
     Each block's ``_extended`` columns are built once and gathered by
     every generator; at m <= 2 the moved rref is read in closed form
@@ -445,7 +448,7 @@ def _image_rows(keys: KeySet, generators) -> list[np.ndarray]:
     JSON listing of the orbits.
     """
     params = keys.params
-    images = [np.empty(len(keys), dtype=np.intp) for _ in generators]
+    images = np.empty((len(generators), len(keys)), dtype=np.intp)
     for start in range(0, len(keys), _CLOSURE_CHUNK):
         columns = _extended(keys.rows[start : start + _CLOSURE_CHUNK], params)
         for sigma, rows in zip(generators, images):
@@ -532,20 +535,21 @@ def invariant_keys_full(
     """All keys in the parameter space fixed by ``group``, after ``check_invariant_cap``.
 
     At m <= 2 the candidates come in blocks from ``_stable_candidates``, a
-    scan of the projective vectors that builds no table, and only the keys
-    of each block that ``invariant_set`` certifies are kept, so memory
-    follows the invariant set, not the candidates; at m >= 3 the
-    candidates are the whole table.  Either way ``invariant_set`` stays
-    the one invariance test.
+    scan of the projective vectors that builds no table, and only the rows
+    of each block that ``_fixed_masks`` certifies are kept, so memory
+    follows the invariant set, not the candidates; they are sorted and
+    deduplicated once at the end.  At m >= 3 the candidates are the whole
+    table.  Either way ``_fixed_masks`` stays the one invariance test.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
     check_invariant_cap(params, max_candidates)
     if params.m > 2:
         return invariant_set(KeySet.full(params, max_candidates or DEFAULT_CANDIDATE_CAP), group)
-    fixed = [invariant_set(KeySet.from_rows(params, block), group).rows  # a key up to 3 times
-             for block in _stable_candidates(params, group, max_candidates)]  # maybe no block
-    return KeySet.from_rows(params, np.concatenate([KeySet.of(params, ()).rows, *fixed]))
+    fixed = [np.empty((0, params.m, params.n), _product_dtype(params))]  # m = 1 may have no block
+    fixed += (block[_fixed_masks(block, params, group.generators).all(axis=0)]  # keys repeat
+              for block in _stable_candidates(params, group, max_candidates))
+    return KeySet.from_rows(params, np.concatenate(fixed))
 
 
 def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: int | None):

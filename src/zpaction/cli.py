@@ -32,6 +32,7 @@ from .enumeration import (
     SubgroupKey,
     VerificationError,
     check_candidate_cap,
+    digit_strings_of,
     key_from_digit_string,
     key_from_named,
 )
@@ -171,8 +172,7 @@ def _orbit_entries(report, args) -> list[dict]:
     if args.format != "json":
         reps = report.representative_rows.digit_strings()
         return [{"rep": rep, "size": size} for rep, size in zip(reps, report.sizes)]
-    keys = report.keys
-    digits = KeySet(keys.params, keys.rows[report.order]).digit_strings()  # rows in orbit order
+    digits = digit_strings_of(report.keys.params, report.keys.rows[report.order])  # orbit order
     entries, start = [], 0
     for size in report.sizes:
         entries.append({"rep": digits[start], "size": size, "members": digits[start : start + size]})

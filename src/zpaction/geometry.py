@@ -141,8 +141,8 @@ def total_genus(k: int, n: int, m: int) -> int:
     """Genus of the Z_k^m action of signature (0; k^{n+1}).
 
     Valid for any k >= 2 (composite included) in the hyperbolic range;
-    the value 1 + k^{m-1}((n-1)(k-1) - 2)/2 must be an integer and that
-    is asserted.
+    the value 1 + k^{m-1}((n-1)(k-1) - 2)/2 must be an integer, else
+    ValueError.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")

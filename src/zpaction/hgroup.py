@@ -3,9 +3,9 @@
 H = Z_p^n has n+1 distinguished generators a_1, ..., a_{n+1} that
 multiply to the identity.  A relabeling sigma in S_{n+1} acts on H by
 Phi_sigma(a_j) = a_{sigma(j)}; on a subgroup key it only permutes the n+1
-generator images (``classify.act``).  This module holds the
-permutation side: cycle notation, group closure, conjugacy classes and
-normalizers.
+generator images, which the array action (``classify._moved_rows``)
+does for a whole key array at once.  This module holds the permutation
+side: cycle notation, group closure, conjugacy classes and normalizers.
 
 A group is one sorted array of 0-based images, a row per element,
 compared through ``row_codes`` as key rows are; only its generators are

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from zpaction import acceptance
+from zpaction import acceptance, classify
 from zpaction.acceptance import CHECKS, run_criterion
+from zpaction.hgroup import Permutation
 
 
 @pytest.mark.parametrize(
@@ -47,3 +48,35 @@ def test_a_failing_check_fails_under_optimization():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout == "False total_genus(2, 5, 2) != 3\n"
+
+
+def _inverse_gather(moved_rows):
+    # a relabeling by sigma^-1: every orbit and fixed-point count stays right, composition does not
+    return lambda columns, sigma: moved_rows(columns, sigma.inverse())
+
+
+def _identity_moves(moved_rows):
+    # the identity moves keys by the transposition (1 2); every other relabeling is right
+    def moved(columns, sigma):
+        if sigma == Permutation.identity(sigma.degree):
+            sigma = Permutation((2, 1, *range(3, sigma.degree + 1)))
+        return moved_rows(columns, sigma)
+
+    return moved
+
+
+@pytest.mark.parametrize(
+    "name, wrong, broken",
+    [
+        ("_moved_rows", _inverse_gather, "img(sigma * tau) != img(sigma)[img(tau)]"),
+        ("_moved_rows", _identity_moves, "the identity moves a key"),
+        ("_rref_columns", lambda rref_columns: lambda columns, params: columns,
+         "the action leaves the admissible keys"),
+    ],
+    ids=["anti-homomorphism", "identity-moves", "unreduced-images"],
+)
+def test_criterion_11_checks_the_array_action(monkeypatch, name, wrong, broken):
+    monkeypatch.setattr(classify, name, wrong(getattr(classify, name)))
+    result = run_criterion(11)
+    assert not result.passed
+    assert broken in result.detail

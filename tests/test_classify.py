@@ -1,13 +1,17 @@
+import ast
 import itertools
 import math
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zpaction.classify
+from action_oracle import act
 from zpaction.enumeration import (
     ActionParams,
     AdmissibilityError,
@@ -23,7 +27,6 @@ from zpaction.enumeration import (
 )
 from zpaction.classify import (
     ActionOutsideSetError,
-    act,
     burnside_count_full,
     classify_triples,
     count_orbits_burnside,
@@ -33,7 +36,7 @@ from zpaction.classify import (
     invariant_set,
     orbit_partition,
     _extended,
-    _fixed_mask,
+    _fixed_masks,
     _image_rows,
     _moved_rows,
     _orbit_spans,
@@ -301,6 +304,24 @@ D3 = close_group([parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 6)(3 
 C6 = close_group([parse_cycles("(1 2 3)(4 5 6)", 6), parse_cycles("(1 4)(2 5)(3 6)", 6)])
 
 
+def test_the_package_ships_no_per_key_action():
+    # the per-key action is the test-side oracle alone; the package moves key arrays only
+    package = Path(zpaction.classify.__file__).parent
+    test_modules = {path.stem for path in Path(__file__).parent.glob("*.py")}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                assert node.name != "act", f"{where} defines act"
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id != "act", f"{where} assigns act"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "act" not in {alias.asname or alias.name for alias in node.names}, where
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names]
+                assert not {str(module).split(".")[0] for module in modules} & test_modules, where
+
+
 @lru_cache(maxsize=None)
 def act_permutation(keys: tuple, sigma: Permutation) -> tuple[int, ...]:
     """Position in ``keys`` of act(sigma, key), for each key; keys must be sigma-stable."""
@@ -386,6 +407,23 @@ def test_burnside_builds_one_permutation_per_class(monkeypatch):
     monkeypatch.setattr(Permutation, "__post_init__", counting_post_init)
     assert burnside_count_full(ActionParams(5, 5, 2), s6) == 58
     assert len(built) <= len(s6.conjugacy_classes) + len(s6.generators) + 2
+
+
+@pytest.mark.parametrize("chunk, blocks", [(None, 1), (4096, 4)], ids=["one-block", "four-blocks"])
+def test_burnside_builds_each_block_once_for_every_class(monkeypatch, chunk, blocks):
+    keys, s6, built = KeySet.full(ActionParams(5, 5, 2)), symmetric_group(6), []
+    extended = zpaction.classify._extended
+
+    def counting_extended(rows, params):
+        built.append(len(rows))
+        return extended(rows, params)
+
+    monkeypatch.setattr(zpaction.classify, "_extended", counting_extended)
+    if chunk is not None:
+        monkeypatch.setattr(zpaction.classify, "_MASK_CHUNK", chunk)
+    assert len(s6.conjugacy_classes) == 11 and len(keys) == 15_915
+    assert count_orbits_burnside(keys, s6) == 58
+    assert len(built) == blocks and sum(built) == len(keys)
 
 
 @pytest.mark.parametrize("group, classes", [(D3, 3), (C6, 6)], ids=["D3", "C6"])
@@ -487,8 +525,8 @@ def test_fixed_mask_matches_act_at_the_product_dtype_edge(p):
     listed = keys.keys()
     k4 = close_group([parse_cycles("(3 5)(4 6)", 6), parse_cycles("(1 2)(3 4)(5 6)", 6)])
     others = [parse_cycles(c, 6) for c in ("(1 6)", "(2 6 4)", "(1 2 3 4 5 6)", "(1 2)")]
-    for sigma in [*D3, *k4, *others]:
-        mask = _fixed_mask(keys, sigma).tolist()
+    sigmas = [*D3, *k4, *others]
+    for sigma, mask in zip(sigmas, _fixed_masks(keys.rows, params, sigmas).tolist()):
         assert mask == [act(sigma, key) == key for key in listed], sigma.cycle_string()
         for group, fixed in ((D3, d3_fixed), (k4, k4_fixed)):
             if sigma in group:  # every member of the group's family is among the fixed keys
@@ -577,6 +615,27 @@ def test_invariant_keys_full_does_not_depend_on_the_scan_chunk(monkeypatch):
     for chunk in (1, 3, 7):  # block ends fall inside pivot patterns and inside eigenspace walks
         monkeypatch.setattr(zpaction.classify, "_SCAN_CHUNK", chunk)
         assert [invariant_keys_full(params, group) for params, group in cases] == expected
+
+
+@pytest.mark.parametrize(
+    "params, group, empty",
+    [(ActionParams(5, 5, 2), D3, False), (ActionParams(7, 5, 1), D3, False),
+     (ActionParams(5, 3, 1), S4, True)],  # S_4 shares no eigenvector on F_5^3: no block at all
+    ids=["m2", "m1", "m1-no-block"],
+)
+def test_invariant_keys_full_sorts_and_deduplicates_once(monkeypatch, params, group, empty):
+    expected = invariant_set(KeySet.full(params), group)
+    assert (len(expected) == 0) == empty
+    from_rows, calls = KeySet.from_rows, []
+
+    def counting_from_rows(cls, params, rows):
+        calls.append(len(rows))
+        return from_rows(params, rows)
+
+    monkeypatch.setattr(KeySet, "from_rows", classmethod(counting_from_rows))
+    monkeypatch.setattr(zpaction.classify, "_SCAN_CHUNK", 7)  # many candidate blocks
+    assert invariant_keys_full(params, group) == expected
+    assert len(calls) == 1
 
 
 def test_identity_like_group_is_refused_before_the_eigenspace_walk(monkeypatch):
@@ -836,6 +895,34 @@ def test_scanned_count_matches_the_keyless_count(p, n, m):
     params = ActionParams(p, n, m)
     for group in _keyless_groups(n + 1):
         assert count_orbits_scanned(params, group) == count_orbits_keyless(params, group), group.order
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 3), (2, 5, 3), (5, 5, 3), (2, 6, 4)])
+def test_scanned_count_builds_one_table_at_m3(monkeypatch, p, n, m):
+    import zpaction.enumeration
+
+    params, built = ActionParams(p, n, m), []
+    theta_table = zpaction.enumeration.theta_table
+
+    def counting_theta_table(*args, **kwargs):
+        built.append(args)
+        return theta_table(*args, **kwargs)
+
+    expected = [burnside_count_full(params, group) for group in _keyless_groups(n + 1)]
+    monkeypatch.setattr(zpaction.enumeration, "theta_table", counting_theta_table)
+    for group, count in zip(_keyless_groups(n + 1), expected):
+        built.clear()
+        assert count_orbits_scanned(params, group) == count, group.order
+        assert len(built) == (group.order > 1), group.order  # the identity alone needs no table
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 3), (2, 6, 4)])
+def test_scanned_count_of_the_trivial_group_passes_any_table_cap_at_m3(p, n, m):
+    params = ActionParams(p, n, m)
+    with pytest.raises(ScaleCapError):
+        KeySet.full(params, max_candidates=1)
+    assert count_orbits_scanned(params, close_group([], degree=n + 1), max_candidates=1) == len(
+        KeySet.full(params))
 
 
 def test_scanned_count_builds_no_table(monkeypatch):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,23 @@ def test_orbits_table_row(capsys):
     code, out, _ = run_cli(["orbits", "--p", "113", "--n", "3"], capsys)
     assert code == 0
     assert out.splitlines()[:2] == ["p, N", "113, 580"]
+
+
+def test_orbit_listing_builds_only_sorted_key_sets(monkeypatch, capsys):
+    # a KeySet's rows are distinct and in digit order; the JSON members are in orbit order
+    from zpaction.enumeration import KeySet
+    from zpaction.hgroup import row_codes
+
+    init, built = KeySet.__init__, []
+
+    def checked_init(self, params, rows):
+        init(self, params, rows)
+        built.append(len(rows))
+        assert (np.diff(row_codes(rows, params.p)) > 0).all(), "unsorted KeySet rows"
+
+    monkeypatch.setattr(KeySet, "__init__", checked_init)
+    code, out, _ = run_cli(["orbits", "--p", "5", "--n", "4", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["count"] == 14 and built
 
 
 def test_orbits_default_s9_at_the_order_cap(capsys):

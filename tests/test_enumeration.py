@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from action_oracle import act
 from fp_oracle import SingularMatrixError, mat_inverse
 from zpaction import enumeration
 from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, kernel_basis, rref
@@ -30,7 +31,6 @@ from zpaction.enumeration import (
     name_of_key,
     theta_table,
 )
-from zpaction.classify import act
 from zpaction.geometry import fiber_product_model
 from zpaction.hgroup import Permutation, row_codes
 
@@ -188,6 +188,14 @@ def test_digit_strings_across_blocks(params, monkeypatch):
     monkeypatch.setattr(enumeration, "_STRING_BLOCK", 7)
     assert len(key_set) > 3 * 7 and key_set.digit_strings() == expected
     assert KeySet.of(params, []).digit_strings() == []
+
+
+def test_digit_strings_of_rows_in_any_order():
+    params = ActionParams(113, 3, 2)
+    key_set = _sampled_key_set(params, 40, 2)
+    order = np.random.default_rng(2).permutation(len(key_set))
+    expected = [key_set.keys()[i].digit_string() for i in order]
+    assert enumeration.digit_strings_of(params, key_set.rows[order]) == expected
 
 
 def test_digit_strings_build_no_table_of_the_modulus():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from action_oracle import act
 from zpaction.fpalgebra import FpMatrix, PrimeModulus, kernel_basis
 from zpaction.enumeration import (
     ActionParams,
@@ -17,7 +18,6 @@ from zpaction.enumeration import (
     key_from_named,
     key_from_theta,
 )
-from zpaction.classify import act
 from zpaction.geometry import (
     ConjectureProbe,
     CurveModel,

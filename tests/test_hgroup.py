@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from action_oracle import act
 from fp_oracle import mat_inverse
-from zpaction.classify import act
 from zpaction.enumeration import ActionParams, enumerate_actions, key_from_theta
 from zpaction.fpalgebra import FpMatrix
 from zpaction.hgroup import (

@@ -3,6 +3,7 @@ import re
 import pytest
 
 import zpaction.predictions
+from action_oracle import act
 from zpaction import enumeration
 from zpaction.enumeration import (
     NAMED_FORMS,
@@ -16,7 +17,7 @@ from zpaction.enumeration import (
     name_of_key,
 )
 from zpaction.fpalgebra import NotPrimeError
-from zpaction.classify import act, classify_triples, invariant_set
+from zpaction.classify import classify_triples, invariant_set
 from zpaction.predictions import (
     CASES,
     _conic_points,
