@@ -20,8 +20,8 @@ set, and a Burnside (Cauchy-Frobenius) count checks it:
   conjugacy class weighted by the class size, as on a G-stable key set
   Fix(tau sigma tau^-1) = tau Fix(sigma); about 60 ms at (5, 5, 2).
 * past the table, ``table --which n5-orbits``: route B against route A,
-  ``count_orbits_scanned``, which takes each cycle type's fixed set from
-  the invariant scan, or at m >= 3 one mask pass; (31, 5, 2): 3 s, 100 MB.
+  ``count_orbits_scanned``, which takes each non-identity cycle type's
+  fixed set from ``invariant_keys_full``; (31, 5, 2): 3 s, 100 MB.
 ``table --which n3-orbits`` prints route B alone, which criterion 11 of
 the acceptance suite checks against the table Burnside and the
 published table.
@@ -41,20 +41,21 @@ dtype.  It finds each image's row by binary search and merges orbits by
 minimum-label propagation in ``hgroup.orbit_labels``, which labels
 conjugacy classes too.
 
-The invariant keys of the whole space at m <= 2 come from a scan of the
-projective vectors v of F_p^n, not from the table.  Each block of v is
-moved by every generator, and the rank of span(v, g_1 v, ..., g_r v) is
-read in closed form: with c the pivot of v, each image reduces against v
-to w_i = g_i v - chi_i v, chi_i = (g_i v)[c], and the rank is 1 if every
-w_i is 0 and 2 if they are all multiples of one.  No stack is
+The invariant keys of the whole space come from one candidate stream,
+``_stable_candidates``, never from the table: the generators mask each
+block as it comes, and only the fixed keys are kept.  At m <= 2 the
+stream is a scan of the projective vectors v of F_p^n.  Each block of v
+is moved by every generator, and the rank of span(v, g_1 v, ..., g_r v)
+is read in closed form: with c the pivot of v, each image reduces
+against v to w_i = g_i v - chi_i v, chi_i = (g_i v)[c], and the rank is
+1 if every w_i is 0 and 2 if they are all multiples of one.  No stack is
 echelonized.  The candidates have two sources: the rank-2 planes that a
 keep rule picks before they are built, and one rref walk over each common
 eigenspace E_chi (its basis from the rank-1 spans) for its lines at m = 1
-and its planes at m = 2.  The generators' ``_fixed_masks`` certify each
-block and keep only the fixed keys.  At m >= 3 a
-stable subspace need not have that form, so those keys are the mask over
-the table.  ``_rref_rows`` is the one batched elimination, for the
-eigenspace bases and for orbit closure at m >= 3.
+and its planes at m = 2.  At m >= 3 a stable subspace need not have that
+form, so the stream is the rref walk of the whole space, block by block.
+``_rref_rows`` is the one batched elimination, for the eigenspace bases
+and for orbit closure at m >= 3.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .enumeration import (
+    _BLOCK,
     DEFAULT_CANDIDATE_CAP,
     ActionParams,
     KeySet,
@@ -82,13 +84,6 @@ from .keyless import count_orbits_keyless
 # The m <= 2 scan's cap on its projective vectors, then on its eigenspace subspaces.  At n = 5
 # it admits p <= 53 (1.4-1.9 s, 0.2-0.3 us per vector, 2 vCPU) and refuses p = 59 (2.9-4.0 s).
 TRIPLES_CANDIDATE_CAP = 10_000_000
-
-# Projective vectors per block of the invariant-key scan; bounds its working memory.
-_SCAN_CHUNK = 1 << 16
-
-# Keys per block of orbit closure and of the fixed-point masks; each bounds its temporaries.
-_CLOSURE_CHUNK = 1 << 16
-_MASK_CHUNK = 1 << 20
 
 
 class ActionOutsideSetError(ValueError):
@@ -232,22 +227,17 @@ def count_orbits_scanned(
     sigma's cycle type; it is |``invariant_keys_full``(params, <sigma>)|
     for one sigma of each type, and for the identity the closed form
     sum_{s=0}^{n} (-1)^s C(n+1, s) [n-s choose m]_p, by inclusion-exclusion
-    over the generators a_j in K, any n of which are independent.  At
-    m <= 2 no table is built; at m >= 3 one mask pass over it counts the
-    other types.  Raises VerificationError unless |G| divides the sum.
+    over the generators a_j in K, any n of which are independent.  No
+    table is built, and the trivial group builds nothing at all.  Raises
+    VerificationError unless |G| divides the sum.
     """
     p, n, m = params.p, params.n, params.m
-    types = {cycles: size for cycles, size in group.cycle_types.items() if cycles != ((1, n + 1),)}
-    moved = [_permutation_of_type(cycles) for cycles in types]
-    if m > 2 and moved:
-        table = KeySet.full(params, max_candidates or DEFAULT_CANDIDATE_CAP)
-        fixed = _fixed_counts(table.rows, params, moved).tolist()
-    else:  # the scan; at m >= 3 the identity alone, which needs no table
-        fixed = [len(invariant_keys_full(params, close_group([sigma], degree=n + 1), max_candidates))
-                 for sigma in moved]
     total = sum((-1) ** s * math.comb(n + 1, s) * _subspace_count(p, n - s, m)
-                for s in range(n + 1))
-    total += sum(size * count for size, count in zip(types.values(), fixed))
+                for s in range(n + 1))  # the identity's fixed keys
+    for cycles, size in group.cycle_types.items():
+        if cycles != ((1, n + 1),):
+            cyclic = close_group([_permutation_of_type(cycles)], degree=n + 1)
+            total += size * len(invariant_keys_full(params, cyclic, max_candidates))
     if total % group.order:
         raise VerificationError("the scanned Burnside sum is not divisible by the group order")
     return total // group.order
@@ -264,16 +254,10 @@ def _permutation_of_type(cycles: tuple[tuple[int, int], ...]) -> Permutation:
 
 
 def invariant_set(keys: KeySet, group: PermGroup) -> KeySet:
-    """Keys fixed by every generator of ``group`` (hence by all of it).
-
-    Each generator scans only the keys the earlier ones fixed.
-    """
+    """Keys fixed by every generator of ``group`` (hence by all of it)."""
     if group.degree != keys.params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {keys.params.n + 1}")
-    rows = keys.rows
-    for g in group.generators:
-        rows = rows[_fixed_masks(rows, keys.params, [g])[0]]
-    return KeySet(keys.params, rows)
+    return KeySet(keys.params, _fixed_rows(keys.rows, keys.params, group.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +292,12 @@ def _moved_rows(columns: np.ndarray, sigma: Permutation) -> np.ndarray:
 def _fixed_masks(rows: np.ndarray, params: ActionParams, permutations) -> np.ndarray:
     """(len(permutations), K) masks of the (K, m, n) rref rows each permutation fixes.
 
-    Each ``_MASK_CHUNK`` block builds its product-dtype rows, ``_extended``
+    Each block of ``_BLOCK`` rows builds its product-dtype rows, ``_extended``
     columns and pivots once for every permutation; see the module notes.
     """
     masks = np.empty((len(permutations), len(rows)), dtype=bool)
-    for start in range(0, len(rows), _MASK_CHUNK):
-        columns = _extended(rows[start : start + _MASK_CHUNK], params)
+    for start in range(0, len(rows), _BLOCK):
+        columns = _extended(rows[start : start + _BLOCK], params)
         block = columns[:, :-1].transpose(2, 0, 1)  # the rows again, in the product dtype
         pivots = (block != 0).argmax(axis=2)[:, None, :]  # first nonzero column per row (rref)
         for sigma, mask in zip(permutations, masks):
@@ -325,11 +309,18 @@ def _fixed_masks(rows: np.ndarray, params: ActionParams, permutations) -> np.nda
     return masks
 
 
+def _fixed_rows(rows: np.ndarray, params: ActionParams, generators) -> np.ndarray:
+    """The (K, m, n) rref rows every generator fixes; each masks only the rows the earlier ones fixed."""
+    for g in generators:
+        rows = rows[_fixed_masks(rows, params, [g])[0]]
+    return rows
+
+
 def _fixed_counts(rows: np.ndarray, params: ActionParams, permutations) -> np.ndarray:
     """How many of the (K, m, n) rref rows each permutation fixes; masks one block at a time."""
     counts = np.zeros(len(permutations), dtype=np.int64)
-    for start in range(0, len(rows), _MASK_CHUNK):
-        counts += _fixed_masks(rows[start : start + _MASK_CHUNK], params, permutations).sum(axis=1)
+    for start in range(0, len(rows), _BLOCK):
+        counts += _fixed_masks(rows[start : start + _BLOCK], params, permutations).sum(axis=1)
     return counts
 
 
@@ -438,7 +429,7 @@ def _nonzero_columns(columns: np.ndarray) -> np.ndarray:
 
 
 def _image_rows(keys: KeySet, generators) -> np.ndarray:
-    """The (len(generators), K) rows of each key's image, ``_CLOSURE_CHUNK`` keys at a time.
+    """The (len(generators), K) rows of each key's image, ``_BLOCK`` keys at a time.
 
     Each block's ``_extended`` columns are built once and gathered by
     every generator; at m <= 2 the moved rref is read in closed form
@@ -449,8 +440,8 @@ def _image_rows(keys: KeySet, generators) -> np.ndarray:
     """
     params = keys.params
     images = np.empty((len(generators), len(keys)), dtype=np.intp)
-    for start in range(0, len(keys), _CLOSURE_CHUNK):
-        columns = _extended(keys.rows[start : start + _CLOSURE_CHUNK], params)
+    for start in range(0, len(keys), _BLOCK):
+        columns = _extended(keys.rows[start : start + _BLOCK], params)
         for sigma, rows in zip(generators, images):
             moved = _moved_rows(columns, sigma)
             if params.m <= 2:
@@ -514,7 +505,8 @@ def check_invariant_cap(
 ) -> None:
     """Raise ScaleCapError when ``invariant_keys_full`` at ``params`` exceeds its route's cap.
 
-    At m >= 3 that is ``theta_table``'s cap on table rows.  At m <= 2 it
+    At m >= 3 that is ``theta_table``'s cap, on the rref walk that the
+    scan masks block by block without building the table.  At m <= 2 it
     is ``TRIPLES_CANDIDATE_CAP`` on the span walk's projective vectors
     [n choose 1]_p or, once it has found the common eigenspaces, on the
     ``planes`` (lines at m = 1) sum [dim E_chi choose m]_p of their walk.
@@ -534,26 +526,25 @@ def invariant_keys_full(
 ) -> KeySet:
     """All keys in the parameter space fixed by ``group``, after ``check_invariant_cap``.
 
-    At m <= 2 the candidates come in blocks from ``_stable_candidates``, a
-    scan of the projective vectors that builds no table, and only the rows
-    of each block that ``_fixed_masks`` certifies are kept, so memory
-    follows the invariant set, not the candidates; they are sorted and
-    deduplicated once at the end.  At m >= 3 the candidates are the whole
-    table.  Either way ``_fixed_masks`` stays the one invariance test.
+    The candidates come in blocks from ``_stable_candidates``, which builds
+    no table at any m, and each block keeps only the rows that
+    ``_fixed_rows`` certifies, so memory follows the invariant set, not the
+    candidates; they are sorted and deduplicated once at the end.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")
     check_invariant_cap(params, max_candidates)
-    if params.m > 2:
-        return invariant_set(KeySet.full(params, max_candidates or DEFAULT_CANDIDATE_CAP), group)
     fixed = [np.empty((0, params.m, params.n), _product_dtype(params))]  # m = 1 may have no block
-    fixed += (block[_fixed_masks(block, params, group.generators).all(axis=0)]  # keys repeat
+    fixed += (_fixed_rows(block, params, group.generators)  # keys repeat
               for block in _stable_candidates(params, group, max_candidates))
     return KeySet.from_rows(params, np.concatenate(fixed))
 
 
 def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: int | None):
-    """Blocks of admissible rref (m, n) rows that include every Q-stable row space, m <= 2.
+    """Blocks of admissible rref (m, n) rows that include every Q-stable row space.
+
+    At m >= 3 they are the blocks of the rref walk, every admissible key.
+    At m <= 2 a scan narrows them down, as follows.
 
     A relabeling moves a key's rows by one linear map of F_p^n, so a key
     is fixed by Q iff its row space W is stable under every generator.
@@ -564,7 +555,7 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
     eigenspace E_chi, chi the tuple of those scalars.
 
     Two sources give the candidates.  A walk over the projective vectors
-    v, ``_SCAN_CHUNK`` at a time, reads each span from ``_orbit_spans``.
+    v, ``_BLOCK`` at a time, reads each span from ``_orbit_spans``.
     At m = 2 its kept planes are the first: a stable plane not of scalar
     type has at most two common eigenvectors as points, so one of its
     three kept v spans it.  Its rank-1 v give a basis of each E_chi, chi
@@ -574,9 +565,12 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
     Rows may repeat.
     """
     p, n, m = params.p, params.n, params.m
+    if m > 2:
+        yield from (mats[_admissible(mats, p)] for mats in _rref_walk(p, m, n))
+        return
     dtype = _product_dtype(params)
     eigenspaces = {}
-    for vectors in _rref_walk(p, 1, n, _SCAN_CHUNK):
+    for vectors in _rref_walk(p, 1, n):
         vectors = vectors.astype(dtype)
         columns = _extended(vectors, params)
         images = [_moved_rows(columns, g) for g in group.generators]
@@ -591,7 +585,7 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
     count = sum(_subspace_count(p, len(basis), m) for basis in eigenspaces.values())
     check_invariant_cap(params, max_candidates, count)
     for basis in eigenspaces.values():
-        for coefficients in _rref_walk(p, m, len(basis), _SCAN_CHUNK):  # none if dim E_chi < m
+        for coefficients in _rref_walk(p, m, len(basis)):  # none if dim E_chi < m
             rows = coefficients.astype(dtype) @ basis  # a product of rref matrices is rref
             rows %= p
             yield rows[_admissible(rows, p)]
@@ -627,12 +621,13 @@ def classify_triples(
 
     ``exhaustive`` finds every invariant subgroup of the parameter space
     with ``invariant_keys_full`` (at m <= 2 a projective-vector scan, at
-    m >= 3 the table, each certified by the invariance mask); ``predicted``
-    instantiates the matching closed-form m = 2 family (and re-verifies
-    every member's invariance).  The classes are the orbits of the invariant
-    set under the normalizer of ``group`` inside S_{n+1}; their Burnside
-    count must agree with the partition, else VerificationError.  The
-    exhaustive route checks its cap, then builds the normalizer, then scans.
+    m >= 3 the rref walk, each block certified by the invariance mask);
+    ``predicted`` instantiates the matching closed-form m = 2 family (and
+    re-verifies every member's invariance).  The classes are the orbits of
+    the invariant set under the normalizer of ``group`` inside S_{n+1};
+    their Burnside count must agree with the partition, else
+    VerificationError.  The exhaustive route checks its cap, then builds
+    the normalizer, then scans.
     """
     if group.degree != params.n + 1:
         raise ValueError(f"group degree {group.degree} != n+1 = {params.n + 1}")

@@ -182,6 +182,8 @@ def _orbit_entries(report, args) -> list[dict]:
 
 def _cap(args) -> dict:
     """``--max-candidates`` as keyword arguments; absent or 0 keeps each route's default cap."""
+    if (args.max_candidates or 0) < 0:
+        raise UsageError(f"argument --max-candidates: must be 0 or more, got {args.max_candidates}")
     return {"max_candidates": args.max_candidates} if args.max_candidates else {}
 
 

@@ -57,8 +57,10 @@ from .hgroup import Permutation, digit_dtype, row_codes
 
 DEFAULT_CANDIDATE_CAP = 10**9
 ORACLE_CANDIDATE_CAP = 10**7
-_CHUNK = 1 << 20
-_STRING_BLOCK = 1 << 16  # rows per block of ``digit_strings_of``: a few MB of temporaries
+# Rows per block of every blocked pass over keys or candidates: the rref walk, the fixed-point
+# masks, orbit closure, the invariant scan and ``digit_strings_of``.  Each bounds its temporaries
+# at a few MB; at (13, 5, 2), 2^20-row blocks built the table and its Burnside sum no faster.
+_BLOCK = 1 << 16
 
 
 class ScaleCapError(RuntimeError):
@@ -281,8 +283,8 @@ def name_of_key(key: SubgroupKey) -> str | None:
 # enumeration
 
 
-def _rref_walk(p: int, m: int, n: int, chunk: int = _CHUNK):
-    """Every rank-m rref m x n matrix over F_p, in (count, m, n) blocks of at most ``chunk``.
+def _rref_walk(p: int, m: int, n: int):
+    """Every rank-m rref m x n matrix over F_p, in (count, m, n) blocks of at most ``_BLOCK``.
 
     Walks pivot-column combinations in lexicographic order and free
     entries in odometer order; each matrix is emitted once and is already
@@ -293,8 +295,8 @@ def _rref_walk(p: int, m: int, n: int, chunk: int = _CHUNK):
     for pivots in itertools.combinations(range(n), m):
         free = [(i, j) for i in range(m) for j in range(n) if j not in pivots and j > pivots[i]]
         total = p ** len(free)
-        for start in range(0, total, chunk):
-            codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        for start in range(0, total, _BLOCK):
+            codes = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
             mats = np.zeros((len(codes), m, n), dtype=dtype)
             for i in range(m):
                 mats[:, i, pivots[i]] = 1
@@ -324,15 +326,13 @@ def check_candidate_cap(params: ActionParams, max_candidates: int = DEFAULT_CAND
 def theta_table(params: ActionParams, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
     """All admissible rref quotient matrices as an (N, m, n) array, in digit order.
 
-    The admissible matrices of ``_rref_walk``, sorted at the end: the walk
-    is not in digit order from n = 4 on.
+    The admissible matrices of ``_rref_walk``, sorted at the end by their
+    ``row_codes``: the walk is not in digit order from n = 4 on.
     """
     check_candidate_cap(params, max_candidates)
     p, n, m = params.p, params.n, params.m
     table = np.concatenate([mats[_admissible(mats, p)] for mats in _rref_walk(p, m, n)])
-    flat = table.reshape(len(table), m * n)
-    order = np.lexsort(flat[:, ::-1].T)
-    return np.ascontiguousarray(table[order])
+    return table[np.argsort(row_codes(table, p))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +395,7 @@ class KeySet:
 def digit_strings_of(params: ActionParams, rows: np.ndarray) -> list[str]:
     """``SubgroupKey.digit_string`` of each (m, n) row of ``rows``, in any order.
 
-    Renders ``_STRING_BLOCK`` rows at a time into one byte buffer: the
+    Renders ``_BLOCK`` rows at a time into one byte buffer: the
     k-th decimal digit of each entry is ``// 10**k % 10``, a mask drops
     the leading zeros, and the separators sit in a column of their own.
     Each block is decoded and split once.
@@ -406,8 +406,8 @@ def digit_strings_of(params: ActionParams, rows: np.ndarray) -> list[str]:
     separators[n - 1 :: n] = ord(";")
     separators[-1] = ord("\n")
     flat, strings = rows.reshape(len(rows), m * n), []
-    for start in range(0, len(flat), _STRING_BLOCK):
-        entries = flat[start : start + _STRING_BLOCK]
+    for start in range(0, len(flat), _BLOCK):
+        entries = flat[start : start + _BLOCK]
         chars = np.empty(entries.shape + (width + 1,), dtype=np.uint8)
         keep = np.ones(chars.shape, dtype=bool)
         for k in range(width):

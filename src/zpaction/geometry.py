@@ -217,34 +217,27 @@ def _value_matrix(key: SubgroupKey, functionals: np.ndarray) -> np.ndarray:
     return np.asarray(functionals, dtype=np.int64) @ np.array(key.images, dtype=np.int64).T % key.params.p
 
 
-def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: int) -> int:
-    """Riemann-Hurwitz genus of S/L from its deck order and its number of branched marked points.
+def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: np.ndarray) -> np.ndarray:
+    """Riemann-Hurwitz genus of S/L from its deck order and each entry's number of branched points.
 
     Over a branched marked point lie deck/p points of multiplicity p; all
     other points are unramified, so 2g - 2 = -2 deck + branched (deck/p)(p - 1).
-    The result must be a nonnegative integer; a violation signals an
-    internal inconsistency.
+    Each result must be a nonnegative integer; the first entry that is not
+    raises VerificationError, as it signals an internal inconsistency.
+    ``branched`` is an int64 array, or an object array of Python ints
+    where deck (p - 1)(n + 1) would overflow int64.
     """
     p = key.params.p
-    ramified, rest = divmod(branched * deck * (p - 1), 2 * p)
-    genus = 1 - deck + ramified
-    if rest or genus < 0:
-        shown = Fraction(2 * p * (1 - deck) + branched * deck * (p - 1), 2 * p)
+    ramified = branched * (deck * (p - 1))  # the ramification's share of g, times 2p
+    genera = 1 - deck + ramified // (2 * p)
+    bad = np.flatnonzero((ramified % (2 * p) != 0) | (genera < 0))
+    if bad.size:
+        count = int(branched[bad[0]])
+        shown = Fraction(2 * p * (1 - deck) + count * deck * (p - 1), 2 * p)
         raise VerificationError(
             f"quotient genus came out as {shown} for key {key}, deck order {deck} "
-            f"and {branched} branched points"
+            f"and {count} branched points"
         )
-    return genus
-
-
-def _index_p_genera(key: SubgroupKey, branched: np.ndarray) -> np.ndarray:
-    """``_riemann_hurwitz`` at deck order p for each entry of ``branched``; the first bad one raises."""
-    p = key.params.p
-    ramified, rest = np.divmod(branched * (p * (p - 1)), 2 * p)
-    genera = 1 - p + ramified
-    bad = np.flatnonzero(rest | (genera < 0))
-    if bad.size:
-        _riemann_hurwitz(key, p, int(branched[bad[0]]))
     return genera
 
 
@@ -275,7 +268,7 @@ def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
     if not annihilator.rows:
         raise ValueError("L must be a proper subgroup of Z_p^m")
     branched = int(_value_matrix(key, annihilator.entries).any(axis=0).sum())
-    return _riemann_hurwitz(key, params.p**annihilator.rows, branched)
+    return _riemann_hurwitz(key, params.p**annihilator.rows, np.array([branched], dtype=object))[0]
 
 
 def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = None) -> CurveModel:
@@ -382,7 +375,7 @@ def jacobian_decomposition(key: SubgroupKey, points: MarkedPoints | None = None)
     lines, functionals, _ = _plane_tables(modulus)
     values = _value_matrix(key, functionals)
     branched = np.count_nonzero(values, axis=1)
-    genera = _index_p_genera(key, branched).tolist()
+    genera = _riemann_hurwitz(key, p, branched).tolist()
     fixed = (p * (params.n + 1 - branched)).tolist()
     exponents = _pgonal_exponents(key, values).tolist()
     entries, assign = [], object.__setattr__
@@ -418,7 +411,7 @@ def conjecture_probe(key: SubgroupKey) -> ConjectureProbe:
     if params.m < 2:
         raise ValueError("the probe needs m >= 2")
     values = _value_matrix(key, _functionals(params.modulus, params.m))
-    genera = _index_p_genera(key, np.count_nonzero(values, axis=1))
+    genera = _riemann_hurwitz(key, params.p, np.count_nonzero(values, axis=1))
     return ConjectureProbe(int(genera.sum()), total_genus(params.p, params.n, params.m))
 
 

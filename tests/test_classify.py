@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zpaction.classify
+import zpaction.enumeration
 from action_oracle import act
 from zpaction.enumeration import (
     ActionParams,
@@ -61,6 +62,12 @@ S4 = symmetric_group(4)
 
 def named(name, params=P5):
     return key_from_named(params, name)
+
+
+def _set_block(monkeypatch, rows):
+    """Set the one block size where it is read: ``enumeration`` and its import in ``classify``."""
+    monkeypatch.setattr(zpaction.enumeration, "_BLOCK", rows)
+    monkeypatch.setattr(zpaction.classify, "_BLOCK", rows)
 
 
 def test_act_swap_first_two():
@@ -420,7 +427,7 @@ def test_burnside_builds_each_block_once_for_every_class(monkeypatch, chunk, blo
 
     monkeypatch.setattr(zpaction.classify, "_extended", counting_extended)
     if chunk is not None:
-        monkeypatch.setattr(zpaction.classify, "_MASK_CHUNK", chunk)
+        _set_block(monkeypatch, chunk)
     assert len(s6.conjugacy_classes) == 11 and len(keys) == 15_915
     assert count_orbits_burnside(keys, s6) == 58
     assert len(built) == blocks and sum(built) == len(keys)
@@ -613,7 +620,7 @@ def test_invariant_keys_full_does_not_depend_on_the_scan_chunk(monkeypatch):
     expected = [invariant_keys_full(params, group) for params, group in cases]
     assert all(len(keys) for keys in expected)
     for chunk in (1, 3, 7):  # block ends fall inside pivot patterns and inside eigenspace walks
-        monkeypatch.setattr(zpaction.classify, "_SCAN_CHUNK", chunk)
+        _set_block(monkeypatch, chunk)
         assert [invariant_keys_full(params, group) for params, group in cases] == expected
 
 
@@ -633,7 +640,7 @@ def test_invariant_keys_full_sorts_and_deduplicates_once(monkeypatch, params, gr
         return from_rows(params, rows)
 
     monkeypatch.setattr(KeySet, "from_rows", classmethod(counting_from_rows))
-    monkeypatch.setattr(zpaction.classify, "_SCAN_CHUNK", 7)  # many candidate blocks
+    _set_block(monkeypatch, 7)  # many candidate blocks
     assert invariant_keys_full(params, group) == expected
     assert len(calls) == 1
 
@@ -644,10 +651,10 @@ def test_identity_like_group_is_refused_before_the_eigenspace_walk(monkeypatch):
 
     real = zpaction.classify._rref_walk
 
-    def walk(p, rank, n, chunk):
+    def walk(p, rank, n):
         if rank == 2:
             raise AssertionError("the eigenspace walk started")
-        return real(p, rank, n, chunk)
+        return real(p, rank, n)
 
     monkeypatch.setattr(zpaction.classify, "_rref_walk", walk)
     identity = close_group([parse_cycles("()", 5)])
@@ -730,19 +737,21 @@ def _whole_walk_cases():
 
 
 @pytest.mark.parametrize("p, n, name", _whole_walk_cases())
-def test_orbit_spans_match_the_elimination_on_whole_walks(p, n, name):
+def test_orbit_spans_match_the_elimination_on_whole_walks(monkeypatch, p, n, name):
     params, group = ActionParams(p, n, 1), _span_group(n, name)
     ranks = set()
-    for vectors in _rref_walk(p, 1, n, 1000):
+    _set_block(monkeypatch, 1000)
+    for vectors in _rref_walk(p, 1, n):
         ranks |= _check_spans(vectors, group, params)
     assert (ranks == {1}) if name == "no generator" else (2 in ranks)
 
 
 @pytest.mark.parametrize("p, n, name", [(31, 3, "(1 2)"), (13, 5, "(1 2)(3 4)(5 6)"), (7, 5, "D3")])
-def test_orbit_spans_keep_each_plane_from_at_most_three_vectors(p, n, name):
+def test_orbit_spans_keep_each_plane_from_at_most_three_vectors(monkeypatch, p, n, name):
     params, group = ActionParams(p, n, 2), _span_group(n, name)
     kept, spans = [], []
-    for vectors in _rref_walk(p, 1, n, 1 << 12):
+    _set_block(monkeypatch, 1 << 12)
+    for vectors in _rref_walk(p, 1, n):
         vectors = vectors.astype(_product_dtype(params))
         images = [_moved_rows(_extended(vectors, params), g) for g in group.generators]
         kept.append(_orbit_spans(vectors, images, params)[2])
@@ -897,23 +906,44 @@ def test_scanned_count_matches_the_keyless_count(p, n, m):
         assert count_orbits_scanned(params, group) == count_orbits_keyless(params, group), group.order
 
 
+def _no_table(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the table build started")
+
+    monkeypatch.setattr(zpaction.enumeration, "theta_table", never)
+
+
 @pytest.mark.parametrize("p, n, m", [(3, 4, 3), (2, 5, 3), (5, 5, 3), (2, 6, 4)])
-def test_scanned_count_builds_one_table_at_m3(monkeypatch, p, n, m):
-    import zpaction.enumeration
-
-    params, built = ActionParams(p, n, m), []
-    theta_table = zpaction.enumeration.theta_table
-
-    def counting_theta_table(*args, **kwargs):
-        built.append(args)
-        return theta_table(*args, **kwargs)
-
+def test_scanned_count_builds_no_table_at_m3(monkeypatch, p, n, m):
+    params = ActionParams(p, n, m)
     expected = [burnside_count_full(params, group) for group in _keyless_groups(n + 1)]
-    monkeypatch.setattr(zpaction.enumeration, "theta_table", counting_theta_table)
+    _no_table(monkeypatch)
     for group, count in zip(_keyless_groups(n + 1), expected):
-        built.clear()
         assert count_orbits_scanned(params, group) == count, group.order
-        assert len(built) == (group.order > 1), group.order  # the identity alone needs no table
+
+
+# D3, K4, an involution and the full cycle at degrees 5 and 6; at degree 5, where the
+# paper's D3 and K4 do not act, D3 acts on three points and K4 on four.
+_M3_GROUPS = {
+    5: [["(1 2 3)", "(1 2)"], ["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 2)(3 4)"], ["(1 2 3 4 5)"]],
+    6: [[g.cycle_string() for g in case_group(name).generators] for name in ("N5_D3", "N5_K4")]
+       + [["(1 2)(3 4)(5 6)"], ["(1 2 3 4 5 6)"]],
+}
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 3), (3, 5, 3), (5, 5, 3)])
+def test_invariant_keys_full_at_m3_masks_the_walk_and_builds_no_table(monkeypatch, p, n, m):
+    params = ActionParams(p, n, m)
+    groups = [close_group([parse_cycles(g, n + 1) for g in gens]) for gens in _M3_GROUPS[n + 1]]
+    table = KeySet.full(params)
+    expected = [invariant_set(table, group) for group in groups]
+    for keys, group in zip(expected, groups):  # every generator masks the whole table
+        masks = _fixed_masks(table.rows, params, group.generators)
+        assert np.array_equal(keys.rows, table.rows[masks.all(axis=0)])
+    assert any(len(keys) for keys in expected)  # the full cycle at (3, 4, 3) fixes none
+    _no_table(monkeypatch)
+    _set_block(monkeypatch, 7)  # block ends fall inside pivot patterns
+    assert [invariant_keys_full(params, group) for group in groups] == expected
 
 
 @pytest.mark.parametrize("p, n, m", [(3, 4, 3), (2, 6, 4)])
@@ -926,12 +956,7 @@ def test_scanned_count_of_the_trivial_group_passes_any_table_cap_at_m3(p, n, m):
 
 
 def test_scanned_count_builds_no_table(monkeypatch):
-    import zpaction.enumeration
-
-    def never(*args, **kwargs):
-        raise AssertionError("the table build started")
-
-    monkeypatch.setattr(zpaction.enumeration, "theta_table", never)
+    _no_table(monkeypatch)
     assert count_orbits_scanned(ActionParams(13, 5, 2), symmetric_group(6)) == 7974
 
 
@@ -985,6 +1010,6 @@ def test_orbit_partition_does_not_depend_on_the_closure_chunk(monkeypatch, param
 
     keys = KeySet.full(params)
     whole = orbit_partition(keys, group).labels
-    monkeypatch.setattr(zpaction.classify, "_CLOSURE_CHUNK", 97)
+    _set_block(monkeypatch, 97)
     assert len(keys) > 97 * 3
     assert np.array_equal(orbit_partition(keys, group).labels, whole)

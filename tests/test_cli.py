@@ -114,6 +114,22 @@ def test_scale_cap_exit_code(capsys):
     assert "scale cap" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["orbits", "--p", "5", "--n", "3"],
+    ["enumerate", "--p", "5", "--n", "3"],
+    ["invariants", "--p", "5", "--n", "3", "--group", "(3 4)"],
+    ["triples", "--p", "5", "--n", "3", "--group", "(3 4)"],
+    ["triples", "--p", "7", "--n", "5", "--mode", "predicted",
+     "--group", "(1 2 3)(4 5 6)", "--group", "(1 4)(2 6)(3 5)"],
+], ids=["orbits", "enumerate", "invariants", "triples", "predicted"])
+def test_negative_scale_cap_is_a_usage_error(command, capsys):
+    code, out, err = run_cli([*command, "--max-candidates", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --max-candidates: must be 0 or more, got -1\n"
+    default, zero = run_cli(command, capsys), run_cli([*command, "--max-candidates", "0"], capsys)
+    assert default == zero and default[0] == 0  # 0 keeps each route's default cap
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(["enumerate", "--n", "3"], capsys)
     assert code == 1

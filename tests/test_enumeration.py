@@ -98,6 +98,19 @@ def test_space_size_closed_form(p, n, m):
     assert len(theta_table(ActionParams(p, n, m))) == expected
 
 
+@pytest.mark.parametrize(
+    "p, n, m",
+    [(2, 5, 1), (2, 6, 2), (2, 6, 3), (3, 5, 1), (3, 5, 2), (3, 5, 3),
+     (257, 3, 1), (257, 3, 2), (257, 3, 3)],
+)
+def test_theta_table_rows_come_in_digit_order(p, n, m):
+    # the walk leaves digit order from n = 4 on; the lexsort of the flat digits is the oracle
+    walk = [mats[enumeration._admissible(mats, p)] for mats in enumeration._rref_walk(p, m, n)]
+    walk = np.concatenate(walk)
+    flat = walk.reshape(len(walk), m * n)
+    assert np.array_equal(theta_table(ActionParams(p, n, m)), walk[np.lexsort(flat[:, ::-1].T)])
+
+
 def matrices(keys):
     return np.array([key.theta.entries for key in keys])
 
@@ -185,7 +198,7 @@ def test_digit_strings_match_the_keys(p, m):
 def test_digit_strings_across_blocks(params, monkeypatch):
     key_set = _sampled_key_set(params, 40, 1)
     expected = [key.digit_string() for key in key_set.keys()]
-    monkeypatch.setattr(enumeration, "_STRING_BLOCK", 7)
+    monkeypatch.setattr(enumeration, "_BLOCK", 7)
     assert len(key_set) > 3 * 7 and key_set.digit_strings() == expected
     assert KeySet.of(params, []).digit_strings() == []
 

@@ -24,7 +24,6 @@ from zpaction.geometry import (
     FiberProductModel,
     MarkedPoints,
     _functionals,
-    _index_p_genera,
     _pgonal_exponents,
     _plane_tables,
     _riemann_hurwitz,
@@ -235,31 +234,36 @@ def test_pgonal_curve_without_branched_finite_point_is_verification_error():
 
 
 def test_riemann_hurwitz_matches_fraction_formula():
+    # at deck order p, integrality fails only at p = 2 and nonnegativity below two branched
+    # points; from p^2 on, 2 branched points are too few, so which entry fails first varies
     for p in (2, 3, 5, 7):
         key = key_from_theta(ActionParams(p, 4, 2), [[1, 0, 1, 1], [0, 1, 1, 0]])
         for deck in (p, p**2, p**3):
             for branched in range(9):
-                genus = 1 - deck + Fraction(branched * deck * (p - 1), 2 * p)
-                if genus.denominator == 1 and genus >= 0:
-                    assert _riemann_hurwitz(key, deck, branched) == genus
+                counts = [4, branched, 2, 3]
+                genera = [1 - deck + Fraction(b * deck * (p - 1), 2 * p) for b in counts]
+                bad = [(g, b) for g, b in zip(genera, counts) if g.denominator != 1 or g < 0]
+                if bad:
+                    genus, b = bad[0]
+                    message = (f"quotient genus came out as {genus} for key {key}, deck order {deck} "
+                               f"and {b} branched points")
+                    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+                        _riemann_hurwitz(key, deck, np.array(counts, dtype=np.int64))
                 else:
-                    with pytest.raises(VerificationError, match=f"came out as {genus} "):
-                        _riemann_hurwitz(key, deck, branched)
+                    assert _riemann_hurwitz(key, deck, np.array(counts, dtype=np.int64)).tolist() == genera
+                one = np.array([branched], dtype=object)  # quotient_genus's one exact entry
+                if genera[1].denominator == 1 and genera[1] >= 0:
+                    assert _riemann_hurwitz(key, deck, one).tolist() == [genera[1]]
+                else:
+                    with pytest.raises(VerificationError, match=f"came out as {genera[1]} "):
+                        _riemann_hurwitz(key, deck, one)
 
 
-def test_index_p_genera_match_riemann_hurwitz_count_by_count():
-    # integrality fails only at p = 2, nonnegativity below two branched points
-    for p in (2, 3, 5, 7):
-        key = key_from_theta(ActionParams(p, 4, 2), [[1, 0, 1, 1], [0, 1, 1, 0]])
-        for branched in range(9):
-            counts = np.array([2, 4, branched, 2], dtype=np.int64)
-            try:
-                expected = [_riemann_hurwitz(key, p, b) for b in counts.tolist()]
-            except VerificationError as exc:
-                with pytest.raises(VerificationError, match=f"^{re.escape(str(exc))}$"):
-                    _index_p_genera(key, counts)
-            else:
-                assert _index_p_genera(key, counts).tolist() == expected
+def test_quotient_genus_stays_exact_past_int64():
+    # L = 0 at p = 65521, m = 3: S/L is S, and deck order p^3 times p - 1 is about 1.8e19
+    params = ActionParams(65521, 3, 3)
+    key = key_from_theta(params, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert quotient_genus(key, FpMatrix(params.modulus, (), 3)) == total_genus(65521, 3, 3)
 
 
 def test_line_and_functional_tables_are_not_shared():
