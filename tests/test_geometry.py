@@ -259,6 +259,22 @@ def test_riemann_hurwitz_matches_fraction_formula():
                         _riemann_hurwitz(key, deck, one)
 
 
+def test_index_p_genera_match_riemann_hurwitz_count_by_count():
+    # the int64 array call at deck order p agrees with one exact call per count;
+    # integrality fails only at p = 2, nonnegativity below two branched points
+    for p in (2, 3, 5, 7):
+        key = key_from_theta(ActionParams(p, 4, 2), [[1, 0, 1, 1], [0, 1, 1, 0]])
+        for branched in range(9):
+            counts = np.array([2, 4, branched, 2], dtype=np.int64)
+            try:
+                expected = [_riemann_hurwitz(key, p, np.array([b], dtype=object))[0] for b in counts.tolist()]
+            except VerificationError as exc:
+                with pytest.raises(VerificationError, match=f"^{re.escape(str(exc))}$"):
+                    _riemann_hurwitz(key, p, counts)
+            else:
+                assert _riemann_hurwitz(key, p, counts).tolist() == expected
+
+
 def test_quotient_genus_stays_exact_past_int64():
     # L = 0 at p = 65521, m = 3: S/L is S, and deck order p^3 times p - 1 is about 1.8e19
     params = ActionParams(65521, 3, 3)
