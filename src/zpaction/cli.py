@@ -270,8 +270,7 @@ def _jacobian_doc(args) -> dict:
     key, points = _key_and_points(args)
     report = jacobian_decomposition(key, points)
     lines = [
-        {"line": ",".join(str(e) for e in entry.line.entries[0]), "genus": entry.genus,
-         "fixed_points": entry.fixed_points}
+        {"line": "{},{}".format(*entry.line), "genus": entry.genus, "fixed_points": entry.fixed_points}
         for entry in report.lines
     ]
     if args.format != "csv":  # only text and JSON print the models, so only they render them

@@ -20,18 +20,6 @@ deduplicates.  They must agree wherever both are feasible.
 At run time a key set is a ``KeySet``, one sorted (N, m, n) digit array;
 ``SubgroupKey`` objects are built only on request.  Rows take the digit
 dtype and row codes of ``hgroup``, in base p, as permutation rows do.
-
-A presentation is the canonical form of one key: theta read in its pivot
-basis.  The pivot columns of the rref theta are the unit vectors, and
-they are the first m linearly independent generator images, so the
-coordinates of every image theta(a_j) are column j of [theta | -sum theta]
-as it stands.  At m = 2 that is ``PlanePresentation`` (basis theta(a_1),
-theta(a_{t+1})), at any m ``GeneralPresentation`` (a relabeling that puts
-the pivots first, plus the coordinate table).  ``classify_type`` reads
-one off a key; ``key_from_presentation`` rebuilds the key from the
-images.  The named subgroups (the n = 3 family and the n = 5 d3 and k4
-families) are plane presentations too: each form's (t, l, r, s) in
-``NAMED_FORMS`` is theta's rref rows as they stand (``named_rows``).
 """
 
 from __future__ import annotations
@@ -45,15 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fpalgebra import (
-    FpMatrix,
-    PrimeModulus,
-    is_rref,
-    kernel_basis,
-    pivot_columns,
-    rref,
-)
-from .hgroup import Permutation, digit_dtype, row_codes
+from .fpalgebra import FpMatrix, PrimeModulus, is_rref, rref
+from .hgroup import ScaleCapError, digit_dtype, row_codes
 
 DEFAULT_CANDIDATE_CAP = 10**9
 ORACLE_CANDIDATE_CAP = 10**7
@@ -61,14 +42,6 @@ ORACLE_CANDIDATE_CAP = 10**7
 # masks, orbit closure, the invariant scan and ``digit_strings_of``.  Each bounds its temporaries
 # at a few MB; at (13, 5, 2), 2^20-row blocks built the table and its Burnside sum no faster.
 _BLOCK = 1 << 16
-
-
-class ScaleCapError(RuntimeError):
-    """Estimated work exceeds the configured cap."""
-
-    def __init__(self, message: str, estimate: int, unit: str = "candidates"):
-        super().__init__(f"{message} (estimated {unit}: {estimate})")
-        self.estimate = estimate
 
 
 class AdmissibilityError(ValueError):
@@ -155,10 +128,6 @@ class SubgroupKey:
         rows, p = self.theta.entries, self.params.p
         return tuple(zip(*rows)) + (tuple([-sum(row) % p for row in rows]),)
 
-    def kernel(self) -> FpMatrix:
-        """A canonical basis of K itself, as rows of an (n-m) x n matrix."""
-        return kernel_basis(self.theta)
-
     def __str__(self) -> str:
         return f"SubgroupKey(p={self.params.p}, n={self.params.n}, m={self.params.m}, {self.digit_string()})"
 
@@ -179,7 +148,7 @@ def key_from_theta(params: ActionParams, rows) -> SubgroupKey:
     return SubgroupKey(params, reduced)
 
 
-# Each named form as a plane presentation: NAMED_FORMS[family][form, arity] maps
+# Each named form in the plane form (t, l, r, s): NAMED_FORMS[family][form, arity] maps
 # the form's integer parameters to the (t, l, r, s) of that member.  An entry
 # is the paper's generator words (in its comment) solved for the images
 # theta(a_j) in the basis (theta(a_1), theta(a_{t+1})); solving K1, K2, K5, K6
@@ -235,7 +204,7 @@ def key_from_named(params: ActionParams, name: str, family: str | None = None) -
     A name is a form and its integer parameters, each in 0..p-1; it
     resolves through ``named_key``.  Families:
       * ``n3`` (default when n == 3): K(r,s) and K(l), the plane
-        presentations with t = 1 and t = 2.
+        forms with t = 1 and t = 2.
       * ``d3`` (n == 5, threefold symmetry): K(r,s) and K(l).
       * ``k4`` (n == 5, Klein-four symmetry): K(r,s) with 2(r+s)+1 = 0 mod p,
         the fixed groups K1, K2, K5, K6 (p odd), the one-parameter groups
@@ -269,14 +238,6 @@ def key_from_named(params: ActionParams, name: str, family: str | None = None) -
         return named_key(params, family, form, *args)
     except AdmissibilityError as exc:
         raise AdmissibilityError(f"{text} is not admissible at p={p}: {exc}") from None
-
-
-def name_of_key(key: SubgroupKey) -> str | None:
-    """The n=3 family name of a key (K(r,s) or K(l)), when it has one."""
-    if key.params.n != 3 or key.params.m != 2:
-        return None
-    pres = classify_type(key)
-    return f"K({pres.r[0]},{pres.s[0]})" if pres.t == 1 else f"K({pres.l[0]})"
 
 
 # ---------------------------------------------------------------------------
@@ -458,123 +419,3 @@ def brute_force_oracle(
     keys.sort()
     return keys
 
-
-# ---------------------------------------------------------------------------
-# canonical presentations
-
-
-@dataclass(frozen=True)
-class PlanePresentation:
-    """The m = 2 form: coordinates in the basis (theta(a_1), theta(a_{t+1})).
-
-    K = <a1^{l_j} a_j^{-1} : j = 2..t> + <a1^{r_j} a_{t+1}^{s_j} a_j^{-1} :
-    j = t+2..n>, so theta(a_j) = l_j theta(a_1) for j = 2..t and r_j theta(a_1)
-    + s_j theta(a_{t+1}) for j = t+2..n.  l is indexed by j = 2..t (empty
-    when t = 1) and r, s by j = t+2..n; the image of a_{n+1} is forced by
-    the column congruences.
-    """
-
-    params: ActionParams
-    t: int
-    l: tuple[int, ...]
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p, n = self.params.p, self.params.n
-        if not 1 <= self.t <= n - 1:
-            raise ValueError(f"t must lie in 1..n-1, got {self.t}")
-        if len(self.l) != self.t - 1:
-            raise ValueError("l must have t - 1 entries")
-        if len(self.r) != n - self.t - 1 or len(self.s) != n - self.t - 1:
-            raise ValueError("r, s must have n - t - 1 entries")
-        for j, image in enumerate(self.images, start=1):
-            if all(e % p == 0 for e in image):
-                raise AdmissibilityError(f"generator a_{j} lies in the subgroup")
-
-    @property
-    def forced_r(self) -> int:
-        return (-(1 + sum(self.l) + sum(self.r))) % self.params.p
-
-    @property
-    def forced_s(self) -> int:
-        return (-(1 + sum(self.s))) % self.params.p
-
-    @property
-    def images(self) -> tuple[tuple[int, int], ...]:
-        """Coordinates of theta(a_1), ..., theta(a_{n+1}) in the basis."""
-        ls = ((lj, 0) for lj in self.l)
-        return ((1, 0), *ls, (0, 1), *zip(self.r, self.s), (self.forced_r, self.forced_s))
-
-
-@dataclass(frozen=True)
-class GeneralPresentation:
-    """Any-m form: a relabeling sigma plus the coordinate table.
-
-    ``table`` holds the coordinates of the images of a_{m+1}, ...,
-    a_{n+1} of the relabeled subgroup, in the basis given by the images of
-    a_1, ..., a_m.  Row constraints: no row vanishes, and each column sums
-    with 1 to zero mod p (the product of all generators is trivial).
-    The canonical sigma moves theta's pivot columns to the front, in order,
-    and keeps the other images in order after them; that is the
-    lexicographically least sigma whose first m images form a basis.
-    """
-
-    params: ActionParams
-    sigma: Permutation
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        p, n, m = self.params.p, self.params.n, self.params.m
-        if self.sigma.degree != n + 1:
-            raise ValueError("sigma degree must be n + 1")
-        if len(self.table) != n + 1 - m or any(len(row) != m for row in self.table):
-            raise ValueError("table must be (n+1-m) rows of m coordinates")
-        if any(all(e % p == 0 for e in row) for row in self.table):
-            raise AdmissibilityError("some relabeled generator image vanishes")
-        for i in range(m):
-            if (1 + sum(row[i] for row in self.table)) % p != 0:
-                raise AdmissibilityError(f"column {i + 1} violates the trivial-product congruence")
-
-    @property
-    def images(self) -> tuple[tuple[int, ...], ...]:
-        """theta(a_i) = theta'(a_{sigma(i)}) for i = 1..n+1, in the basis theta'(a_1..a_m)."""
-        m = self.params.m
-        relabeled = [tuple(int(i == k) for k in range(m)) for i in range(m)] + list(self.table)
-        return tuple(relabeled[self.sigma(i) - 1] for i in range(1, self.params.n + 2))
-
-
-Presentation = PlanePresentation | GeneralPresentation
-
-
-def classify_type(key: SubgroupKey) -> Presentation:
-    """Canonical presentation of a key: the plane form at m = 2, else the general form.
-
-    At m = 2, theta(a_1) = e_1 and theta(a_{t+1}) = e_2 is the second pivot
-    column, so each image is its own coordinate pair.
-    """
-    params = key.params
-    if params.m != 2:
-        return general_presentation(key)
-    images, t = key.images, pivot_columns(key.theta)[1]
-    rs = images[t + 1 : params.n]  # theta(a_j) for j = t+2..n
-    ls = tuple(lj for lj, _ in images[1:t])  # theta(a_j) = l_j theta(a_1) for j = 2..t
-    return PlanePresentation(params, t, ls, tuple(r for r, _ in rs), tuple(s for _, s in rs))
-
-
-def general_presentation(key: SubgroupKey) -> GeneralPresentation:
-    """Any-m canonical form: theta read in its pivot basis e_1, ..., e_m.
-
-    sigma moves the pivot columns to the front and keeps the other images
-    in order after them; the table is those other images as they stand.
-    """
-    params = key.params
-    pivots = pivot_columns(key.theta)
-    order = [*pivots, *(j for j in range(params.n + 1) if j not in pivots)]
-    sigma = Permutation(tuple(j + 1 for j in order)).inverse()  # sigma^-1(i) = order[i - 1] + 1
-    return GeneralPresentation(params, sigma, tuple(key.images[j] for j in order[params.m :]))
-
-
-def key_from_presentation(pres: Presentation) -> SubgroupKey:
-    """Rebuild the subgroup key a presentation came from: theta's columns are its first n images."""
-    return key_from_theta(pres.params, zip(*pres.images[:-1]))

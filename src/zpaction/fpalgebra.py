@@ -53,12 +53,6 @@ class PrimeModulus:
             inv[a] = (p - (p // a) * inv[p % a]) % p
         return tuple(inv)
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        return self.inverse_table[a]
-
 
 @dataclass(frozen=True)
 class FpMatrix:

@@ -167,30 +167,18 @@ def subspace(modulus: PrimeModulus, vectors) -> FpMatrix:
     return kernel_basis(kernel_basis(FpMatrix(modulus, rows, width)))
 
 
-def line(modulus: PrimeModulus, vector) -> FpMatrix:
-    sub = subspace(modulus, [vector])
-    if sub.rows != 1:
-        raise ValueError("a line needs one nonzero spanning vector")
-    return sub
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
 
 @lru_cache(maxsize=None)
-def _plane_tables(modulus: PrimeModulus) -> tuple[tuple[FpMatrix, ...], np.ndarray, np.ndarray]:
-    """The p+1 lines, spanned by (a, b), the functionals (b, -a) cutting them out, and 1/x mod p."""
-    gens = [(0, 1)] + [(1, c) for c in range(modulus.p)]
+def _plane_tables(modulus: PrimeModulus) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """The p+1 lines as rref generators (a, b), the functionals (b, -a) cutting them out, and 1/x mod p."""
+    gens = ((0, 1), *((1, c) for c in range(modulus.p)))
     functionals = np.array([(b, -a % modulus.p) for a, b in gens], dtype=np.int64)
     inverses = np.array(modulus.inverse_table, dtype=np.int64)
-    return tuple(FpMatrix(modulus, (g,)) for g in gens), _read_only(functionals), _read_only(inverses)
-
-
-def lines_of_plane(modulus: PrimeModulus) -> list[FpMatrix]:
-    """The p+1 one-dimensional subspaces of Z_p^2, sorted by their rref generator."""
-    return list(_plane_tables(modulus)[0])
+    return gens, _read_only(functionals), _read_only(inverses)
 
 
 @lru_cache(maxsize=None)
@@ -201,15 +189,6 @@ def _functionals(modulus: PrimeModulus, m: int) -> np.ndarray:
         for rest in itertools.product(range(modulus.p), repeat=m - 1 - k)
     ]
     return _read_only(np.array(rows, dtype=np.int64))
-
-
-def normalized_functionals(modulus: PrimeModulus, m: int) -> list[tuple[int, ...]]:
-    """The functionals on Z_p^m with leading coefficient 1, one per hyperplane.
-
-    No two of them are proportional, so their kernels are the
-    (p^m - 1)/(p - 1) hyperplanes, each exactly once.
-    """
-    return list(map(tuple, _functionals(modulus, m).tolist()))
 
 
 def _value_matrix(key: SubgroupKey, functionals: np.ndarray) -> np.ndarray:
@@ -271,31 +250,12 @@ def quotient_genus(key: SubgroupKey, sub: FpMatrix) -> int:
     return _riemann_hurwitz(key, params.p**annihilator.rows, np.array([branched], dtype=object))[0]
 
 
-def pgonal_model(key: SubgroupKey, sub: FpMatrix, points: MarkedPoints | None = None) -> CurveModel:
-    """Exponent table of the cyclic p-cover S/L -> sphere, for a line L.
-
-    The functional f cutting out L maps (Z_p^2)/L onto Z_p, so the
-    exponents are the values of f on the marked-point images, scaled so
-    that the first nonzero exponent among the finite points equals 1.  The
-    exponents sum to 0 mod p with the infinity slot included.
-    """
-    params = key.params
-    if params.m != 2:
-        raise ValueError("per-line models are defined for m = 2")
-    annihilator = kernel_basis(sub)
-    if sub.cols != 2 or annihilator.rows != 1:
-        raise ValueError("L must be a line in Z_p^2")
-    pts = points if points is not None else MarkedPoints.standard(params.n)
-    (exponents,) = _pgonal_exponents(key, _value_matrix(key, annihilator.entries)).tolist()
-    return CurveModel(params.modulus, pts, exponents)
-
-
 def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) -> FiberProductModel:
     """The two-equation algebraic model of S at m = 2: the rows of [theta | -sum theta].
 
     Column j of that matrix is theta(a_j) = r_j theta(a_1) + s_j
     theta(a_{t+1}), read in the pivot basis (e_1, e_2); y1 takes the second
-    row, the s_j, and y2 the first, the r_j.  In the plane presentation
+    row, the s_j, and y2 the first, the r_j.  In the plane form
     with t = 1 this reads y1^p = x prod (x-q_j)^{s_j}, y2^p = prod
     (x-q_j)^{r_j} over j = 3..n+1, with the last exponents forced by
     s_{n+1} = -(1 + s_3 + ... + s_n) and r_{n+1} = -(1 + r_3 + ... + r_n)
@@ -312,9 +272,9 @@ def fiber_product_model(key: SubgroupKey, points: MarkedPoints | None = None) ->
 
 @dataclass(frozen=True, slots=True)
 class JacobianLine:
-    """One cyclic subgroup L of the deck group with its quotient data."""
+    """One cyclic subgroup L of the deck group, as its rref generator (a, b), with its quotient data."""
 
-    line: FpMatrix
+    line: tuple[int, int]
     genus: int
     fixed_points: int
     model: CurveModel

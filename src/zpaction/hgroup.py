@@ -35,6 +35,14 @@ DEFAULT_CLOSURE_CAP = math.factorial(10)
 MAX_NORMALIZER_DEGREE = 9
 
 
+class ScaleCapError(RuntimeError):
+    """Estimated work exceeds the configured cap."""
+
+    def __init__(self, message: str, estimate: int, unit: str = "candidates"):
+        super().__init__(f"{message} (estimated {unit}: {estimate})")
+        self.estimate = estimate
+
+
 @dataclass(frozen=True, order=True)
 class Permutation:
     """Element of S_degree on points 1..degree; images[j-1] = sigma(j)."""
@@ -67,9 +75,6 @@ class Permutation:
         for j, i in enumerate(self.images, start=1):
             inv[i - 1] = j
         return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for j, i in enumerate(self.images, start=1))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, fixed points omitted, each starting at its least point."""
@@ -274,8 +279,8 @@ def _closure(generators: np.ndarray, elements: np.ndarray, cap: int = DEFAULT_CL
     It grows from ``elements``, the sorted rows of a subgroup (at least the
     identity), one level at a time: the last level's rows are multiplied
     on the left by every generator at once, (g a)[j] = g[a[j]], and the
-    products with new codes form the next level.  Raises ValueError once
-    there are more than ``cap`` rows.
+    products with new codes form the next level.  Raises ScaleCapError
+    once there are more than ``cap`` rows.
     """
     frontier, degree = elements, elements.shape[1]
     while len(frontier):
@@ -284,7 +289,7 @@ def _closure(generators: np.ndarray, elements: np.ndarray, cap: int = DEFAULT_CL
         _, first = np.unique(row_codes(merged, degree), return_index=True)  # known rows first
         frontier, elements = merged[first[first >= len(elements)]], merged[first]
         if len(elements) > cap:
-            raise ValueError(f"group closure exceeds cap {cap}")
+            raise ScaleCapError(f"group closure exceeds cap {cap}", len(elements), "group order, at least")
     return elements
 
 
@@ -319,7 +324,11 @@ def normalizer_in_symmetric(group: PermGroup) -> PermGroup:
     """
     degree = group.degree
     if degree > MAX_NORMALIZER_DEGREE:
-        raise ValueError(f"degree {degree} too large for exhaustive normalizer scan")
+        raise ScaleCapError(
+            f"degree {degree} too large for exhaustive normalizer scan",
+            math.factorial(degree),
+            "relabelings",
+        )
     taus, members = _all_permutations(degree), row_codes(group.images, degree)
     inverses = np.argsort(taus, axis=1)
     normalizing = np.ones(len(taus), dtype=bool)

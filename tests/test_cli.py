@@ -460,6 +460,23 @@ def test_default_group_order_is_capped_before_it_is_built(args, order, monkeypat
     assert err.startswith("scale cap exceeded:") and f"(estimated group order: {order})" in err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["triples", "--p", "2", "--n", "9", "--group", "(1 2)"],
+         "degree 10 too large for exhaustive normalizer scan (estimated relabelings: 3628800)"),
+        (["orbits", "--p", "2", "--n", "10", "--group", "(1 2)", "--group", "(1 2 3 4 5 6 7 8 9 10 11)"],
+         "group closure exceeds cap 3628800 (estimated group order, at least: "),
+    ],
+    ids=["normalizer-degree", "closure-order"],
+)
+def test_group_size_limits_are_scale_caps(args, message, capsys):
+    # both pass the candidate cap; the normalizer scan and the group closure refuse them with exit 2
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"scale cap exceeded: {message}")
+
+
 def test_default_group_order_cap_admits_s9(monkeypatch):
     import zpaction.cli
 

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from action_oracle import act
 from fp_oracle import SingularMatrixError, mat_inverse
 from zpaction import enumeration
 from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, kernel_basis, rref
@@ -15,23 +14,16 @@ from zpaction.enumeration import (
     NAMED_FORMS,
     ActionParams,
     AdmissibilityError,
-    GeneralPresentation,
     KeySet,
-    PlanePresentation,
     ScaleCapError,
     SubgroupKey,
     brute_force_oracle,
-    classify_type,
     enumerate_actions,
-    general_presentation,
     key_from_digit_string,
     key_from_named,
-    key_from_presentation,
     key_from_theta,
-    name_of_key,
     theta_table,
 )
-from zpaction.geometry import fiber_product_model
 from zpaction.hgroup import Permutation, row_codes
 
 
@@ -374,7 +366,7 @@ def test_key_from_named_n3():
     assert k1.theta.entries == ((1, 1, 0), (0, 0, 1))
     # kernel of K(r,s) is spanned by a_1^r a_2^s a_3^{-1}
     k = key_from_named(params, "K(2,3)")
-    assert k.kernel().rows == 1
+    assert kernel_basis(k.theta).rows == 1
     assert key_from_generators(params, [(2, 3, -1, 0)]) == k
 
 
@@ -428,133 +420,37 @@ def test_key_from_generators_rank_check():
         key_from_generators(params, [(1, 0, 0, 0), (0, 1, 0, 0)])
 
 
-def test_classify_type_examples():
-    p = 5
-    params = ActionParams(p, 3, 2)
-    pres = classify_type(key_from_named(params, f"K(0,{p - 1})"))
-    assert pres.t == 1 and pres.l == ()
-    assert (pres.r, pres.s) == ((0,), (p - 1,))
-    assert (pres.forced_r, pres.forced_s) == (p - 1, 0)
-    assert pres.images == ((1, 0), (0, 1), (0, p - 1), (p - 1, 0))
-
-    pres2 = classify_type(key_from_named(params, "K(2)"))
-    assert pres2.t == 2 and pres2.l == (2,)
-    assert (pres2.r, pres2.s) == ((), ())
+def _plane_form(key):
+    """(t, l, r, s) of an m = 2 key, read off its rref rows (1, l, 0, r) and (0, ..., 0, 1, s)."""
+    first, second = key.theta.entries
+    t = second.index(1)
+    return t, first[1:t], first[t + 1 :], second[t + 1 :]
 
 
-def test_plane_presentation_rejects_t_outside_1_to_n_minus_1():
-    params = ActionParams(5, 3, 2)
-    with pytest.raises(ValueError, match="t must lie in 1..n-1"):
-        PlanePresentation(params, 0, (), (1, 2), (3, 4))
-    with pytest.raises(ValueError, match="t must lie in 1..n-1"):
-        PlanePresentation(params, 3, (1, 2), (), ())
-    with pytest.raises(AdmissibilityError, match="a_2"):
-        PlanePresentation(params, 2, (5,), (), ())  # l_2 = 0 mod 5
-    with pytest.raises(AdmissibilityError, match="a_4"):
-        PlanePresentation(params, 1, (), (4,), (4,))  # the forced image of a_4 vanishes
+def _key_from_words(params, t, l, r, s):
+    """The words route: a plane form's relations as generator words, through ``key_from_generators``.
 
-
-def _key_from_words(pres):
-    """The words route: a presentation's relations as generator words, through ``key_from_generators``."""
-    params = pres.params
-    n, m = params.n, params.m
-    if isinstance(pres, PlanePresentation):
-        words = [_word(n, [(1, lj), (j, -1)]) for j, lj in enumerate(pres.l, start=2)]
-        words += [
-            _word(n, [(1, rj), (pres.t + 1, sj), (j, -1)])
-            for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=pres.t + 2)
-        ]
-        return key_from_generators(params, words)
-    words = [
-        _word(n, [(i + 1, e) for i, e in enumerate(row)] + [(j, -1)])
-        for j, row in zip(range(m + 1, n + 1), pres.table)
+    K = <a1^{l_j} a_j^{-1} : j = 2..t> + <a1^{r_j} a_{t+1}^{s_j} a_j^{-1} : j = t+2..n>.
+    """
+    words = [_word(params.n, [(1, lj), (j, -1)]) for j, lj in enumerate(l, start=2)]
+    words += [
+        _word(params.n, [(1, rj), (t + 1, sj), (j, -1)])
+        for j, (rj, sj) in enumerate(zip(r, s), start=t + 2)
     ]
-    return act(pres.sigma.inverse(), key_from_generators(params, words))
+    return key_from_generators(params, words)
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 3), (3, 4), (7, 4), (3, 5), (2, 5)])
 def test_plane_presentation_matches_the_words_route(p, n):
-    for key in enumerate_actions(ActionParams(p, n, 2)):
-        pres = classify_type(key)
-        assert key_from_presentation(pres) == _key_from_words(pres) == key, key
-
-
-@pytest.mark.parametrize("p,n,m", [(3, 4, 3), (3, 5, 1), (2, 5, 3)])
-def test_general_presentation_matches_the_words_route(p, n, m):
-    for key in enumerate_actions(ActionParams(p, n, m)):
-        pres = general_presentation(key)
-        assert key_from_presentation(pres) == _key_from_words(pres) == key, key
-
-
-@pytest.mark.parametrize("p,n,m", [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 4, 2), (3, 4, 3)])
-def test_presentation_round_trip(p, n, m):
-    params = ActionParams(p, n, m)
+    # a key's rref rows are its plane form: their relations generate the key's subgroup
+    params = ActionParams(p, n, 2)
     for key in enumerate_actions(params):
-        pres = classify_type(key)
-        assert key_from_presentation(pres) == key
-        if m != 2:
-            assert isinstance(pres, GeneralPresentation)
+        assert _key_from_words(params, *_plane_form(key)) == key, key
 
 
-def test_general_presentation_m2_agrees():
-    # the any-m form also round-trips at m=2
-    params = ActionParams(5, 3, 2)
-    for key in enumerate_actions(params):
-        pres = general_presentation(key)
-        assert key_from_presentation(pres) == key
-
-
-@pytest.mark.parametrize("p,n,m", [(5, 3, 2), (3, 4, 2), (3, 4, 3), (2, 5, 2), (3, 5, 1), (7, 3, 1)])
-def test_general_presentation_matches_the_echelonized_relabeling(p, n, m):
-    # coordinates read off the permuted images equal those of the re-echelonized moved key
-    params = ActionParams(p, n, m)
-    for key in enumerate_actions(params):
-        pres = general_presentation(key)
-        images = act(pres.sigma, key).images
-        basis_inv = mat_inverse(FpMatrix(params.modulus, images[:m])).entries
-        table = tuple(
-            tuple(sum(v[i] * basis_inv[i][k] for i in range(m)) % p for k in range(m))
-            for v in images[m:]
-        )
-        assert pres.table == table, key
-        assert key_from_presentation(pres) == key
-
-
-def test_general_presentation_congruences():
-    params = ActionParams(3, 4, 3)
-    for key in enumerate_actions(params):
-        pres = general_presentation(key)
-        p, m = params.p, params.m
-        for i in range(m):
-            assert (1 + sum(row[i] for row in pres.table)) % p == 0
-        assert all(any(e % p for e in row) for row in pres.table)
-
-
-def _cramer_coordinates(key):
-    """The m = 2 basis rule by Cramer's rule: t, and (r_j, s_j) for every image, j = 1..n+1.
-
-    t + 1 is the first index whose image is not proportional to theta(a_1).
-    With D = det(theta(a_1), theta(a_{t+1})), the coordinates of v are
-    r(v) = det(v, theta(a_{t+1})) / D and s(v) = det(theta(a_1), v) / D.
-    """
-    params, images = key.params, key.images
-    p = params.p
-    a, b = images[0]
-    t = next(j for j in range(1, params.n) if (a * images[j][1] - b * images[j][0]) % p)
-    c, d = images[t]
-    scale = params.modulus.inv(a * d - b * c)
-    return t, tuple(((x * d - y * c) * scale % p, (a * y - b * x) * scale % p) for x, y in images)
-
-
-def _cramer_presentation(key):
-    t, coords = _cramer_coordinates(key)
-    rs = coords[t + 1 : key.params.n]
-    ls = tuple(lj for lj, _ in coords[1:t])
-    return PlanePresentation(key.params, t, ls, tuple(r for r, _ in rs), tuple(s for _, s in rs))
-
-
-def _least_relabeling_presentation(key):
-    """The lexicographically least sigma whose first m relabeled images are a basis, by search."""
+def _least_relabeling(key):
+    """The lexicographically least sigma whose first m relabeled images are a basis, by search,
+    and the coordinates of the other relabeled images in that basis."""
     params = key.params
     p, n, m = params.p, params.n, params.m
     for candidate in itertools.permutations(range(1, n + 2)):
@@ -569,7 +465,7 @@ def _least_relabeling_presentation(key):
             tuple(sum(v[i] * basis_inv[i][k] for i in range(m)) % p for k in range(m))
             for v in moved[m:]
         )
-        return GeneralPresentation(params, sigma, table)
+        return sigma, table
     raise AssertionError("the images span Z_p^m, so some relabeling works")
 
 
@@ -579,16 +475,14 @@ def _least_relabeling_presentation(key):
      (3, 4, 3), (3, 5, 1), (2, 5, 3), (5, 4, 3), (3, 5, 4), (7, 3, 1)],
 )
 def test_presentations_match_the_solved_coordinates(p, n, m):
-    # theta read in its pivot basis equals the coordinates solved for by Cramer's rule
-    # and by the least-relabeling search
+    # theta read in its pivot basis: the least relabeling search moves the pivot columns to
+    # the front, and solves the other images to the key's images as they stand
     for key in enumerate_actions(ActionParams(p, n, m)):
-        assert general_presentation(key) == _least_relabeling_presentation(key), key
-        if m == 2:
-            assert classify_type(key) == _cramer_presentation(key), key
-            coords = _cramer_coordinates(key)[1]
-            model = fiber_product_model(key)
-            assert model.first.exponents == tuple(s for _, s in coords), key
-            assert model.second.exponents == tuple(r for r, _ in coords), key
+        pivots = [next(j for j, e in enumerate(row) if e) for row in key.theta.entries]
+        rest = [j for j in range(n + 1) if j not in pivots]
+        sigma, table = _least_relabeling(key)
+        assert [sigma(j + 1) for j in pivots + rest] == list(range(1, n + 2)), key
+        assert table == tuple(key.images[j] for j in rest), key
 
 
 def test_key_from_theta_canonicalizes():
@@ -597,35 +491,16 @@ def test_key_from_theta_canonicalizes():
     assert key.theta.entries == ((1, 0, 0), (0, 1, 4))
 
 
+def _n3_name(key):
+    """The n = 3 family name of a key: K(r,s) for the plane form t = 1, else K(l)."""
+    t, l, r, s = _plane_form(key)
+    return f"K({r[0]},{s[0]})" if t == 1 else f"K({l[0]})"
+
+
 def test_name_of_key_round_trip():
     params = ActionParams(7, 3, 2)
     for key in enumerate_actions(params):
-        name = name_of_key(key)
-        assert name is not None
-        assert key_from_named(params, name) == key
-
-
-@pytest.mark.parametrize(
-    "family, n, p", [("n3", 3, 5), ("n3", 3, 7), ("d3", 5, 2), ("d3", 5, 7), ("k4", 5, 2), ("k4", 5, 5)]
-)
-def test_named_key_matches_the_plane_presentation_route(family, n, p):
-    # every form at every parameter tuple: the same key, or the same AdmissibilityError text
-    params = ActionParams(p, n, 2)
-
-    def outcome(build):
-        try:
-            return build().digit_string()
-        except AdmissibilityError as exc:
-            return f"error: {exc}"
-
-    outcomes = set()
-    for (form, arity), entry in NAMED_FORMS[family].items():
-        for args in itertools.product(range(p), repeat=arity):
-            direct = outcome(lambda: enumeration.named_key(params, family, form, *args))
-            presented = outcome(lambda: key_from_presentation(PlanePresentation(params, *entry(*args))))
-            assert direct == presented, (form, args)
-            outcomes.add(direct.startswith("error: "))
-    assert outcomes == {False, True}  # both branches are reached
+        assert key_from_named(params, _n3_name(key)) == key
 
 
 @pytest.mark.parametrize("m", [1, 3])

@@ -52,11 +52,9 @@ def test_prime_modulus_rejects_composites():
 
 
 def test_inverse_table():
-    m = PrimeModulus(7)
-    for a in range(1, 7):
-        assert (a * m.inv(a)) % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        m.inv(0)
+    for p in (2, 7, 65521):
+        table = PrimeModulus(p).inverse_table
+        assert len(table) == p and all(a * table[a] % p == 1 for a in range(1, p))
 
 
 def test_rref_identity_mod5():

@@ -13,7 +13,6 @@ from zpaction.enumeration import (
     ActionParams,
     AdmissibilityError,
     VerificationError,
-    classify_type,
     enumerate_actions,
     key_from_named,
     key_from_theta,
@@ -30,13 +29,10 @@ from zpaction.geometry import (
     conjecture_probe,
     fiber_product_model,
     jacobian_decomposition,
-    line,
-    lines_of_plane,
-    normalized_functionals,
-    pgonal_model,
     points_preset,
     quotient_genus,
     render_model,
+    subspace,
     total_genus,
 )
 from zpaction.hgroup import Permutation
@@ -132,15 +128,15 @@ def test_quotient_genus_hand_values():
     params = ActionParams(3, 3, 2)
     m3 = params.modulus
     key = key_from_named(params, "K(0,2)")
-    assert quotient_genus(key, line(m3, (1, 0))) == 0
-    assert quotient_genus(key, line(m3, (1, 1))) == 2
+    assert quotient_genus(key, subspace(m3, [(1, 0)])) == 0
+    assert quotient_genus(key, subspace(m3, [(1, 1)])) == 2
 
 
 def test_quotient_genus_two_point_line():
     # a line containing all but two images gives a two-point cyclic cover: genus 0
     params = ActionParams(5, 3, 2)
     key = key_from_named(params, "K(0,4)")
-    assert quotient_genus(key, line(params.modulus, (0, 1))) == 0
+    assert quotient_genus(key, subspace(params.modulus, [(0, 1)])) == 0
 
 
 def test_quotient_genus_rejects_improper():
@@ -169,16 +165,20 @@ def test_jacobian_sums_f532():
 def test_pgonal_normalization():
     params = ActionParams(5, 3, 2)
     pts = MarkedPoints.with_lambda()
-    key = key_from_named(params, "K(0,4)")
-    model = pgonal_model(key, line(params.modulus, (1, 0)), pts)
+
+    def model_of(name, line):
+        lines = jacobian_decomposition(key_from_named(params, name), pts).lines
+        (entry,) = [e for e in lines if e.line == line]
+        return entry.model
+
+    model = model_of("K(0,4)", (1, 0))
     assert model.exponents == (0, 1, 4, 0)
     assert render_model(model) == "y^5 = x*(x - 1)^4"
-    model2 = pgonal_model(key_from_named(params, "K(0,1)"), line(params.modulus, (1, 0)), pts)
-    assert model2.exponents == (0, 1, 1, 3)
+    assert model_of("K(0,1)", (1, 0)).exponents == (0, 1, 1, 3)
     # leading finite exponent is 1 and the sum vanishes, whatever the line
     for key in enumerate_actions(params):
-        for ln in lines_of_plane(params.modulus):
-            exps = pgonal_model(key, ln).exponents
+        for entry in jacobian_decomposition(key).lines:
+            exps = entry.model.exponents
             assert sum(exps) % 5 == 0
             assert next(e for e in exps[1:] if e) == 1
 
@@ -218,9 +218,9 @@ def test_conjecture_probe_reports_m3():
 def test_hyperplane_count():
     for p, m in [(3, 2), (3, 3), (2, 4)]:
         modulus = PrimeModulus(p)
-        functionals = normalized_functionals(modulus, m)
+        functionals = _functionals(modulus, m).tolist()
         assert len(functionals) == (p**m - 1) // (p - 1)
-        kernels = {kernel_basis(FpMatrix(modulus, (f,), m)).entries for f in functionals}
+        kernels = {kernel_basis(FpMatrix(modulus, (tuple(f),), m)).entries for f in functionals}
         assert len(kernels) == len(functionals)
 
 
@@ -283,17 +283,13 @@ def test_quotient_genus_stays_exact_past_int64():
 
 
 def test_line_and_functional_tables_are_not_shared():
+    # the cached tables cannot be changed through what they hand out: tuples and read-only arrays
     modulus = PrimeModulus(5)
     key = key_from_named(ActionParams(5, 3, 2), "K(1,2)")
     before = jacobian_decomposition(key)
-    lines = lines_of_plane(modulus)
-    fresh = list(lines)
-    lines.reverse()
-    lines.append(FpMatrix(modulus, ((1, 1),)))
-    functionals = normalized_functionals(modulus, 2)
-    kept = list(functionals)
-    functionals.clear()
-    assert lines_of_plane(modulus) == fresh and normalized_functionals(modulus, 2) == kept
+    lines = _plane_tables(modulus)[0]
+    assert lines == ((0, 1), *((1, c) for c in range(5)))
+    assert tuple(entry.line for entry in before.lines) == lines
     for table in (*_plane_tables(modulus)[1:], _functionals(modulus, 2), _functionals(modulus, 3)):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
@@ -325,14 +321,14 @@ def test_jacobian_labels_change_only_labels(preset):
 def test_quotient_genus_integral_nonnegative(key, a, b):
     if (a, b) == (0, 0):
         return
-    sub = line(key.params.modulus, (a, b))
+    sub = subspace(key.params.modulus, [(a, b)])
     assert quotient_genus(key, sub) >= 0
 
 
 @pytest.mark.parametrize("p,n,m", [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 5, 2)])
 def test_quotient_genus_nonnegative_exhaustive(p, n, m):
     params = ActionParams(p, n, m)
-    lines = lines_of_plane(params.modulus)
+    lines = [subspace(params.modulus, [ln]) for ln in _plane_tables(params.modulus)[0]]
     for key in enumerate_actions(params):
         for ln in lines:
             assert quotient_genus(key, ln) >= 0  # raises on non-integrality
@@ -380,14 +376,14 @@ def test_quotient_genus_matches_element_listing(p, n, m):
 
 
 def _check_jacobian_by_listing(key, lines):
-    """``jacobian_decomposition(key)`` against lines given as (matrix, element set)."""
+    """``jacobian_decomposition(key)`` against lines given as (generator, element set)."""
     p = key.params.p
     images = key.images
     report = jacobian_decomposition(key)
     assert [entry.line for entry in report.lines] == [ln for ln, _ in lines]
     for entry, (ln, elements) in zip(report.lines, lines):
         genus = _oracle_genus(p, 2, elements, images)
-        assert entry.genus == genus == quotient_genus(key, ln)
+        assert entry.genus == genus == quotient_genus(key, subspace(key.params.modulus, [ln]))
         assert entry.fixed_points == p * sum(1 for img in images if img in elements)
         # exponent of x: the e with x - e*g in L, g the first finite image outside L
         g = next(img for img in images[1:] if img not in elements)
@@ -398,11 +394,11 @@ def _check_jacobian_by_listing(key, lines):
             )
             for img in images
         )
-        assert entry.model.exponents == exponents == pgonal_model(key, ln).exponents
+        assert entry.model.exponents == exponents
 
 
 def _listed_lines(modulus):
-    return [(ln, _elements(ln.entries, modulus.p, 2)) for ln in lines_of_plane(modulus)]
+    return [(ln, _elements([ln], modulus.p, 2)) for ln in _plane_tables(modulus)[0]]
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (3, 5), (7, 4), (2, 4), (2, 5)])
@@ -430,7 +426,7 @@ def test_jacobian_at_the_widest_modulus_matches_per_line_formula():
     assert len(report.lines) == p + 1
     xs, ys = zip(*key.images)
     for entry in report.lines:
-        ((a, b),) = entry.line.entries
+        a, b = entry.line
         values = [(b * x - a * y) % p for x, y in zip(xs, ys)]
         branched = len(values) - values.count(0)
         assert entry.genus == 1 - p + branched * p * (p - 1) // (2 * p)
@@ -462,21 +458,50 @@ def test_fiber_product_model_needs_m2(p, n, m):
         fiber_product_model(key)
 
 
+def _cramer_coordinates(key):
+    """The m = 2 basis rule by Cramer's rule: t, and (r_j, s_j) for every image, j = 1..n+1.
+
+    t + 1 is the first index whose image is not proportional to theta(a_1).
+    With D = det(theta(a_1), theta(a_{t+1})), the coordinates of v are
+    r(v) = det(v, theta(a_{t+1})) / D and s(v) = det(theta(a_1), v) / D.
+    """
+    params, images = key.params, key.images
+    p = params.p
+    a, b = images[0]
+    t = next(j for j in range(1, params.n) if (a * images[j][1] - b * images[j][0]) % p)
+    c, d = images[t]
+    scale = pow(a * d - b * c, -1, p)
+    return t, tuple(((x * d - y * c) * scale % p, (a * y - b * x) * scale % p) for x, y in images)
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 3), (3, 4), (7, 4), (3, 5), (2, 5)])
+def test_fiber_product_exponents_match_the_cramer_coordinates(p, n):
+    # y1 takes the s coordinates of the images, y2 the r coordinates
+    for key in enumerate_actions(ActionParams(p, n, 2)):
+        coords = _cramer_coordinates(key)[1]
+        model = fiber_product_model(key)
+        assert model.first.exponents == tuple(s for _, s in coords), key
+        assert model.second.exponents == tuple(r for r, _ in coords), key
+
+
 def _presentation_model(key):
-    """y1 and y2 exponents from the plane presentation's t, l, r, s and forced fields."""
+    """y1 and y2 exponents from the plane form's t, l, r, s (by Cramer's rule) and forced fields."""
     n, p = key.params.n, key.params.p
-    pres = classify_type(key)
+    t, coords = _cramer_coordinates(key)
+    l = [lj for lj, _ in coords[1:t]]  # theta(a_j) = l_j theta(a_1) for j = 2..t
+    r, s = zip(*coords[t + 1 : n]) if t + 1 < n else ((), ())  # j = t+2..n
+    forced_r, forced_s = -(1 + sum(l) + sum(r)) % p, -(1 + sum(s)) % p
     y1 = [0] * (n + 1)
     y2 = [0] * (n + 1)
-    y1[pres.t] = 1  # the factor (x - q_{t+1})
-    for j, lj in enumerate(pres.l, start=2):
+    y1[t] = 1  # the factor (x - q_{t+1})
+    for j, lj in enumerate(l, start=2):
         y2[j - 1] = lj
-    for j, (rj, sj) in enumerate(zip(pres.r, pres.s), start=pres.t + 2):
+    for j, (rj, sj) in enumerate(zip(r, s), start=t + 2):
         y1[j - 1] = sj
         y2[j - 1] = rj
-    y1[n] = pres.forced_s
-    y2[n] = pres.forced_r
-    y2[0] = (-(sum(pres.l) + sum(pres.r) + pres.forced_r)) % p  # infinity slot, always 1
+    y1[n] = forced_s
+    y2[n] = forced_r
+    y2[0] = (-(sum(l) + sum(r) + forced_r)) % p  # infinity slot, always 1
     return tuple(y1), tuple(y2)
 
 

@@ -14,6 +14,7 @@ from zpaction.enumeration import ActionParams, enumerate_actions, key_from_theta
 from zpaction.fpalgebra import FpMatrix
 from zpaction.hgroup import (
     Permutation,
+    ScaleCapError,
     _all_permutations,
     close_group,
     normalizer_in_symmetric,
@@ -47,8 +48,8 @@ def test_parse_cycles():
     u = parse_cycles("(1 2 3)(4 5 6)", 6)
     assert u.images == (2, 3, 1, 5, 6, 4)
     assert parse_cycles("(3 5)(4 6)", 6).images == (1, 2, 5, 6, 3, 4)
-    assert parse_cycles("()", 4).is_identity()
-    assert parse_cycles("", 4).is_identity()
+    assert parse_cycles("()", 4) == Permutation.identity(4)
+    assert parse_cycles("", 4) == Permutation.identity(4)
     assert parse_cycles("(1, 2)", 4) == parse_cycles("( 1 2 )", 4)
 
 
@@ -109,7 +110,7 @@ def test_close_group_d3():
 
 def test_close_group_empty():
     g = close_group([], degree=4)
-    assert g.order == 1 and g.elements[0].is_identity()
+    assert g.order == 1 and g.elements[0] == Permutation.identity(4)
 
 
 def test_close_group_dihedral():
@@ -118,11 +119,12 @@ def test_close_group_dihedral():
 
 
 def test_close_group_cap():
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ScaleCapError, match="cap"):
         close_group([parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)], cap=10)
     s3 = [parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)]
     assert close_group(s3, cap=6).order == 6  # the cap is the largest order admitted
-    with pytest.raises(ValueError, match="cap 5"):
+    message = r"^group closure exceeds cap 5 \(estimated group order, at least: 6\)$"
+    with pytest.raises(ScaleCapError, match=message):
         close_group(s3, cap=5)
 
 
@@ -262,7 +264,7 @@ def test_all_permutations_in_lexicographic_order(degree):
 
 
 def test_normalizer_degree_cap():
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(ScaleCapError, match="too large"):
         normalizer_in_symmetric(close_group([], degree=10))
 
 
@@ -333,7 +335,7 @@ def _random_groups(seed, count=3, max_order=5040):
             generators.append(Permutation(tuple(images)))
         try:
             groups.append(close_group(generators, degree=degree, cap=max_order))
-        except ValueError:  # over the order bound; draw again
+        except ScaleCapError:  # over the order bound; draw again
             continue
     return groups
 

@@ -6,15 +6,11 @@ import zpaction.predictions
 from action_oracle import act
 from zpaction import enumeration
 from zpaction.enumeration import (
-    NAMED_FORMS,
     ActionParams,
     AdmissibilityError,
     KeySet,
-    PlanePresentation,
     SubgroupKey,
     key_from_named,
-    key_from_presentation,
-    name_of_key,
 )
 from zpaction.fpalgebra import NotPrimeError
 from zpaction.classify import classify_triples, invariant_set
@@ -30,27 +26,28 @@ from zpaction.predictions import (
 from zpaction.hgroup import close_group, parse_cycles
 
 
-def names_of(keys):
-    return sorted(name_of_key(k) for k in keys.keys())
+def named_keys(p, *names):
+    """The n = 3 keys of ``names`` at p, sorted as a key set's keys are."""
+    return sorted(key_from_named(ActionParams(p, 3, 2), name) for name in names)
 
 
 def test_q4_p7_single_member():
-    assert names_of(predicted_invariant_set("N3_Q4", 7)) == ["K(6,0)"]
+    assert predicted_invariant_set("N3_Q4", 7).keys() == named_keys(7, "K(6,0)")
 
 
 def test_q4_p5_includes_corrected_pairs():
     # roots of s^2+2s+2 mod 5 are 1 and 2; the invariant groups are K(s+1, s)
-    assert names_of(predicted_invariant_set("N3_Q4", 5)) == ["K(2,1)", "K(3,2)", "K(4,0)"]
+    assert predicted_invariant_set("N3_Q4", 5).keys() == named_keys(5, "K(2,1)", "K(3,2)", "K(4,0)")
 
 
 def test_q6_p5():
-    assert names_of(predicted_invariant_set("N3_Q6", 5)) == ["K(1)", "K(2,2)", "K(4)"]
+    assert predicted_invariant_set("N3_Q6", 5).keys() == named_keys(5, "K(1)", "K(2,2)", "K(4)")
 
 
 def test_q3_branches():
     assert predicted_invariant_set("N3_Q3", 3).keys() == []
     assert predicted_invariant_set("N3_Q3", 5).keys() == []  # 5 = 2 mod 3
-    assert names_of(predicted_invariant_set("N3_Q3", 7)) == ["K(1,4)", "K(5,2)"]
+    assert predicted_invariant_set("N3_Q3", 7).keys() == named_keys(7, "K(1,4)", "K(5,2)")
 
 
 def test_d3_p2_members():
@@ -173,13 +170,11 @@ def test_family_members_all_admissible():
 
 
 def _per_member_keys(case, p):
-    """The members one at a time, each through its plane presentation and rref: the old route."""
+    """The members one at a time, each a validated ``named_key``: the old route."""
     params = ActionParams(p, 3 if case.startswith("N3") else 5, 2)
-    forms = NAMED_FORMS[zpaction.predictions._FAMILIES.get(case, "n3")]
-    return sorted(
-        key_from_presentation(PlanePresentation(params, *forms[form, len(args)](*args)))
-        for form, *args in _members(case, p)
-    )
+    family = zpaction.predictions._FAMILIES.get(case, "n3")
+    members = _members(case, p)
+    return sorted(enumeration.named_key(params, family, form, *args) for form, *args in members)
 
 
 def _oracle_cases():
@@ -208,7 +203,6 @@ def test_predicted_route_builds_no_key_or_presentation_and_runs_no_rref(monkeypa
         raise AssertionError("called on the closed-form route")
 
     monkeypatch.setattr(enumeration, "rref", refuse)
-    monkeypatch.setattr(PlanePresentation, "__post_init__", refuse)
     assert [key_from_named(*name) for name in names] == resolved
     monkeypatch.setattr(SubgroupKey, "__post_init__", refuse)
     for (case, p), keys in expected.items():
