@@ -37,9 +37,10 @@ pivot columns, so ``_fixed_masks`` finds fixed keys without
 re-echelonizing.  Orbit closure moves the whole array by one generator
 at a time: at m <= 2 it reads each moved key's rref in closed form
 (``_rref_columns``), at m >= 3 it re-echelonizes in a narrow unsigned
-dtype.  It finds each image's row by binary search and merges orbits by
-minimum-label propagation in ``hgroup.orbit_labels``, which labels
-conjugacy classes too.
+dtype.  It finds each image's row by binary search, with each block's
+images sorted first so that every probe starts near the last one
+(``KeySet.rows_of``), and merges orbits by minimum-label propagation in
+``hgroup.orbit_labels``, which labels conjugacy classes too.
 
 The invariant keys of the whole space come from one candidate stream,
 ``_stable_candidates``, never from the table: the generators mask each

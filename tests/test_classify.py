@@ -156,6 +156,15 @@ def test_orbit_partition_action_leaves_set():
         orbit_partition(KeySet.of(P5, keys), S4)
 
 
+@pytest.mark.parametrize("params", [ActionParams(5, 5, 2), ActionParams(3, 4, 3)])
+def test_orbit_partition_of_a_set_missing_one_key(params):
+    # one key gone from the middle of a whole space: the sorted lookup still sees the miss
+    rows = KeySet.full(params).rows
+    missing_one = KeySet(params, np.delete(rows, len(rows) // 2, axis=0))
+    with pytest.raises(ActionOutsideSetError):
+        orbit_partition(missing_one, symmetric_group(params.n + 1))
+
+
 def test_burnside_matches_partition():
     keys = KeySet.full(P5)
     assert count_orbits_burnside(keys, S4) == 4

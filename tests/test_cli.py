@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zpaction
+from zpaction import cli
 from zpaction.cli import _json, main
+from zpaction.enumeration import ActionParams, theta_table
 
 
 def run_cli(args, capsys):
@@ -877,6 +879,126 @@ _DOCUMENTS = st.recursive(
 @given(doc=_DOCUMENTS | st.lists(_TEXT) | st.dictionaries(_TEXT, st.lists(_TEXT)))
 def test_json_writer_matches_json_dumps(doc):
     assert _json(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+def _plain(value):
+    """A document with each ``_Lines`` as the list of strings it stands for."""
+    if isinstance(value, cli._Lines):
+        return value.text.split("\n")
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return [_plain(item) for item in value] if isinstance(value, list) else value
+
+
+def _digits(digit_string: str) -> list[int]:
+    return [int(digit) for digit in digit_string.replace(";", ",").split(",")]
+
+
+_DIGIT_LINES = st.lists(st.from_regex(r"[0-9,;]*", fullmatch=True), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.dictionaries(_TEXT, st.lists(st.fixed_dictionaries(
+    {"rep": _TEXT, "members": _DIGIT_LINES.map(lambda lines: cli._Lines("\n".join(lines)))}
+), max_size=3)))
+def test_json_writer_expands_lines_like_json_dumps(doc):
+    assert _json(doc) == json.dumps(_plain(doc), indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--p", "3", "--n", "3"],
+        ["orbits", "--p", "11", "--n", "3", "--m", "1"],
+        ["orbits", "--p", "3", "--n", "4", "--m", "3"],
+        ["orbits", "--p", "113", "--n", "3"],
+        ["orbits", "--p", "5", "--n", "3", "--group", "()"],  # every orbit has one member
+        ["triples", "--p", "3", "--n", "3", "--group", "(1 2)(3 4)"],
+        ["triples", "--p", "11", "--n", "3", "--m", "1", "--group", "(1 2)"],
+        ["triples", "--p", "3", "--n", "4", "--m", "3", "--group", "(1 2)"],
+        ["triples", "--p", "113", "--n", "3", "--group", "(1 2)(3 4)"],
+        ["triples", "--p", "5", "--n", "3", "--group", "(1 2)(3 4)", "--group", "(2 3 4)"],  # no orbits
+    ],
+)
+def test_orbit_listing_documents_write_as_json_dumps(argv):
+    args = cli._parse_args([*argv, "--format", "json"])
+    doc = cli._COMMANDS[args.command][0](args)
+    plain = _plain(doc)
+    assert _json(doc) == json.dumps(plain, indent=2, ensure_ascii=False)
+    orbits, keys = plain["orbits"], plain.get("invariant_count")
+    if keys is None:
+        keys = len(theta_table(ActionParams(args.p, args.n, args.m)))
+    assert len(orbits) == plain["count"] and sum(orbit["size"] for orbit in orbits) == keys
+    for orbit in orbits:
+        assert orbit["members"][0] == orbit["rep"] and len(orbit["members"]) == orbit["size"]
+        assert orbit["members"] == sorted(orbit["members"], key=_digits)
+    if argv[-1] == "()":
+        assert {orbit["size"] for orbit in orbits} == {1}
+
+
+# a representative argument list per subcommand, with every option it takes where it fits
+_ARGV = {
+    "enumerate": ["--p", "5", "--n", "3", "--format", "csv", "--max-candidates", "9"],
+    "orbits": ["--p", "5", "--n", "3", "--m", "1", "--group", "(1 2)", "--group", "(3 4)", "--output", "o"],
+    "invariants": ["--p", "7", "--n", "5", "--group", "(1 2)(3 4)(5 6)", "--format", "json"],
+    "triples": ["--p", "7", "--n", "5", "--mode", "predicted", "--group", "(1 2 3)(4 5 6)"],
+    "models": ["--p", "5", "--n", "3", "--name", "K(0,1)", "--labels", "lambda"],
+    "jacobian": ["--p", "5", "--n", "5", "--family", "d3", "--key", "1,0;0,1", "--format", "csv"],
+    "table": ["--which", "n3-orbits", "--primes", "3,5", "--mode", "exhaustive"],
+    "verify": [],
+}
+
+
+def _both_routes(argv, capsys):
+    """(outcome, stdout) of the full parser and of the named subcommand's parser alone."""
+    results = []
+    for parse in (lambda: cli.build_parser().parse_args(argv), lambda: cli._parse_args(argv)):
+        try:
+            outcome = parse()
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        except cli.UsageError as exc:
+            outcome = ("usage error", str(exc))
+        results.append((outcome, capsys.readouterr().out))
+    return results
+
+
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+def test_one_subcommand_parser_equals_the_full_parser(command, monkeypatch, capsys):
+    assert sorted(_ARGV) == sorted(cli._SUBCOMMANDS)
+    argv = [command, *_ARGV[command]]
+    cases = [[command, "--help"], argv, [*argv, "--bogus", "1"]]
+    if command != "verify":
+        cases.append([command])  # missing required arguments
+    single_route = []
+    for case in cases:
+        full, single = _both_routes(case, capsys)
+        assert full == single, case
+        single_route.append(single)
+    (help_exit, help_out), (parsed, _), (unknown, _), *missing = single_route
+    assert help_exit == ("exit", 0) and help_out.startswith(f"usage: zpaction {command} [-h]")
+    assert parsed.command == command
+    assert unknown == ("usage error", "unrecognized arguments: --bogus 1")
+    for (kind, message), _ in missing:
+        assert kind == "usage error" and message.startswith("the following arguments are required: ")
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the full parser was built"))
+    assert cli._parse_args(argv) == parsed
+
+
+def test_the_full_parser_takes_every_other_argument_list(monkeypatch, capsys):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    with pytest.raises(SystemExit) as exited:
+        main(["--version"])
+    assert (exited.value.code, capsys.readouterr().out) == (0, f"zpaction {zpaction.__version__}\n")
+    assert run_cli([], capsys) == (1, "", "usage error: the following arguments are required: command\n")
+    code, out, err = run_cli(["frobnicate", "--p", "5"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: argument command: invalid choice: 'frobnicate'")
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0 and capsys.readouterr().out.startswith("usage: zpaction [-h] [--version]")
+    assert built == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("command", ["models", "jacobian"])

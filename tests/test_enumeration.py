@@ -57,7 +57,7 @@ def test_enumeration_sorted_and_valid():
         assert all(any(v) for v in k.images)  # all n+1 images nonzero
 
 
-@pytest.mark.parametrize("p,n,m", [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 4, 2)])
+@pytest.mark.parametrize("p,n,m", [(3, 3, 2), (5, 3, 2), (2, 5, 2), (3, 4, 2), (3, 4, 1), (2, 5, 3)])
 def test_oracle_equivalence(p, n, m):
     params = ActionParams(p, n, m)
     assert enumerate_actions(params) == brute_force_oracle(params)
@@ -103,6 +103,29 @@ def test_theta_table_rows_come_in_digit_order(p, n, m):
     assert np.array_equal(theta_table(ActionParams(p, n, m)), walk[np.lexsort(flat[:, ::-1].T)])
 
 
+def _admissible_reference(matrix, p: int) -> bool:
+    """Every column nonzero, and the implied image of a_{n+1}, minus the row sums, nonzero."""
+    return all(any(column) for column in zip(*matrix)) and any(sum(row) % p for row in matrix)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 13, 65521])
+def test_admissible_matches_the_per_matrix_reference(p, m):
+    # any (m, n) matrices, not only rref ones: random digits, zero columns and zero row sums mod p
+    n, rng = 5, np.random.default_rng(p + m)
+    dtype = enumeration.digit_dtype(p)
+    mats = rng.integers(0, p, size=(300, m, n)).astype(dtype)
+    mats[:40, :, rng.integers(0, n)] = 0  # a zero column
+    mats[40:120, :, -1] = (-mats[40:120, :, :-1].sum(axis=2, dtype=np.int64)) % p  # row sums 0 mod p
+    if p == 65521:
+        mats[120:200] = rng.integers(p - 8, p, size=(80, m, n))
+        assert (mats.sum(axis=2, dtype=np.int64) >= 1 << 16).any()  # uint16 sums would wrap
+    mask = enumeration._admissible(mats, p)
+    assert mask.tolist() == [_admissible_reference(matrix, p) for matrix in mats.tolist()]
+    assert mask.any() and not mask[:120].any()  # the first 120 all fail, and some pass
+    assert enumeration._admissible(np.zeros((0, m, n), dtype), p).shape == (0,)
+
+
 def matrices(keys):
     return np.array([key.theta.entries for key in keys])
 
@@ -135,6 +158,21 @@ def test_key_set_rows_of_misses_raise_key_error():
         with pytest.raises(KeyError):
             key_set.rows_of(matrices(keys))
     assert KeySet.of(params, []).rows_of(np.zeros((0, 2, 3), np.uint8)).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [5, 1451])
+def test_key_set_rows_of_unsorted_targets_with_repeats(p):
+    # int64 codes at p = 5, byte codes at p = 1451: rows scattered back to the targets' order
+    params = ActionParams(p, 3, 2)
+    key_set = KeySet.full(params) if p == 5 else _sampled_key_set(params, 500, 3)
+    row_of = {tuple(row): i for i, row in enumerate(key_set.rows.reshape(len(key_set), 6).tolist())}
+    picks = np.random.default_rng(p).integers(0, len(key_set), size=3 * len(key_set))
+    targets = key_set.rows[picks]
+    expected = [row_of[tuple(row)] for row in targets.reshape(len(targets), 6).tolist()]
+    assert key_set.rows_of(targets).tolist() == expected == picks.tolist()
+    absent = KeySet.from_rows(params, np.delete(key_set.rows, picks[7], axis=0))
+    with pytest.raises(KeyError):
+        absent.rows_of(targets)
 
 
 @pytest.mark.parametrize("p, kind", [(1447, "i"), (1451, "V")])
@@ -201,6 +239,20 @@ def test_digit_strings_of_rows_in_any_order():
     order = np.random.default_rng(2).permutation(len(key_set))
     expected = [key_set.keys()[i].digit_string() for i in order]
     assert enumeration.digit_strings_of(params, key_set.rows[order]) == expected
+
+
+@pytest.mark.parametrize("block", [7, enumeration._BLOCK])
+def test_digit_text_lines_and_ends(block, monkeypatch):
+    params = ActionParams(113, 3, 2)
+    key_set = _sampled_key_set(params, 40, 4)
+    strings = [key.digit_string() for key in key_set.keys()]
+    monkeypatch.setattr(enumeration, "_BLOCK", block)
+    text, ends = enumeration.digit_text(params, key_set.rows)
+    assert text == "\n".join(strings) and len(strings) > 3 * 7
+    starts = [0] + [end + 1 for end in ends.tolist()[:-1]]
+    assert [text[a:b] for a, b in zip(starts, ends.tolist())] == strings
+    assert enumeration.digit_text(params, key_set.rows[:0])[0] == ""
+    assert enumeration.digit_text(params, key_set.rows[:0])[1].shape == (0,)
 
 
 def test_digit_strings_build_no_table_of_the_modulus():
