@@ -103,9 +103,9 @@ class SubgroupKey:
             raise AdmissibilityError("theta is not in reduced row-echelon form")
         if not all(map(any, theta.entries)):  # an rref matrix's rank is its nonzero row count
             raise AdmissibilityError(f"theta has rank < m = {params.m}")
-        for j, column in enumerate(zip(*theta.entries), start=1):
-            if not any(column):
-                raise AdmissibilityError(f"generator a_{j} lies in the subgroup")
+        if not all(map(any, zip(*theta.entries))):
+            j = next(j for j, column in enumerate(zip(*theta.entries), start=1) if not any(column))
+            raise AdmissibilityError(f"generator a_{j} lies in the subgroup")
         if not any(sum(row) % params.p for row in theta.entries):
             raise AdmissibilityError(f"generator a_{params.n + 1} lies in the subgroup")
 
@@ -134,9 +134,9 @@ class SubgroupKey:
 
 def key_from_digit_string(params: ActionParams, text: str) -> SubgroupKey:
     """The key whose ``digit_string`` is ``text``; digits outside 0..p-1 are a ValueError."""
-    p, rows = params.p, tuple(tuple(map(int, row.split(","))) for row in text.split(";"))
-    if any(not 0 <= digit < p for row in rows for digit in row):
-        raise ValueError(f"digit string {text!r} has a digit outside 0..{p - 1}")
+    rows = [list(map(int, row.split(","))) for row in text.split(";")]
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= params.p:
+        raise ValueError(f"digit string {text!r} has a digit outside 0..{params.p - 1}")
     return SubgroupKey(params, FpMatrix(params.modulus, rows, params.n))
 
 

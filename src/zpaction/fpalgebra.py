@@ -54,7 +54,7 @@ class PrimeModulus:
         return tuple(inv)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FpMatrix:
     """An immutable matrix over F_p.
 
@@ -68,7 +68,7 @@ class FpMatrix:
 
     def __post_init__(self) -> None:
         p = self.modulus.p
-        rows = tuple(tuple(int(e) % p for e in row) for row in self.entries)
+        rows = tuple([tuple([int(e) % p for e in row]) for row in self.entries])
         object.__setattr__(self, "entries", rows)
         cols = self.cols
         if rows:
@@ -138,16 +138,17 @@ def rref(matrix: FpMatrix) -> tuple[FpMatrix, int]:
 
 def is_rref(matrix: FpMatrix) -> bool:
     """Structural check: leading 1s, strictly increasing pivots, pivot columns clear."""
-    last_pivot = -1
-    seen_zero_row = False
-    for row in matrix.entries:
-        pivot = next((j for j, e in enumerate(row) if e), None)
-        if pivot is None:
+    entries = matrix.entries
+    last_pivot, seen_zero_row, others = -1, False, len(entries) - 1
+    for row in entries:
+        lead = next(filter(None, row), 0)  # the first nonzero entry
+        if not lead:
             seen_zero_row = True
             continue
-        if seen_zero_row or pivot <= last_pivot or row[pivot] != 1:
+        pivot = row.index(lead)
+        if seen_zero_row or pivot <= last_pivot or lead != 1:
             return False
-        if any(other[pivot] for other in matrix.entries if other is not row):
+        if [other[pivot] for other in entries].count(0) != others:  # only this row's 1 is nonzero
             return False
         last_pivot = pivot
     return True

@@ -26,6 +26,14 @@ keeps the arithmetic uniform with no special cases.
 Line and hyperplane functionals are read-only int64 arrays cached per
 modulus (and m).  One product with the images gives an (H, n+1) value
 matrix, and every genus, fixed-point count and exponent row follows on it.
+An index-p quotient's genus depends only on its number of branched
+points, so the Jacobian lines and the hyperplane probe read their genera
+from a read-only table with one entry per count 0..n+1 (``_genus_table``,
+cached per modulus, n and deck order); an entry of -1 marks a count whose
+Riemann-Hurwitz genus is not a nonnegative integer, and such a count is
+handed to ``_riemann_hurwitz`` for its error.  The lines' models are built
+without ``CurveModel.__post_init__``: its exponent checks run once on the
+whole exponent matrix, and ``JacobianReport`` checks the two sums.
 """
 
 from __future__ import annotations
@@ -196,6 +204,13 @@ def _value_matrix(key: SubgroupKey, functionals: np.ndarray) -> np.ndarray:
     return np.asarray(functionals, dtype=np.int64) @ np.array(key.images, dtype=np.int64).T % key.params.p
 
 
+def _genus_formula(p: int, deck: int, branched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 - deck + branched (deck/p)(p - 1)/2 per entry, and where that is no nonnegative integer."""
+    ramified = branched * (deck * (p - 1))  # the ramification's share of g, times 2p
+    genera = 1 - deck + ramified // (2 * p)
+    return genera, (ramified % (2 * p) != 0) | (genera < 0)
+
+
 def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: np.ndarray) -> np.ndarray:
     """Riemann-Hurwitz genus of S/L from its deck order and each entry's number of branched points.
 
@@ -207,9 +222,8 @@ def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: np.ndarray) -> np.nd
     where deck (p - 1)(n + 1) would overflow int64.
     """
     p = key.params.p
-    ramified = branched * (deck * (p - 1))  # the ramification's share of g, times 2p
-    genera = 1 - deck + ramified // (2 * p)
-    bad = np.flatnonzero((ramified % (2 * p) != 0) | (genera < 0))
+    genera, bad = _genus_formula(p, deck, branched)
+    bad = np.flatnonzero(bad)
     if bad.size:
         count = int(branched[bad[0]])
         shown = Fraction(2 * p * (1 - deck) + count * deck * (p - 1), 2 * p)
@@ -217,6 +231,30 @@ def _riemann_hurwitz(key: SubgroupKey, deck: int, branched: np.ndarray) -> np.nd
             f"quotient genus came out as {shown} for key {key}, deck order {deck} "
             f"and {count} branched points"
         )
+    return genera
+
+
+@lru_cache(maxsize=None)
+def _genus_table(modulus: PrimeModulus, n: int, deck: int) -> np.ndarray:
+    """Riemann-Hurwitz genus of S/L at each branched count 0..n+1, or -1 where it is no nonnegative integer.
+
+    Computed in exact Python ints; the genera of index-p quotients are then
+    one lookup of their counts.
+    """
+    genera, bad = _genus_formula(modulus.p, deck, np.arange(n + 2, dtype=object))
+    return _read_only(np.where(bad, -1, genera).astype(np.int64))
+
+
+def _index_p_genera(key: SubgroupKey, branched: np.ndarray) -> list[int]:
+    """Genera of index-p quotients S/L from their branched counts, read from the genus table.
+
+    A count whose entry is -1 goes to ``_riemann_hurwitz``, which raises
+    its VerificationError for the first such count.
+    """
+    params = key.params
+    genera = _genus_table(params.modulus, params.n, params.p)[branched].tolist()
+    if -1 in genera:
+        return _riemann_hurwitz(key, params.p, branched).tolist()
     return genera
 
 
@@ -334,8 +372,8 @@ def jacobian_decomposition(key: SubgroupKey, points: MarkedPoints | None = None)
         raise ValueError("one exponent per marked point required")
     lines, functionals, _ = _plane_tables(modulus)
     values = _value_matrix(key, functionals)
-    branched = np.count_nonzero(values, axis=1)
-    genera = _riemann_hurwitz(key, p, branched).tolist()
+    branched = (values != 0).sum(axis=1)
+    genera = _index_p_genera(key, branched)
     fixed = (p * (params.n + 1 - branched)).tolist()
     exponents = _pgonal_exponents(key, values).tolist()
     entries, assign = [], object.__setattr__
@@ -371,8 +409,8 @@ def conjecture_probe(key: SubgroupKey) -> ConjectureProbe:
     if params.m < 2:
         raise ValueError("the probe needs m >= 2")
     values = _value_matrix(key, _functionals(params.modulus, params.m))
-    genera = _riemann_hurwitz(key, params.p, np.count_nonzero(values, axis=1))
-    return ConjectureProbe(int(genera.sum()), total_genus(params.p, params.n, params.m))
+    genera = _index_p_genera(key, (values != 0).sum(axis=1))
+    return ConjectureProbe(sum(genera), total_genus(params.p, params.n, params.m))
 
 
 # ---------------------------------------------------------------------------

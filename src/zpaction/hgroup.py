@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 DEFAULT_CLOSURE_CAP = math.factorial(10)
+_CLOSURE_CHUNK = 1 << 16  # products merged at once in a closure: its most rows past the cap
 MAX_NORMALIZER_DEGREE = 9
 
 
@@ -279,18 +280,31 @@ def _closure(generators: np.ndarray, elements: np.ndarray, cap: int = DEFAULT_CL
     It grows from ``elements``, the sorted rows of a subgroup (at least the
     identity), one level at a time: the last level's rows are multiplied
     on the left by every generator at once, (g a)[j] = g[a[j]], and the
-    products with new codes form the next level.  Raises ScaleCapError
-    once there are more than ``cap`` rows.
+    products with new codes form the next level.  A level is merged at most
+    ``_CLOSURE_CHUNK`` products at a time into the sorted codes of the rows
+    found so far, and ScaleCapError is raised once there are more than
+    ``cap`` rows, so no more than one chunk past the cap is built.
     """
-    frontier, degree = elements, elements.shape[1]
+    degree = elements.shape[1]
+    codes, found, frontier = row_codes(elements, degree), [elements], elements  # codes stay sorted
+    step = max(1, _CLOSURE_CHUNK // max(1, len(generators)))  # frontier rows per chunk
     while len(frontier):
-        products = generators[:, frontier].reshape(-1, degree)
-        merged = np.concatenate([elements, products])
-        _, first = np.unique(row_codes(merged, degree), return_index=True)  # known rows first
-        frontier, elements = merged[first[first >= len(elements)]], merged[first]
-        if len(elements) > cap:
-            raise ScaleCapError(f"group closure exceeds cap {cap}", len(elements), "group order, at least")
-    return elements
+        level = []
+        for start in range(0, len(frontier), step):
+            products = generators[:, frontier[start : start + step]].reshape(-1, degree)
+            product_codes, first = np.unique(row_codes(products, degree), return_index=True)
+            at = np.searchsorted(codes, product_codes)
+            new = codes[np.minimum(at, len(codes) - 1)] != product_codes
+            if not new.any():  # always so on the last level
+                continue
+            codes = np.insert(codes, at[new], product_codes[new])
+            level.append(products[first[new]])
+            if len(codes) > cap:
+                raise ScaleCapError(f"group closure exceeds cap {cap}", len(codes), "group order, at least")
+        found += level
+        frontier = np.concatenate(level) if level else level
+    rows = np.concatenate(found)
+    return rows[np.argsort(row_codes(rows, degree), kind="stable")]
 
 
 def _all_permutations(degree: int) -> np.ndarray:

@@ -25,6 +25,8 @@ test suite confirm it.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .enumeration import ActionParams, KeySet, VerificationError, _admissible, named_key, named_rows
@@ -128,13 +130,29 @@ def _members(case: str, p: int) -> list[tuple]:
     return members
 
 
+def _member_rows(family: str, members: list[tuple], n: int) -> np.ndarray:
+    """The members' ``named_rows``, in member order, as one (members, 2, n) array, not reduced mod p.
+
+    Each run of consecutive members of one form calls its ``NAMED_FORMS``
+    entry once, on an array per parameter; constant entries are broadcast.
+    """
+    blocks = [np.empty((0, 2, n), dtype=np.int64)]
+    for (form, arity), run in itertools.groupby(members, key=lambda member: (member[0], len(member) - 1)):
+        values = [member[1:] for member in run]
+        args = np.array(values, dtype=np.int64).reshape(len(values), arity)
+        first, second = named_rows(family, form, *args.T)
+        entries = [np.broadcast_to(np.asarray(e, dtype=np.int64), len(args)) for e in first + second]
+        blocks.append(np.stack(entries, axis=1).reshape(-1, 2, n))
+    return np.concatenate(blocks)
+
+
 def predicted_invariant_set(case: str, p: int) -> KeySet:
     """The invariant subgroups of a case at prime p: its members' rows, stacked, as a key set."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
     n, _ = _CASE_GENERATORS[case]
     params, family, members = ActionParams(p, n, 2), _FAMILIES.get(case, "n3"), _members(case, p)
-    rows = np.array([named_rows(family, *x) for x in members], dtype=np.int64).reshape(-1, 2, n) % p
+    rows = _member_rows(family, members, n) % p
     bad = np.flatnonzero(~_admissible(rows, p))
     if len(bad):  # the first inadmissible member raises its own AdmissibilityError
         named_key(params, family, *members[bad[0]])

@@ -1,15 +1,25 @@
 import itertools
 import math
+import pickle
 import random
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fp_oracle import SingularMatrixError, mat_inverse
 from zpaction import enumeration
-from zpaction.fpalgebra import FpMatrix, NotPrimeError, PrimeModulus, kernel_basis, rref
+from zpaction.fpalgebra import (
+    DimensionMismatchError,
+    FpMatrix,
+    NotPrimeError,
+    PrimeModulus,
+    kernel_basis,
+    rref,
+)
 from zpaction.enumeration import (
     NAMED_FORMS,
     ActionParams,
@@ -298,10 +308,59 @@ def test_subgroup_key_validation():
     (5, ((1, 0, 4), (0, 1, 4)), "generator a_4 lies in the subgroup"),
     (5, ((1, 0), (0, 1)), "theta must be 2x3, got 2x2"),
     (7, ((1, 0, 1), (0, 1, 1)), "theta modulus differs from params"),
+    (5, ((1, 0, 0), (0, 0, 1)), "generator a_2 lies in the subgroup"),
+    (5, ((0, 1, 0), (0, 0, 1)), "generator a_1 lies in the subgroup"),
 ])
 def test_subgroup_key_admissibility_messages(p, rows, message):
     with pytest.raises(AdmissibilityError, match=f"^{re.escape(message)}$"):
         SubgroupKey(ActionParams(5, 3, 2), FpMatrix(PrimeModulus(p), rows))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((1, 0, 0, 0, 2), (0, 0, 0, 1, 3)), "generator a_2 lies in the subgroup"),  # a_2 and a_3 both vanish
+    (((1, 2, 0, 0, 0), (0, 0, 1, 0, 4)), "generator a_4 lies in the subgroup"),
+    (((1, 1, 0, 1, 2), (0, 0, 1, 3, 1)), "generator a_6 lies in the subgroup"),  # the sums are 0 mod 5
+])
+def test_first_vanishing_image_names_the_error(rows, message):
+    with pytest.raises(AdmissibilityError, match=f"^{re.escape(message)}$"):
+        SubgroupKey(ActionParams(5, 5, 2), FpMatrix(PrimeModulus(5), rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 4, 2), (3, 3, 1), (5, 3, 2), (7, 5, 3), (31, 4, 2)]), st.data())
+def test_images_are_the_columns_and_minus_the_row_sums(pnm, data):
+    p, n, m = pnm
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    try:
+        key = key_from_theta(ActionParams(p, n, m), rows)
+    except AdmissibilityError:
+        assume(False)
+    entries = key.theta.entries
+    assert key.images == tuple(zip(*entries)) + (tuple(-sum(row) % p for row in entries),)
+    # images takes no part in eq, hash or repr
+    twin = SubgroupKey(key.params, key.theta)
+    object.__setattr__(twin, "images", ())
+    assert twin == key and hash(twin) == hash(key) and repr(twin) == repr(key)
+    assert "images" not in repr(key)
+
+
+def test_key_pickle_round_trip():
+    key = key_from_digit_string(ActionParams(7, 5, 2), "1,0,3,0,5;0,1,2,6,4")
+    restored = pickle.loads(pickle.dumps(key))
+    assert restored == key and hash(restored) == hash(key) and restored.images == key.images
+
+
+def test_digit_string_rejects_ragged_and_empty_rows():
+    params = ActionParams(5, 3, 2)
+    with pytest.raises(DimensionMismatchError, match="^rows of unequal length$"):
+        key_from_digit_string(params, "1,0,2;0,1")
+    with pytest.raises(DimensionMismatchError, match="^rows of unequal length$"):
+        key_from_digit_string(params, "1,0;0,1")  # both rows short of n = 3
+    for text in ("1,0,2;", ";0,1,4", "1,0,2;;0,1,4", ""):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            key_from_digit_string(params, text)
+    with pytest.raises(AdmissibilityError, match=r"^theta must be 2x3, got 1x3$"):
+        key_from_digit_string(params, "1,0,2")
 
 
 def test_digit_string_round_trip():

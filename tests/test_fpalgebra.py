@@ -1,8 +1,11 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fp_oracle import SingularMatrixError, mat_inverse
+from fp_oracle import SingularMatrixError, is_rref_by_scan, mat_inverse
 from zpaction.fpalgebra import (
     DimensionMismatchError,
     FpMatrix,
@@ -125,6 +128,55 @@ def test_rref_idempotent_and_rank(mat):
     assert rank == rank2
     assert is_rref(reduced)
     assert 0 <= rank <= min(mat.rows, mat.cols)
+
+
+@st.composite
+def near_rref_matrices(draw):
+    """Random matrices, their rref, and either with zero rows inserted or one entry changed."""
+    mat = draw(matrices())
+    if draw(st.booleans()):
+        mat = rref(mat)[0]
+    rows = list(mat.entries)
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * mat.cols)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, mat.cols - 1))
+        rows[i] = rows[i][:j] + (draw(st.integers(0, mat.p - 1)),) + rows[i][j + 1 :]
+    return FpMatrix(mat.modulus, tuple(rows), mat.cols)
+
+
+@settings(max_examples=400)
+@given(near_rref_matrices())
+def test_is_rref_matches_the_entry_scan(mat):
+    assert is_rref(mat) == is_rref_by_scan(mat)
+
+
+def test_is_rref_edge_cases():
+    m = PrimeModulus(5)
+    for rows, expected in [
+        ((), True),
+        (((0, 0, 0),), True),
+        (((1, 0, 2), (0, 0, 0)), True),
+        (((0, 0, 0), (1, 0, 2)), False),  # a zero row above a pivot
+        (((1, 0, 2), (0, 1, 3), (0, 0, 0), (0, 0, 0)), True),
+        (((1, 0, 2), (1, 0, 2)), False),  # one row twice: the pivots do not increase
+        (((2, 0, 1),), False),  # leading entry not 1
+        (((1, 1, 0), (0, 1, 0)), False),  # pivot column not cleared above
+        (((0, 1, 0), (1, 0, 0)), False),
+    ]:
+        mat = FpMatrix(m, rows, 3)
+        assert is_rref(mat) is expected is is_rref_by_scan(mat), rows
+
+
+@given(matrices())
+def test_matrix_equality_hash_and_pickle(mat):
+    # a slots class: equal entries compare and hash alike, pickling round-trips, fields stay frozen
+    twin = FpMatrix(mat.modulus, [list(row) for row in mat.entries], mat.cols)
+    assert twin == mat and hash(twin) == hash(mat) and twin.entries == mat.entries
+    restored = pickle.loads(pickle.dumps(mat))
+    assert restored == mat and hash(restored) == hash(mat) and restored.entries == mat.entries
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mat.cols = 0
 
 
 @given(matrices())

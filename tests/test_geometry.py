@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from action_oracle import act
+from zpaction import geometry
 from zpaction.fpalgebra import FpMatrix, PrimeModulus, kernel_basis
 from zpaction.enumeration import (
     ActionParams,
@@ -21,8 +23,11 @@ from zpaction.geometry import (
     ConjectureProbe,
     CurveModel,
     FiberProductModel,
+    JacobianLine,
+    JacobianReport,
     MarkedPoints,
     _functionals,
+    _genus_table,
     _pgonal_exponents,
     _plane_tables,
     _riemann_hurwitz,
@@ -273,6 +278,79 @@ def test_index_p_genera_match_riemann_hurwitz_count_by_count():
                     _riemann_hurwitz(key, p, counts)
             else:
                 assert _riemann_hurwitz(key, p, counts).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 31, 65521])
+def test_genus_table_matches_riemann_hurwitz_count_by_count(p):
+    # one exact call per count; -1 marks the counts where Riemann-Hurwitz raises
+    key = key_from_theta(ActionParams(p, 4, 2), [[1, 0, 1, 1], [0, 1, 1, 0]])
+    for n in range(2, 8):
+        for deck in (p, p * p):
+            table = _genus_table(PrimeModulus(p), n, deck)
+            assert table.dtype == np.int64 and table.shape == (n + 2,) and not table.flags.writeable
+            for branched in range(n + 2):
+                try:
+                    expected = _riemann_hurwitz(key, deck, np.array([branched], dtype=object))[0]
+                except VerificationError:
+                    expected = -1
+                assert table[branched] == expected, (n, deck, branched)
+
+
+def _inconsistent_values(real, row, count):
+    """``real``'s value matrix with row ``row`` replaced by one with ``count`` nonzero entries."""
+    def values(key, functionals):
+        out = real(key, functionals).copy()
+        out[row] = 0
+        out[row, :count] = 1
+        return out
+    return values
+
+
+@pytest.mark.parametrize("p, n, row, count", [(5, 3, 2, 0), (5, 3, 4, 1), (2, 4, 1, 3), (31, 4, 7, 1)])
+def test_inconsistent_count_raises_the_riemann_hurwitz_error(p, n, row, count, monkeypatch):
+    # a branched count the genus table marks -1 raises _riemann_hurwitz's own error, text and all
+    key = key_from_theta(ActionParams(p, n, 2), [[1, 0] + [1] * (n - 2), [0, 1] + list(range(1, n - 1))])
+    genus = Fraction(2 * p * (1 - p) + count * p * (p - 1), 2 * p)
+    message = f"quotient genus came out as {genus} for key {key}, deck order {p} and {count} branched points"
+    monkeypatch.setattr(geometry, "_value_matrix", _inconsistent_values(geometry._value_matrix, row, count))
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        jacobian_decomposition(key)
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        conjecture_probe(key)
+    m3 = key_from_theta(ActionParams(p, n, 3), [[1, 0, 0] + [1] * (n - 3), [0, 1, 0] + [0] * (n - 3),
+                                               [0, 0, 1] + [0] * (n - 3)])
+    message = message.replace(str(key), str(m3))
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        conjecture_probe(m3)
+
+
+def _rebuilt(report):
+    """``report`` rebuilt through the constructors and their checks, line by line."""
+    lines = tuple(
+        JacobianLine(entry.line, entry.genus, entry.fixed_points,
+                     CurveModel(entry.model.modulus, entry.model.points, entry.model.exponents))
+        for entry in report.lines
+    )
+    return JacobianReport(report.key, lines, report.total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 4), (3, 4), (5, 3), (7, 5), (13, 5), (31, 4)]), st.data())
+def test_jacobian_report_equals_the_constructor_built_one(pn, data):
+    p, n = pn
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=2, max_size=2))
+    try:
+        key = key_from_theta(ActionParams(p, n, 2), rows)
+    except AdmissibilityError:
+        assume(False)
+    report, rebuilt = jacobian_decomposition(key), _rebuilt(jacobian_decomposition(key))
+    assert report == rebuilt and hash(report) == hash(rebuilt)
+    assert all(type(entry) is JacobianLine and type(entry.model) is CurveModel for entry in report.lines)
+    assert all(type(e) is int for entry in report.lines for e in (entry.genus, entry.fixed_points,
+                                                                 *entry.model.exponents))
+    assert pickle.dumps(report) == pickle.dumps(rebuilt)
+    restored = pickle.loads(pickle.dumps(report))
+    assert restored == rebuilt and hash(restored) == hash(rebuilt)
 
 
 def test_quotient_genus_stays_exact_past_int64():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from action_oracle import act
 from fp_oracle import mat_inverse
 from zpaction.enumeration import ActionParams, enumerate_actions, key_from_theta
+from zpaction import hgroup
 from zpaction.fpalgebra import FpMatrix
 from zpaction.hgroup import (
     Permutation,
@@ -126,6 +127,28 @@ def test_close_group_cap():
     message = r"^group closure exceeds cap 5 \(estimated group order, at least: 6\)$"
     with pytest.raises(ScaleCapError, match=message):
         close_group(s3, cap=5)
+
+
+@pytest.mark.parametrize("chunk, cap", [(None, 20000), (None, 100000), (64, 1000), (2, 500), (5, 37)])
+def test_closure_stops_within_one_chunk_of_its_cap(chunk, cap, monkeypatch):
+    # S_9 from a transposition and a 9-cycle: the count the error reports is past the cap
+    # by at most one chunk of products
+    if chunk is not None:
+        monkeypatch.setattr(hgroup, "_CLOSURE_CHUNK", chunk)
+    gens = [parse_cycles("(1 2)", 9), parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)]
+    with pytest.raises(ScaleCapError, match=f"^group closure exceeds cap {cap} ") as caught:
+        close_group(gens, cap=cap)
+    assert cap < caught.value.estimate <= cap + hgroup._CLOSURE_CHUNK
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_closure_in_small_chunks_is_the_same_group(chunk, monkeypatch):
+    groups = [(8, ["(1 2 3)(4 5)", "(6 7 8)", "(1 6)"]), (6, ["(1 2)", "(1 2 3 4 5 6)"]),
+              (16, ["(1 16)(2 15)", "(3 4 5)", "(14 15 16)"]), (4, [])]
+    expected = [close_group([parse_cycles(g, d) for g in gens], degree=d).elements for d, gens in groups]
+    monkeypatch.setattr(hgroup, "_CLOSURE_CHUNK", chunk)
+    for (degree, gens), elements in zip(groups, expected):
+        assert close_group([parse_cycles(g, degree) for g in gens], degree=degree).elements == elements
 
 
 def _closure_by_products(generators, degree):

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 import zpaction.predictions
@@ -185,6 +186,19 @@ def _oracle_cases():
         for p in primes
         if p > 2 or case.startswith("N5")  # p = 2 is not hyperbolic at n = 3
     ]
+
+
+@pytest.mark.parametrize("case, p", [
+    (case, p) for case in CASES for p in (2, 3, 5, 7, 13, 101, 65521) if p > 2 or case.startswith("N5")
+])
+def test_member_rows_match_the_per_member_stack(case, p):
+    # one call per run of a form against one named_rows call per member, in member order
+    n = 3 if case.startswith("N3") else 5
+    family, members = zpaction.predictions._FAMILIES.get(case, "n3"), _members(case, p)
+    stack = np.array([enumeration.named_rows(family, *x) for x in members], dtype=np.int64).reshape(-1, 2, n)
+    rows = zpaction.predictions._member_rows(family, members, n)
+    assert rows.dtype == np.int64 and np.array_equal(rows, stack)
+    assert np.array_equal(predicted_invariant_set(case, p).rows, KeySet.from_rows(ActionParams(p, n, 2), stack % p).rows)
 
 
 @pytest.mark.parametrize("case, p", _oracle_cases())
