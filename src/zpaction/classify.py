@@ -21,7 +21,7 @@ set, and a Burnside (Cauchy-Frobenius) count checks it:
   Fix(tau sigma tau^-1) = tau Fix(sigma); about 60 ms at (5, 5, 2).
 * past the table, ``table --which n5-orbits``: route B against route A,
   ``count_orbits_scanned``, which takes each non-identity cycle type's
-  fixed set from ``invariant_keys_full``; (31, 5, 2): 3 s, 100 MB.
+  fixed set from ``invariant_keys_full``; (31, 5, 2): 0.7 s, 110 MB.
 ``table --which n3-orbits`` prints route B alone, which criterion 11 of
 the acceptance suite checks against the table Burnside and the
 published table.
@@ -45,18 +45,31 @@ images sorted first so that every probe starts near the last one
 The invariant keys of the whole space come from one candidate stream,
 ``_stable_candidates``, never from the table: the generators mask each
 block as it comes, and only the fixed keys are kept.  At m <= 2 the
-stream is a scan of the projective vectors v of F_p^n.  Each block of v
-is moved by every generator, and the rank of span(v, g_1 v, ..., g_r v)
-is read in closed form: with c the pivot of v, each image reduces
-against v to w_i = g_i v - chi_i v, chi_i = (g_i v)[c], and the rank is
-1 if every w_i is 0 and 2 if they are all multiples of one.  No stack is
-echelonized.  The candidates have two sources: the rank-2 planes that a
-keep rule picks before they are built, and one rref walk over each common
-eigenspace E_chi (its basis from the rank-1 spans) for its lines at m = 1
-and its planes at m = 2.  At m >= 3 a stable subspace need not have that
-form, so the stream is the rref walk of the whole space, block by block.
-``_rref_rows`` is the one batched elimination, for the eigenspace bases
-and for orbit closure at m >= 3.
+stream walks the points v of a few subspaces of F_p^n, not all of it.
+One element h of Q whose order k is prime to p (``_scan_element``, the
+cheapest; the identity always qualifies) is semisimple, so F_p^n splits
+into the kernels of pi(h) over the irreducible factors pi of t^k - 1.
+Every Q-stable W is h-stable, hence the sum of its meets with those
+kernels, and an h-stable part of the kernel of a pi of degree d has a
+dimension divisible by d.  So a stable W of dimension at most 2 either
+lies in one eigenspace E_lambda(h), lambda in F_p, or in U, the part of
+h with eigenvalues in F_{p^2} outside F_p, or is a line of E_lambda(h)
+plus a line of E_mu(h), lambda != mu.  The scan walks the points of the
+eigenspaces and of U, and at m = 2 lists every plane of the last kind.
+Each block of v is moved by every generator, and the rank of
+span(v, g_1 v, ..., g_r v) is read in closed form: with c the pivot of
+v, each image reduces against v to w_i = g_i v - chi_i v,
+chi_i = (g_i v)[c], and the rank is 1 if every w_i is 0 and 2 if they
+are all multiples of one.  No stack is echelonized.  The rank-2 planes
+that a keep rule picks are candidates, and so is one rref walk over each
+common eigenspace E_chi (its basis from the rank-1 spans, complete as
+E_chi lies in the one walked eigenspace E_chi(h)(h)) for its lines at
+m = 1 and its planes at m = 2.  For a p-group Q, h is the identity,
+whose one eigenspace is F_p^n: the walk of every projective vector.  At
+m >= 3 a stable subspace need not have that form, so the stream is the
+rref walk of the whole space, block by block.  ``_rref_rows`` is the one
+batched elimination, for the kernels, the eigenspace bases and orbit
+closure at m >= 3.
 """
 
 from __future__ import annotations
@@ -82,8 +95,11 @@ from .enumeration import (
 from .hgroup import PermGroup, Permutation, close_group, normalizer_in_symmetric, orbit_labels
 from .keyless import count_orbits_keyless
 
-# The m <= 2 scan's cap on its projective vectors, then on its eigenspace subspaces.  At n = 5
-# it admits p <= 53 (1.4-1.9 s, 0.2-0.3 us per vector, 2 vCPU) and refuses p = 59 (2.9-4.0 s).
+# The m <= 2 scan's cap on the identity's projective vectors [n choose 1]_p, which bound every
+# scan element's walk, then on its eigenspace subspaces.  At n = 5 it admits p <= 53 and refuses
+# p = 59.  The identity's walk, the scan of a p-group, takes 0.2-0.3 us per vector (1.8 s at
+# p = 53, 2 vCPU); at p = 53 a whole exhaustive `triples` run takes 0.2-0.7 s for D3, K4 and
+# (1 2)(3 4)(5 6), whose scan elements walk far fewer.
 TRIPLES_CANDIDATE_CAP = 10_000_000
 
 
@@ -228,17 +244,26 @@ def count_orbits_scanned(
     sigma's cycle type; it is |``invariant_keys_full``(params, <sigma>)|
     for one sigma of each type, and for the identity the closed form
     sum_{s=0}^{n} (-1)^s C(n+1, s) [n-s choose m]_p, by inclusion-exclusion
-    over the generators a_j in K, any n of which are independent.  No
-    table is built, and the trivial group builds nothing at all.  Raises
-    VerificationError unless |G| divides the sum.
+    over the generators a_j in K, any n of which are independent.  At
+    m >= 3 the candidates are the whole rref walk whatever sigma is, so
+    one walk counts every representative's fixed keys at once
+    (``_fixed_counts``).  No table is built, and the trivial group builds
+    nothing at all.  Raises VerificationError unless |G| divides the sum.
     """
     p, n, m = params.p, params.n, params.m
     total = sum((-1) ** s * math.comb(n + 1, s) * _subspace_count(p, n - s, m)
                 for s in range(n + 1))  # the identity's fixed keys
-    for cycles, size in group.cycle_types.items():
-        if cycles != ((1, n + 1),):
-            cyclic = close_group([_permutation_of_type(cycles)], degree=n + 1)
-            total += size * len(invariant_keys_full(params, cyclic, max_candidates))
+    sizes = {_permutation_of_type(cycles): size  # one representative per non-identity type
+             for cycles, size in group.cycle_types.items() if cycles != ((1, n + 1),)}
+    if m > 2 and sizes:  # one walk of the whole space, every representative masking each block
+        check_invariant_cap(params, max_candidates)
+        fixed = np.zeros(len(sizes), dtype=np.int64)
+        for block in _stable_candidates(params, group, max_candidates):
+            fixed += _fixed_counts(block, params, list(sizes))
+    else:  # a scan of each representative's own components
+        fixed = [len(invariant_keys_full(params, close_group([sigma], degree=n + 1), max_candidates))
+                 for sigma in sizes]
+    total += sum(size * int(count) for size, count in zip(sizes.values(), fixed))
     if total % group.order:
         raise VerificationError("the scanned Burnside sum is not divisible by the group order")
     return total // group.order
@@ -508,9 +533,11 @@ def check_invariant_cap(
 
     At m >= 3 that is ``theta_table``'s cap, on the rref walk that the
     scan masks block by block without building the table.  At m <= 2 it
-    is ``TRIPLES_CANDIDATE_CAP`` on the span walk's projective vectors
-    [n choose 1]_p or, once it has found the common eigenspaces, on the
-    ``planes`` (lines at m = 1) sum [dim E_chi choose m]_p of their walk.
+    is ``TRIPLES_CANDIDATE_CAP`` on the projective vectors [n choose 1]_p,
+    the identity's span walk, which bounds the walk of any scan element
+    (``_scan_element``), or, once the scan has found the common
+    eigenspaces, on the ``planes`` (lines at m = 1) sum
+    [dim E_chi choose m]_p of their walk.
     ``max_candidates`` (None or 0: the route's cap) overrides either cap.
     """
     if params.m > 2:
@@ -555,29 +582,52 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
     generator acts on W as a scalar and W is a plane of one common
     eigenspace E_chi, chi the tuple of those scalars.
 
-    Two sources give the candidates.  A walk over the projective vectors
-    v, ``_BLOCK`` at a time, reads each span from ``_orbit_spans``.
-    At m = 2 its kept planes are the first: a stable plane not of scalar
-    type has at most two common eigenvectors as points, so one of its
-    three kept v spans it.  Its rank-1 v give a basis of each E_chi, chi
-    read off v's pivot entry.  The second, once the count of its
+    The scan walks only the points of the components of one element h of
+    Q with p not dividing its order k (``_scan_element``).  Such an h is
+    semisimple, so F_p^n is the direct sum of the kernels of pi(h) over
+    the irreducible factors pi of t^k - 1, and W, being h-stable, is the
+    sum of its meets with them.  An h-stable subspace of the kernel of a
+    pi of degree d has dimension a multiple of d.  So a W of dimension at
+    most 2 either (a) lies in one component of degree at most 2: an
+    eigenspace E_lambda(h), lambda in F_p, or U, the part of h with
+    eigenvalues in F_{p^2} outside F_p; or (b) is a line of E_lambda(h)
+    plus a line of E_mu(h), lambda != mu.  The identity's one component
+    is all of F_p^n, so for a p-group Q the scan is the walk of every
+    projective vector.
+
+    Three sources give the candidates.  The points v of the components,
+    ``_BLOCK`` at a time, read each span from ``_orbit_spans``.  At
+    m = 2 its kept planes are the first: a stable plane in a component,
+    not of scalar type, has at most two common eigenvectors as points, so
+    one of its three kept v, all in that component, spans it.  Its rank-1
+    v give a basis of each E_chi, chi read off v's pivot entry; E_chi
+    lies in the one eigenspace E_chi(h)(h), all of whose points are
+    walked, so the basis is complete.  The second, once the count of its
     subspaces passes the scan cap, is the rref walk over G(m, dim E_chi)
     times each basis: the lines at m = 1, the scalar-type planes at m = 2.
+    The third, at m = 2, is every plane of type (b) (``_eigenspace_pairs``).
     Rows may repeat.
     """
-    p, n, m = params.p, params.n, params.m
-    if m > 2:
-        yield from (mats[_admissible(mats, p)] for mats in _rref_walk(p, m, n))
-        return
+    if params.m > 2:
+        blocks = _rref_walk(params.p, params.m, params.n)
+    else:
+        blocks = _packed(_scan_candidates(params, group, max_candidates))
+    for block in blocks:
+        yield block[_admissible(block, params.p)]
+
+
+def _scan_candidates(params: ActionParams, group: PermGroup, max_candidates: int | None):
+    """The three candidate sources of ``_stable_candidates`` at m <= 2, in blocks of at most ``_BLOCK``."""
+    p, m = params.p, params.m
     dtype = _product_dtype(params)
+    _, h_eigenspaces, quadratic, _ = _scan_element(params, group)
     eigenspaces = {}
-    for vectors in _rref_walk(p, 1, n):
-        vectors = vectors.astype(dtype)
+    for vectors in _packed(_points(h_eigenspaces + quadratic, params)):
         columns = _extended(vectors, params)
         images = [_moved_rows(columns, g) for g in group.generators]
         characters, ranks, planes = _orbit_spans(vectors, images, params)
         if m == 2:
-            yield planes[_admissible(planes, p)]
+            yield planes
         eigen = vectors[ranks == 1, 0]
         labels, inverse = np.unique(characters[ranks == 1], axis=0, return_inverse=True)
         for label, chi in enumerate(map(tuple, labels.tolist())):
@@ -589,7 +639,174 @@ def _stable_candidates(params: ActionParams, group: PermGroup, max_candidates: i
         for coefficients in _rref_walk(p, m, len(basis)):  # none if dim E_chi < m
             rows = coefficients.astype(dtype) @ basis  # a product of rref matrices is rref
             rows %= p
-            yield rows[_admissible(rows, p)]
+            yield rows
+    if m == 2:
+        yield from _eigenspace_pairs(h_eigenspaces, params)
+
+
+def _scan_element(params: ActionParams, group: PermGroup):
+    """The element h of ``group`` whose components the m <= 2 scan walks, and those components.
+
+    Returns h; h's eigenspaces E_lambda(h), lambda in F_p, as nonzero rref
+    bases; the rref basis of U (see ``_stable_candidates``) in a list,
+    empty if U is 0 or m = 1, where U holds no stable line; and the
+    candidate count of the walk: sum_lambda [dim E_lambda choose 1]_p,
+    plus at m = 2 [dim U choose 1]_p and the pairs of lines from two
+    eigenspaces.  The h tried are one element of each cycle type among
+    the conjugacy class representatives with p not dividing their order,
+    the identity first; the count depends only on the cycle type, as the
+    action is a representation of S_{n+1}.  When |Q| is above the
+    identity's [n choose 1]_p points, finding the classes would cost more
+    than the walk they shorten, so only the identity and the generators
+    are tried.  The points and pairs counted are distinct points of
+    P(F_p^n) and disjoint sets of p - 1 of them, so no count exceeds the
+    identity's.  Ties go to the later h.
+
+    With M = ``_action_matrix`` of h of order k, E_lambda is the left
+    kernel of M - lambda for each root lambda of t^k - 1 in F_p.  With
+    a = gcd(k, p^2 - 1) and b = gcd(k, p - 1), ker(M^a - 1) is the sum of
+    the E_lambda and U, and M^b - 1 kills the E_lambda and is invertible
+    on U, so U = ker(M^a - 1) (M^b - 1), of dimension dim ker(M^a - 1) -
+    sum_lambda dim E_lambda; it is 0 when a = b.  One elimination finds
+    every kernel of every h tried, and U is built only for the h chosen.
+    """
+    p, n, m = params.p, params.n, params.m
+    if group.order <= _subspace_count(p, n, 1):
+        tried_elements = [sigma for sigma, _ in group.conjugacy_classes]
+    else:
+        tried_elements = [Permutation.identity(n + 1), *group.generators]
+    elements = {}  # cycle type -> its first element tried
+    for sigma in tried_elements:
+        lengths = tuple(sorted(map(len, sigma.cycles())))
+        if math.lcm(*lengths) % p:
+            elements.setdefault(lengths, sigma)
+    unit = np.eye(n, dtype=_product_dtype(params))
+    shifted, tried = [], []
+    for lengths, sigma in elements.items():
+        order, matrix, first = math.lcm(*lengths), _action_matrix(params, sigma), len(shifted)
+        shifted += [(matrix + (p - root) * unit) % p for root in _roots_of_unity(order, p)]
+        a, b = math.gcd(order, p * p - 1), math.gcd(order, p - 1)
+        if m == 2 and a != b:
+            shifted.append((_matrix_power(matrix, a, p) + (p - 1) * unit) % p)
+        tried.append((sigma, matrix, b, first, len(shifted)))
+    kernels = _left_kernels(np.stack(shifted), params)
+    best = None
+    for sigma, matrix, b, first, end in tried:  # b eigenspace kernels, then ker(M^a - 1) if U != 0
+        eigenspaces = [basis for basis in kernels[first : first + b] if len(basis)]
+        kernel = kernels[end - 1] if end > first + b else None
+        sizes = [_subspace_count(p, len(basis), 1) for basis in eigenspaces]
+        count = sum(sizes)
+        if kernel is not None:
+            count += _subspace_count(p, len(kernel) - sum(map(len, eigenspaces)), 1)
+        if m == 2:
+            count += sum(x * y for i, x in enumerate(sizes) for y in sizes[i + 1 :])
+        if best is None or count <= best[-1]:
+            best = (sigma, matrix, b, kernel, eigenspaces, count)
+    sigma, matrix, b, kernel, eigenspaces, count = best
+    if kernel is None:
+        return sigma, eigenspaces, [], count
+    rows = kernel @ ((_matrix_power(matrix, b, p) + (p - 1) * unit) % p)
+    rows %= p
+    return sigma, eigenspaces, [rows[: _rref_rows(rows[None], params)[0]]], count
+
+
+def _action_matrix(params: ActionParams, sigma: Permutation) -> np.ndarray:
+    """The (n, n) matrix M of sigma on F_p^n, in the product dtype: sigma moves a key row v to v M."""
+    units = np.eye(params.n, dtype=_product_dtype(params))[:, None, :]
+    return _moved_rows(_extended(units, params), sigma)[:, 0]
+
+
+def _matrix_power(matrix: np.ndarray, exponent: int, p: int) -> np.ndarray:
+    """matrix^exponent mod p by repeated squaring, in int64, returned in matrix's dtype."""
+    result, square = np.eye(len(matrix), dtype=np.int64), matrix.astype(np.int64)
+    while exponent:
+        if exponent & 1:
+            result = result @ square % p
+        square = square @ square % p
+        exponent >>= 1
+    return result.astype(matrix.dtype)
+
+
+def _roots_of_unity(order: int, p: int) -> list[int]:
+    """The roots of t^order - 1 in F_p: the powers of a root of order gcd(order, p - 1)."""
+    count = math.gcd(order, p - 1)
+    for x in range(1, p):
+        step, roots = pow(x, (p - 1) // count, p), [1]
+        while (power := roots[-1] * step % p) != 1:
+            roots.append(power)
+        if len(roots) == count:
+            return roots
+
+
+def _left_kernels(matrices: np.ndarray, params: ActionParams) -> list[np.ndarray]:
+    """rref bases of the left kernels {v : v A = 0} of (R, n, n) matrices A, by one elimination.
+
+    The rref of [A | 1] has its rows with a zero A part last; their right
+    halves x, with x A = 0, are a basis of the kernel, and already rref.
+    """
+    count, n, _ = matrices.shape
+    block = np.zeros((count, n, 2 * n), dtype=_product_dtype(params))
+    block[:, :, :n] = matrices
+    block[:, :, n:] = np.eye(n, dtype=block.dtype)
+    _rref_rows(block, params)
+    ranks = (block[:, :, :n] != 0).any(axis=2).sum(axis=1)
+    return [rows[rank:, n:] for rows, rank in zip(block, ranks.tolist())]
+
+
+def _points(bases, params: ActionParams):
+    """The projective points of the row space of each rref basis, as (K, 1, n) rref rows in blocks."""
+    dtype = _product_dtype(params)
+    for basis in bases:
+        for coefficients in _rref_walk(params.p, 1, len(basis)):
+            rows = coefficients.astype(dtype)
+            if len(basis) < params.n:  # else the basis is the identity
+                rows = rows @ basis
+                rows %= params.p
+            yield rows
+
+
+def _packed(blocks):
+    """The rows of consecutive blocks of at most ``_BLOCK`` rows, joined into blocks of at most ``_BLOCK``.
+
+    Small components give small blocks, and each block costs a fixed
+    number of array calls, which dominate at small p.
+    """
+    pending, size = [], 0
+    for block in blocks:
+        if pending and size + len(block) > _BLOCK:
+            yield _joined(pending)
+            size = 0
+        pending.append(block)
+        size += len(block)
+    if pending:
+        yield _joined(pending)
+
+
+def _joined(pending: list) -> np.ndarray:
+    """The blocks in ``pending`` as one, emptied from the list so that no second copy stays alive."""
+    joined = pending[0] if len(pending) == 1 else np.concatenate(pending)
+    pending.clear()
+    return joined
+
+
+def _eigenspace_pairs(eigenspaces: list[np.ndarray], params: ActionParams):
+    """The rref planes span(l, l') of a line l of one eigenspace and l' of a later one, in blocks.
+
+    Each block holds at most ``_BLOCK`` pairs, built as (2, n, K) columns
+    and reduced by ``_rref_columns``; l and l' lie in different
+    eigenspaces, so the rank is 2.
+    """
+    for i, first in enumerate(eigenspaces):
+        for second in eigenspaces[i + 1 :]:
+            for lines in _packed(_points([first], params)):
+                for others in _packed(_points([second], params)):
+                    step = max(1, _BLOCK // len(others))
+                    for start in range(0, len(lines), step):
+                        chunk = lines[start : start + step, 0].T
+                        columns = np.empty((2, params.n, chunk.shape[1] * len(others)), chunk.dtype)
+                        columns[0] = np.repeat(chunk, len(others), axis=1)  # l, each once per l'
+                        columns[1] = np.tile(others[:, 0].T, chunk.shape[1])
+                        yield _rref_columns(columns, params).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +838,9 @@ def classify_triples(
     """Count topological classes of actions admitting the symmetry ``group``.
 
     ``exhaustive`` finds every invariant subgroup of the parameter space
-    with ``invariant_keys_full`` (at m <= 2 a projective-vector scan, at
-    m >= 3 the rref walk, each block certified by the invariance mask);
+    with ``invariant_keys_full`` (at m <= 2 a scan of one element's
+    eigenspaces, at m >= 3 the rref walk, each block certified by the
+    invariance mask);
     ``predicted`` instantiates the matching closed-form m = 2 family (and
     re-verifies every member's invariance).  The classes are the orbits of
     the invariant set under the normalizer of ``group`` inside S_{n+1};

@@ -208,6 +208,8 @@ def row_codes(rows: np.ndarray, base: int) -> np.ndarray:
     if base ** flat.shape[1] >= 1 << 63:
         flat = np.ascontiguousarray(flat, dtype=">u2")
         return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    if len(flat) <= 1 << 8:  # one product; per-column calls cost more on short arrays
+        return flat.astype(np.int64) @ base ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
     codes, step = np.zeros(len(flat), dtype=np.int64), 1 << 15  # a block of codes stays in cache
     for start in range(0, len(flat), step):
         block = codes[start : start + step]
@@ -297,8 +299,9 @@ def _closure(generators: np.ndarray, elements: np.ndarray, cap: int = DEFAULT_CL
             new = codes[np.minimum(at, len(codes) - 1)] != product_codes
             if not new.any():  # always so on the last level
                 continue
-            codes = np.insert(codes, at[new], product_codes[new])
             level.append(products[first[new]])
+            codes = np.concatenate([codes, product_codes[new]])
+            codes.sort(kind="stable")  # timsort: one merge of the two sorted runs
             if len(codes) > cap:
                 raise ScaleCapError(f"group closure exceeds cap {cap}", len(codes), "group order, at least")
         found += level

@@ -43,6 +43,8 @@ from zpaction.classify import (
     _product_dtype,
     _rref_columns,
     _rref_rows,
+    _scan_element,
+    _subspace_count,
 )
 from zpaction.fpalgebra import FpMatrix, kernel_basis, rref
 from zpaction.hgroup import (
@@ -672,7 +674,106 @@ def test_identity_like_group_is_refused_before_the_eigenspace_walk(monkeypatch):
     assert invariant_keys_full(lines, identity, max_candidates=500) == KeySet.full(lines)
 
 
-@pytest.mark.parametrize("p", [17, 19])
+# (n, p, generators, what the scan element must be): components with eigenvalues in F_{p^2}
+# only ("quadratic"), a best h that is no generator, and p-groups, whose only h is the identity
+SCAN_ELEMENT_CASES = [
+    (4, 19, ["(1 2 3 4 5)"], "quadratic"),
+    (4, 29, ["(1 2 3 4 5)"], "quadratic"),
+    (4, 5, ["(1 2 3)"], "quadratic"),
+    (5, 5, ["(1 2 3)"], "quadratic"),
+    (4, 11, ["(1 2 3)"], "quadratic"),
+    (5, 2, ["(1 2)", "(2 3)"], "no generator"),
+    (5, 3, ["(1 2)", "(2 3)"], "any"),
+    (4, 2, ["(1 2)(3 4 5)"], "no generator"),
+    (5, 2, ["(1 2)(3 4 5)"], "no generator"),
+    (4, 3, ["(1 2)(3 4 5)"], "no generator"),
+    (5, 3, ["(1 2)(3 4 5)"], "no generator"),
+    (5, 2, ["(3 5)(4 6)", "(1 2)(3 4)(5 6)"], "identity"),
+    (5, 2, ["(1 2 3 4)", "(1 3)"], "identity"),
+    (5, 3, ["(1 2 3)", "(4 5 6)"], "identity"),
+    (4, 5, ["(1 2 3 4 5)"], "identity"),
+    (5, 5, ["(1 2 3 4 5)"], "identity"),
+]
+
+
+def _scan_element_cases():
+    return [pytest.param(n, m, p, gens, want, id=f"n{n}-m{m}-p{p}-{''.join(gens)}")
+            for n, p, gens, want in SCAN_ELEMENT_CASES for m in (1, 2)]
+
+
+@pytest.mark.parametrize("n, m, p, gens, want", _scan_element_cases())
+def test_invariant_keys_full_matches_the_table_mask_from_the_scan_element(n, m, p, gens, want):
+    params, group = ActionParams(p, n, m), close_group([parse_cycles(g, n + 1) for g in gens])
+    h, eigenspaces, quadratic, count = _scan_element(params, group)
+    if want == "identity":
+        assert h == Permutation.identity(n + 1) and count == _subspace_count(p, n, 1)
+        assert [basis.tolist() for basis in eigenspaces] == [np.eye(n, dtype=int).tolist()]
+    elif want == "no generator":
+        assert h not in group.generators and h != Permutation.identity(n + 1)
+    elif want == "quadratic":
+        assert (len(quadratic) == 1) == (m == 2) and len(eigenspaces) < 2  # no pairs to walk
+    assert invariant_keys_full(params, group) == invariant_set(_oracle_table(params), group)
+
+
+@pytest.mark.parametrize("n, m, p, gens, want", _scan_element_cases()[::3] + [
+    pytest.param(5, m, p, [g.cycle_string() for g in case_group(name).generators], "any", id=f"{name}-m{m}-p{p}")
+    for name in ("N5_D3", "N5_K4") for m in (1, 2) for p in (7, 13)])
+def test_the_scan_walks_the_chosen_elements_count(monkeypatch, n, m, p, gens, want):
+    # the points through _orbit_spans and the pairs through _rref_columns are the count,
+    # which is never above the identity's [n choose 1]_p
+    params, group = ActionParams(p, n, m), close_group([parse_cycles(g, n + 1) for g in gens])
+    count, walked = _scan_element(params, group)[-1], []
+    spans, rref_columns = zpaction.classify._orbit_spans, zpaction.classify._rref_columns
+
+    def counted_spans(vectors, images, params):
+        walked.append(len(vectors))  # (K, 1, n)
+        return spans(vectors, images, params)
+
+    def counted_rref_columns(columns, params):
+        walked.append(columns.shape[2])  # (2, n, K)
+        return rref_columns(columns, params)
+
+    monkeypatch.setattr(zpaction.classify, "_orbit_spans", counted_spans)
+    monkeypatch.setattr(zpaction.classify, "_rref_columns", counted_rref_columns)
+    invariant_keys_full(params, group)
+    assert sum(walked) == count <= _subspace_count(p, n, 1)
+
+
+@pytest.mark.parametrize("params, gens", [
+    (ActionParams(13, 5, 2), ["(1 2 3)(4 5 6)", "(1 4)(2 6)(3 5)"]),
+    (ActionParams(7, 5, 2), ["(3 5)(4 6)", "(1 2)(3 4)(5 6)"]),
+    (ActionParams(11, 5, 2), ["(1 2)(3 4)(5 6)"]),
+    (ActionParams(11, 5, 1), ["(1 2)(3 4)(5 6)"]),
+    (ActionParams(19, 4, 2), ["(1 2 3 4 5)"]),
+    (ActionParams(5, 5, 2), ["(1 2 3)"]),
+    (ActionParams(2, 5, 2), ["(1 2)", "(2 3)"]),
+], ids=["D3", "K4", "involution", "involution-m1", "5-cycle", "3-cycle", "S3"])
+def test_the_identity_as_scan_element_gives_the_same_keys(monkeypatch, params, gens):
+    group = close_group([parse_cycles(g, params.n + 1) for g in gens])
+    keys = invariant_keys_full(params, group)
+    assert _scan_element(params, group)[0] != Permutation.identity(params.n + 1)
+    real = _scan_element
+    monkeypatch.setattr(zpaction.classify, "_scan_element",
+                        lambda params, group: real(params, close_group([], degree=params.n + 1)))
+    assert invariant_keys_full(params, group) == keys
+
+
+def test_the_scan_element_of_a_group_larger_than_the_walk_needs_no_classes(monkeypatch):
+    # S_9 has 362,880 elements and F_2^8 has 255 points: only the identity and the generators are tried
+    from zpaction.hgroup import PermGroup
+
+    params = ActionParams(2, 8, 2)
+    expected = invariant_set(KeySet.full(params), symmetric_group(9))
+
+    def no_classes(group):
+        raise AssertionError("the conjugacy classes were computed")
+
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", property(no_classes))
+    assert _scan_element(params, symmetric_group(9))[0] == parse_cycles("(1 2 3 4 5 6 7 8 9)", 9)
+    assert invariant_keys_full(params, symmetric_group(9)) == expected
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 53])
 @pytest.mark.parametrize("case", ["N5_D3", "N5_K4"])
 def test_exhaustive_matches_predicted_past_p13(case, p):
     params, group = ActionParams(p, 5, 2), case_group(case)
@@ -927,6 +1028,28 @@ def test_scanned_count_builds_no_table_at_m3(monkeypatch, p, n, m):
     _no_table(monkeypatch)
     for group, count in zip(_keyless_groups(n + 1), expected):
         assert count_orbits_scanned(params, group) == count, group.order
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 3), (5, 5, 3), (2, 6, 4)])
+def test_scanned_count_walks_the_space_once_at_m3(monkeypatch, p, n, m):
+    params, group = ActionParams(p, n, m), symmetric_group(n + 1)
+    expected = burnside_count_full(params, group)
+    real, walks = zpaction.classify._rref_walk, []
+
+    def walk(p, rank, n):
+        walks.append(rank)
+        return real(p, rank, n)
+
+    monkeypatch.setattr(zpaction.classify, "_rref_walk", walk)
+    assert count_orbits_scanned(params, group) == expected
+    assert walks == [m]  # every cycle type's representative masks the one walk
+
+
+def test_scanned_count_checks_its_divisibility_at_m3(monkeypatch):
+    real = zpaction.classify._fixed_counts
+    monkeypatch.setattr(zpaction.classify, "_fixed_counts", lambda *args: real(*args) + 1)
+    with pytest.raises(VerificationError, match="not divisible"):
+        count_orbits_scanned(ActionParams(3, 4, 3), symmetric_group(5))
 
 
 # D3, K4, an involution and the full cycle at degrees 5 and 6; at degree 5, where the
